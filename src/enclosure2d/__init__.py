@@ -20,8 +20,8 @@ from .errors import (
     SolverError,
 )
 from .geometry import Direction, Polygon, Scene, support_function, is_regular
-from .fields import ZeroField, PlaneWave, PointSource, ModulatedPlane, ProbeParams
-from .forward import build_mesh, solve_scattering, DiscSeriesSolution
+from .fields import PlaneWave, PointSource, ModulatedPlane, ProbeParams
+from .forward import build_mesh, factorize, solve_scattering, DiscSeriesSolution
 from .trace import TraceData, trace_direct, recover_neumann
 from .indicator import compute_samples, estimate_support, classify_threshold, reconstruct_hull
 from .farfield import (

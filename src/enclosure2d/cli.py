@@ -6,7 +6,11 @@ go to an output directory as CSV (field/indicator arrays) and JSON
 (diagnostics).  Every output carries a header with the configuration
 hash so identical runs are byte-identical and traceable.
 
-Exit codes: 0 ok, 2 config, 3 resolution, 4 solver, 5 reconstruction.
+Exit codes: 0 ok, 2 config (ConfigError, DomainError, or a command-line
+syntax error), 3 resolution (ResolutionError), 4 solver (SolverError,
+NearFieldError, GeometryError), 5 reconstruction (ReconstructionError).
+Any other exception is a bug: it prints a traceback and Python exits
+with code 1.
 """
 
 from __future__ import annotations
@@ -285,13 +289,14 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except ConfigError as exc:
+    except (ConfigError, DomainError) as exc:
+        # every DomainError here comes from a flag or the scene file
         print(f"error[config]: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except ResolutionError as exc:
         print(f"error[resolution]: {exc}", file=sys.stderr)
         return EXIT_RESOLUTION
-    except (SolverError, NearFieldError, DomainError, GeometryError) as exc:
+    except (SolverError, NearFieldError, GeometryError) as exc:
         print(f"error[solver]: {exc}", file=sys.stderr)
         return EXIT_SOLVER
     except ReconstructionError as exc:

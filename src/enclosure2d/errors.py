@@ -1,7 +1,10 @@
 """Exception hierarchy shared by all modules.
 
-The CLI maps these onto process exit codes: ConfigError -> 2,
-ResolutionError -> 3, SolverError -> 4, ReconstructionError -> 5.
+The CLI maps these onto process exit codes: 0 ok; 2 config
+(ConfigError, DomainError); 3 resolution (ResolutionError); 4 solver
+(SolverError, NearFieldError, GeometryError); 5 reconstruction
+(ReconstructionError).  Any other exception is a bug: it prints a
+traceback and Python exits with code 1.
 """
 
 

@@ -28,9 +28,9 @@ from .forward import (
     BoundaryMesh,
     DiscSeriesSolution,
     ScatterSolution,
-    _Factorized,
     build_mesh,
     eval_total,
+    factorize,
 )
 from .geometry import Direction, Scene
 
@@ -66,25 +66,21 @@ def point_source_far_field_check(scene: Scene, d_angles, nodes_per_edge: int = 6
 
     Compares the far-field of the point-source total field against
     (e^{i pi/4}/sqrt(8 pi k)) u(y; -d, k), where u(y; -d, k) is the total
-    plane-wave field at the source location with incidence -d.  One
-    point-source solve plus one plane-wave solve per direction, all
-    sharing a single factorization.
+    plane-wave field at the source location with incidence -d.  The
+    point-source and all plane-wave right-hand sides go through one LU
+    solve.
     """
     d_angles = np.atleast_1d(np.asarray(d_angles, dtype=float))
     k = scene.wavenumber_k
     y = scene.source_y
     mesh = build_mesh(scene, nodes_per_edge=nodes_per_edge, p_grade=p_grade)
-    fact = _Factorized(scene, mesh)
-
-    ps_sol = fact.solve(PointSource(y))
+    # incidence -d for every observation direction d
+    plane_waves = [PlaneWave(Direction.from_angle(ang + np.pi)) for ang in d_angles]
+    ps_sol, *pw_sols = factorize(scene, mesh).solve([PointSource(y)] + plane_waves)
     ff_scattered = far_field_pattern(ps_sol, d_angles)
     d_hat = np.column_stack([np.cos(d_angles), np.sin(d_angles)])
     ff_total = ff_scattered + far_field_constant(k) * np.exp(-1j * k * (d_hat @ y))
-
-    rhs = np.empty(len(d_angles), dtype=complex)
-    for i, ang in enumerate(d_angles):
-        pw = PlaneWave(Direction.from_angle(ang + np.pi))  # incidence -d
-        rhs[i] = far_field_constant(k) * eval_total(fact.solve(pw), y)
+    rhs = far_field_constant(k) * np.array([eval_total(sol, y) for sol in pw_sols])
     scale = float(np.max(np.abs(ff_total)))
     return float(np.max(np.abs(ff_total - rhs)) / scale)
 
@@ -128,15 +124,14 @@ def assemble_far_field_operator(
     nodes_per_edge: int = 64,
     p_grade: float = 4.0,
 ) -> FarFieldOperator:
-    """One plane-wave solve per incidence column, shared factorization."""
+    """One plane-wave solution per incidence column, all from one LU solve."""
     obs_angles = 2 * np.pi * np.arange(n_obs) / n_obs
     inc_angles = 2 * np.pi * np.arange(n_inc) / n_inc
     matrix = np.zeros((n_obs, n_inc), dtype=complex)
     if scene.obstacles:
         mesh = build_mesh(scene, nodes_per_edge=nodes_per_edge, p_grade=p_grade)
-        fact = _Factorized(scene, mesh)
-        for j, ang in enumerate(inc_angles):
-            sol = fact.solve(PlaneWave(Direction.from_angle(ang)))
+        sols = factorize(scene, mesh).solve(PlaneWave(Direction.from_angle(ang)) for ang in inc_angles)
+        for j, sol in enumerate(sols):
             matrix[:, j] = far_field_pattern(sol, obs_angles)
     return FarFieldOperator(matrix=matrix, obs_angles=obs_angles, inc_angles=inc_angles, k=scene.wavenumber_k)
 

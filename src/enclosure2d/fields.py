@@ -16,40 +16,65 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, ResolutionError
+from .errors import DomainError
 from .geometry import Direction
 from .specialfun import hankel1, hankel1_prime
 
 __all__ = [
-    "ZeroField",
     "PlaneWave",
     "PointSource",
     "ModulatedPlane",
-    "field_value",
-    "field_gradient",
     "ProbeParams",
     "eval_probe",
     "probe_log_magnitude",
-    "herglotz_wave",
 ]
 
 
-@dataclass(frozen=True)
-class ZeroField:
-    """Identically-zero incident field (useful for null checks)."""
+def _points(x) -> np.ndarray:
+    return np.atleast_2d(np.asarray(x, dtype=float))
+
+
+def _one_point(out):
+    """A single evaluation point gives a scalar value or one gradient vector."""
+    return out[0] if len(out) == 1 else out
 
 
 @dataclass(frozen=True)
 class PlaneWave:
+    """Field e^{ik x.d}."""
+
     d: Direction
+
+    def value(self, k: float, x):
+        return _one_point(np.exp(1j * k * (_points(x) @ self.d.vec)))
+
+    def gradient(self, k: float, x):
+        v = np.exp(1j * k * (_points(x) @ self.d.vec))
+        return _one_point(1j * k * v[..., None] * self.d.vec)
 
 
 @dataclass(frozen=True)
 class PointSource:
+    """Field (i/4) H^(1)_0(k|x - y|)."""
+
     y: np.ndarray
 
     def __post_init__(self):
         object.__setattr__(self, "y", np.asarray(self.y, dtype=float))
+
+    def value(self, k: float, x):
+        r = np.linalg.norm(_points(x) - self.y, axis=-1)
+        if np.any(r == 0):
+            raise DomainError("point source evaluated at its singularity")
+        return _one_point(0.25j * hankel1(0, k * r))
+
+    def gradient(self, k: float, x):
+        diff = _points(x) - self.y
+        r = np.linalg.norm(diff, axis=-1)
+        if np.any(r == 0):
+            raise DomainError("point source gradient at its singularity")
+        radial = 0.25j * k * hankel1_prime(0, k * r) / r
+        return _one_point(radial[..., None] * diff)
 
 
 @dataclass(frozen=True)
@@ -67,48 +92,15 @@ class ModulatedPlane:
         # theta = (-d_y, d_x) satisfies theta_perp = (theta_y, -theta_x) = d
         return np.array([-self.d.y, self.d.x])
 
+    def value(self, k: float, x):
+        x = _points(x)
+        return _one_point(((self.x0 - x) @ self.theta) * np.exp(-1j * k * (x @ self.d.vec)))
 
-def field_value(field, k: float, x):
-    """Evaluate the incident field at points ``x`` (shape (..., 2))."""
-    x = np.atleast_2d(np.asarray(x, dtype=float))
-    if isinstance(field, ZeroField):
-        out = np.zeros(x.shape[0], dtype=complex)
-    elif isinstance(field, PlaneWave):
-        out = np.exp(1j * k * (x @ field.d.vec))
-    elif isinstance(field, PointSource):
-        r = np.linalg.norm(x - field.y, axis=-1)
-        if np.any(r == 0):
-            raise DomainError("point source evaluated at its singularity")
-        out = 0.25j * hankel1(0, k * r)
-    elif isinstance(field, ModulatedPlane):
-        out = ((field.x0 - x) @ field.theta) * np.exp(-1j * k * (x @ field.d.vec))
-    else:
-        raise TypeError(f"unknown incident field {type(field)!r}")
-    return out[0] if out.shape == (1,) else out
-
-
-def field_gradient(field, k: float, x):
-    """Analytic gradient of the incident field, shape (..., 2)."""
-    x = np.atleast_2d(np.asarray(x, dtype=float))
-    if isinstance(field, ZeroField):
-        out = np.zeros((x.shape[0], 2), dtype=complex)
-    elif isinstance(field, PlaneWave):
-        v = np.exp(1j * k * (x @ field.d.vec))
-        out = 1j * k * v[..., None] * field.d.vec
-    elif isinstance(field, PointSource):
-        diff = x - field.y
-        r = np.linalg.norm(diff, axis=-1)
-        if np.any(r == 0):
-            raise DomainError("point source gradient at its singularity")
-        radial = 0.25j * k * hankel1_prime(0, k * r) / r
-        out = radial[..., None] * diff
-    elif isinstance(field, ModulatedPlane):
-        phase = np.exp(-1j * k * (x @ field.d.vec))
-        amp = (field.x0 - x) @ field.theta
-        out = phase[..., None] * (-field.theta - 1j * k * amp[..., None] * field.d.vec)
-    else:
-        raise TypeError(f"unknown incident field {type(field)!r}")
-    return out[0] if out.shape == (1, 2) else out
+    def gradient(self, k: float, x):
+        x = _points(x)
+        phase = np.exp(-1j * k * (x @ self.d.vec))
+        amp = (self.x0 - x) @ self.theta
+        return _one_point(phase[..., None] * (-self.theta - 1j * k * amp[..., None] * self.d.vec))
 
 
 @dataclass(frozen=True)
@@ -138,32 +130,12 @@ class ProbeParams:
 
 def eval_probe(p: ProbeParams, x):
     """Scaled probe value e^{tau (x.omega - t_ref)} e^{i kappa x.omega_perp}."""
-    x = np.atleast_2d(np.asarray(x, dtype=float))
+    x = _points(x)
     kappa = math.hypot(p.tau, p.k)
-    out = np.exp(p.tau * (x @ p.omega.vec - p.t_ref) + 1j * kappa * (x @ p.omega.perp))
-    return out[0] if out.shape == (1,) else out
+    return _one_point(np.exp(p.tau * (x @ p.omega.vec - p.t_ref) + 1j * kappa * (x @ p.omega.perp)))
 
 
 def probe_log_magnitude(p: ProbeParams, x):
     """log |scaled probe| = tau (x.omega - t_ref); overflow-free."""
-    x = np.atleast_2d(np.asarray(x, dtype=float))
-    out = p.tau * (x @ p.omega.vec - p.t_ref)
-    return out[0] if out.shape == (1,) else out
+    return _one_point(p.tau * (_points(x) @ p.omega.vec - p.t_ref))
 
-
-def herglotz_wave(g, k: float, x):
-    """Trapezoid-rule Herglotz wave sum over a uniform direction grid.
-
-    ``g`` holds the density values at directions (cos(2 pi j / M),
-    sin(2 pi j / M)); the periodic trapezoid rule is spectrally accurate
-    for smooth densities.
-    """
-    g = np.asarray(g, dtype=complex)
-    m = len(g)
-    if m < 8:
-        raise ResolutionError("herglotz_wave needs at least 8 direction samples")
-    ang = 2 * np.pi * np.arange(m) / m
-    d = np.column_stack([np.cos(ang), np.sin(ang)])
-    x = np.atleast_2d(np.asarray(x, dtype=float))
-    out = (2 * np.pi / m) * np.exp(1j * k * (x @ d.T)) @ g
-    return out[0] if out.shape == (1,) else out

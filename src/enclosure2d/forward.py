@@ -28,19 +28,19 @@ from scipy.linalg import lu_factor, lu_solve
 from scipy.linalg.lapack import zgecon
 
 from .errors import DomainError, GeometryError, NearFieldError, SolverError
-from .fields import PlaneWave, PointSource, field_gradient, field_value
+from .fields import PlaneWave, PointSource
 from .geometry import Scene
 from .specialfun import bessel_j, bessel_j_prime, hankel1, hankel1_prime
 
 __all__ = [
     "BoundaryMesh",
     "ScatterSolution",
+    "Factorization",
     "build_mesh",
+    "factorize",
     "solve_scattering",
-    "solve_scattering_many",
-    "eval_scattered",
+    "scattered_field",
     "eval_total",
-    "eval_total_gradient",
     "DiscSeriesSolution",
 ]
 
@@ -58,11 +58,8 @@ class BoundaryMesh:
     normals: np.ndarray      # (N, 2), outward relative to the obstacle
     weights: np.ndarray      # (N,)
     edge_ids: np.ndarray     # (N,) global edge index
-    arc_params: np.ndarray   # (N,) parameter in [0, 1] along the edge
     panel_sizes: np.ndarray  # (N,) arclength of the containing panel
     edge_lengths: np.ndarray  # per global edge
-    p_grade: float
-    nodes_per_panel: int
     grading_levels: int
 
     @property
@@ -96,54 +93,30 @@ def build_mesh(scene: Scene, nodes_per_edge: int = 64, p_grade: float = 4.0) -> 
     panels_per_half = nodes_per_edge // (2 * NODES_PER_PANEL)
     half = _half_edge_breakpoints(p_grade, panels_per_half)
     breaks = np.concatenate([half, (1.0 - half[::-1])[1:]])  # mirrored on [0, 1]
+    t0, t1 = breaks[:-1, None], breaks[1:, None]
     gx, gw = leggauss(NODES_PER_PANEL)
+    # node parameters, weights and panel widths of one edge of unit length
+    mid, rad = 0.5 * (t0 + t1), 0.5 * (t1 - t0)
+    t = (mid + rad * gx).ravel()
+    unit_weights = (gw * rad).ravel()
+    unit_panels = np.repeat((t1 - t0).ravel(), NODES_PER_PANEL)
 
-    nodes, normals, weights, edge_ids, arcs, panel_sz = [], [], [], [], [], []
-    edge_lengths = []
-    eid = 0
-    for poly in scene.obstacles:
-        for a, b in poly.edges():
-            ell = float(np.linalg.norm(b - a))
-            if ell < 1e-12:
-                raise GeometryError("degenerate edge")
-            tangent = (b - a) / ell
-            normal = np.array([tangent[1], -tangent[0]])  # outward for CCW polygons
-            edge_lengths.append(ell)
-            for t0, t1 in zip(breaks[:-1], breaks[1:]):
-                mid, rad = 0.5 * (t0 + t1), 0.5 * (t1 - t0)
-                t = mid + rad * gx
-                nodes.append(a + t[:, None] * (b - a))
-                normals.append(np.tile(normal, (NODES_PER_PANEL, 1)))
-                weights.append(gw * rad * ell)
-                arcs.append(t)
-                edge_ids.append(np.full(NODES_PER_PANEL, eid))
-                panel_sz.append(np.full(NODES_PER_PANEL, (t1 - t0) * ell))
-            eid += 1
-    levels = min(MAX_GRADING_LEVELS, panels_per_half - 1)
-    if not nodes:  # obstacle-free scene: empty boundary, zero scattering
-        return BoundaryMesh(
-            nodes=np.zeros((0, 2)),
-            normals=np.zeros((0, 2)),
-            weights=np.zeros(0),
-            edge_ids=np.zeros(0, dtype=int),
-            arc_params=np.zeros(0),
-            panel_sizes=np.zeros(0),
-            edge_lengths=np.zeros(0),
-            p_grade=p_grade,
-            nodes_per_panel=NODES_PER_PANEL,
-            grading_levels=levels,
-        )
+    edges = [(a, b) for poly in scene.obstacles for a, b in poly.edges()]
+    start = np.array([a for a, _ in edges]).reshape(-1, 2)
+    span = np.array([b - a for a, b in edges]).reshape(-1, 2)
+    ell = np.array([np.linalg.norm(v) for v in span])
+    if np.any(ell < 1e-12):
+        raise GeometryError("degenerate edge")
+    tangent = span / ell[:, None]
+    normal = np.column_stack([tangent[:, 1], -tangent[:, 0]])  # outward for CCW polygons
     return BoundaryMesh(
-        nodes=np.vstack(nodes),
-        normals=np.vstack(normals),
-        weights=np.concatenate(weights),
-        edge_ids=np.concatenate(edge_ids),
-        arc_params=np.concatenate(arcs),
-        panel_sizes=np.concatenate(panel_sz),
-        edge_lengths=np.array(edge_lengths),
-        p_grade=p_grade,
-        nodes_per_panel=NODES_PER_PANEL,
-        grading_levels=levels,
+        nodes=(start[:, None, :] + t[None, :, None] * span[:, None, :]).reshape(-1, 2),
+        normals=np.repeat(normal, len(t), axis=0),
+        weights=(unit_weights * ell[:, None]).ravel(),
+        edge_ids=np.repeat(np.arange(len(edges)), len(t)),
+        panel_sizes=(unit_panels * ell[:, None]).ravel(),
+        edge_lengths=ell,
+        grading_levels=min(MAX_GRADING_LEVELS, panels_per_half - 1),
     )
 
 
@@ -170,112 +143,116 @@ class ScatterSolution:
     residual_norm: float
 
 
-class _Factorized:
-    """LU-factorized Nystrom system reusable across incident fields."""
+@dataclass(frozen=True)
+class Factorization:
+    """LU-factorised Nystrom system of one scene and mesh.
 
-    def __init__(self, scene: Scene, mesh: BoundaryMesh):
-        self.scene, self.mesh = scene, mesh
-        if mesh.n_nodes == 0:
-            self.matrix = np.zeros((0, 0), dtype=complex)
-            self.lu = None
-            self.condition = 1.0
-            return
-        k = scene.wavenumber_k
-        self.matrix = _assemble(mesh, k)
-        anorm = np.linalg.norm(self.matrix, 1)
-        self.lu = lu_factor(self.matrix)
-        rcond, info = zgecon(self.lu[0], anorm)
-        self.condition = np.inf if rcond == 0 or info != 0 else 1.0 / rcond
-        if self.condition > CONDITION_LIMIT:
-            raise SolverError(
-                f"near-resonant boundary system (condition ~ {self.condition:.2e}); "
-                "k is close to a spurious interior Dirichlet eigenvalue of the "
-                "single-layer ansatz -- perturb k slightly"
-            )
+    Built by ``factorize``; ``solve`` reuses the factors for any number of
+    incident fields.
+    """
 
-    def solve(self, incident) -> ScatterSolution:
-        k = self.scene.wavenumber_k
-        if isinstance(incident, PointSource):
-            for poly in self.scene.obstacles:
-                if poly.contains(incident.y):
-                    raise DomainError("point source inside an obstacle")
+    scene: Scene
+    mesh: BoundaryMesh
+    matrix: np.ndarray
+    lu: tuple | None
+    condition: float
+
+    def solve(self, incidents) -> list[ScatterSolution]:
+        """One scattering solution per incident field, in order.
+
+        All right-hand sides go through one LU solve; the discrete residual
+        is checked per incident field.
+        """
+        incidents = list(incidents)
+        for incident in incidents:
+            if isinstance(incident, PointSource) and any(
+                poly.contains(incident.y) for poly in self.scene.obstacles
+            ):
+                raise DomainError("point source inside an obstacle")
         if self.mesh.n_nodes == 0:
-            return ScatterSolution(
+            densities = np.zeros((0, len(incidents)), dtype=complex)
+            residuals = np.zeros(len(incidents))
+        else:
+            k = self.scene.wavenumber_k
+            normals = self.mesh.normals.astype(complex)
+            rhs = np.column_stack([
+                -np.einsum("ic,ic->i", inc.gradient(k, self.mesh.nodes), normals) for inc in incidents
+            ])
+            densities = lu_solve(self.lu, rhs)
+            residuals = np.linalg.norm(self.matrix @ densities - rhs, np.inf, axis=0)
+            scale = np.maximum(np.linalg.norm(rhs, np.inf, axis=0), 1e-300)
+            if np.any(residuals > RESIDUAL_TOL * scale):
+                raise SolverError(f"discrete residual {np.max(residuals):.2e} exceeds tolerance")
+        return [
+            ScatterSolution(
                 scene=self.scene,
                 incident=incident,
                 mesh=self.mesh,
-                density=np.zeros(0, dtype=complex),
+                density=densities[:, j],
                 condition_estimate=self.condition,
-                residual_norm=0.0,
+                residual_norm=float(residuals[j]),
             )
-        grad = field_gradient(incident, k, self.mesh.nodes)
-        rhs = -np.einsum("ic,ic->i", grad, self.mesh.normals.astype(complex))
-        phi = lu_solve(self.lu, rhs)
-        residual = np.linalg.norm(self.matrix @ phi - rhs, np.inf)
-        scale = max(np.linalg.norm(rhs, np.inf), 1e-300)
-        if residual > RESIDUAL_TOL * scale:
-            raise SolverError(f"discrete residual {residual:.2e} exceeds tolerance")
-        return ScatterSolution(
-            scene=self.scene,
-            incident=incident,
-            mesh=self.mesh,
-            density=phi,
-            condition_estimate=self.condition,
-            residual_norm=residual,
+            for j, incident in enumerate(incidents)
+        ]
+
+
+def factorize(scene: Scene, mesh: BoundaryMesh) -> Factorization:
+    """Assemble, LU-factorise and condition-check the Nystrom system.
+
+    Raises SolverError when the condition estimate marks k as near a
+    spurious interior resonance of the single-layer ansatz.
+    """
+    if mesh.n_nodes == 0:
+        return Factorization(scene, mesh, np.zeros((0, 0), dtype=complex), None, 1.0)
+    matrix = _assemble(mesh, scene.wavenumber_k)
+    anorm = np.linalg.norm(matrix, 1)
+    lu = lu_factor(matrix)
+    rcond, info = zgecon(lu[0], anorm)
+    condition = np.inf if rcond == 0 or info != 0 else 1.0 / rcond
+    if condition > CONDITION_LIMIT:
+        raise SolverError(
+            f"near-resonant boundary system (condition ~ {condition:.2e}); "
+            "k is close to a spurious interior Dirichlet eigenvalue of the "
+            "single-layer ansatz -- perturb k slightly"
         )
+    return Factorization(scene, mesh, matrix, lu, condition)
 
 
 def solve_scattering(scene: Scene, incident, mesh: BoundaryMesh) -> ScatterSolution:
     """Solve the sound-hard scattering problem for one incident field."""
-    return _Factorized(scene, mesh).solve(incident)
+    return factorize(scene, mesh).solve([incident])[0]
 
 
-def solve_scattering_many(scene: Scene, incidents, mesh: BoundaryMesh):
-    """Solve for several incident fields reusing one LU factorization."""
-    fact = _Factorized(scene, mesh)
-    return [fact.solve(inc) for inc in incidents]
+def scattered_field(sol: ScatterSolution, x):
+    """Single-layer potential w of the solved density and its gradient.
 
-
-def _check_clearance(mesh: BoundaryMesh, x: np.ndarray):
-    if mesh.n_nodes == 0:
-        return
-    d = np.linalg.norm(x[:, None, :] - mesh.nodes[None, :, :], axis=-1)
-    nearest = np.argmin(d, axis=1)
-    limit = 3.0 * mesh.panel_sizes[nearest]
-    if np.any(d[np.arange(len(x)), nearest] < limit):
-        raise NearFieldError(
-            "evaluation point within 3 panel lengths of the boundary; "
-            "the plain Nystrom quadrature is not valid there"
-        )
-
-
-def eval_scattered(sol: ScatterSolution, x):
-    """Single-layer potential of the solved density at exterior points."""
+    Returns ``(w, grad_w)`` at exterior points ``x``; one point gives a
+    scalar and a 2-vector.  Raises NearFieldError for a point within 3
+    panel lengths of the boundary, where the plain Nystrom quadrature is
+    not valid.
+    """
     x = np.atleast_2d(np.asarray(x, dtype=float))
-    _check_clearance(sol.mesh, x)
-    k = sol.scene.wavenumber_k
-    r = np.linalg.norm(x[:, None, :] - sol.mesh.nodes[None, :, :], axis=-1)
-    out = (0.25j * hankel1(0, k * r)) @ (sol.density * sol.mesh.weights)
-    return out[0] if out.shape == (1,) else out
-
-
-def eval_scattered_gradient(sol: ScatterSolution, x):
-    x = np.atleast_2d(np.asarray(x, dtype=float))
-    _check_clearance(sol.mesh, x)
-    k = sol.scene.wavenumber_k
-    diff = x[:, None, :] - sol.mesh.nodes[None, :, :]
+    mesh = sol.mesh
+    diff = x[:, None, :] - mesh.nodes[None, :, :]
     r = np.linalg.norm(diff, axis=-1)
+    if mesh.n_nodes:
+        nearest = np.argmin(r, axis=1)
+        if np.any(r[np.arange(len(x)), nearest] < 3.0 * mesh.panel_sizes[nearest]):
+            raise NearFieldError(
+                "evaluation point within 3 panel lengths of the boundary; "
+                "the plain Nystrom quadrature is not valid there"
+            )
+    k = sol.scene.wavenumber_k
+    dw = sol.density * mesh.weights
+    w = (0.25j * hankel1(0, k * r)) @ dw
     radial = 0.25j * k * hankel1_prime(0, k * r) / r
-    out = np.einsum("ij,ijc->ic", radial * (sol.density * sol.mesh.weights)[None, :], diff)
-    return out[0] if out.shape == (1, 2) else out
+    grad = np.einsum("ij,ijc->ic", radial * dw[None, :], diff)
+    return (w[0], grad[0]) if len(x) == 1 else (w, grad)
 
 
 def eval_total(sol: ScatterSolution, x):
-    return field_value(sol.incident, sol.scene.wavenumber_k, x) + eval_scattered(sol, x)
-
-
-def eval_total_gradient(sol: ScatterSolution, x):
-    return field_gradient(sol.incident, sol.scene.wavenumber_k, x) + eval_scattered_gradient(sol, x)
+    """Total field u_inc + w at exterior points."""
+    return sol.incident.value(sol.scene.wavenumber_k, x) + scattered_field(sol, x)[0]
 
 
 class DiscSeriesSolution:
@@ -355,14 +332,14 @@ class DiscSeriesSolution:
         return out[0] if np.asarray(x).ndim == 1 else out
 
     def eval_total(self, x):
-        return field_value(self.incident, self.k, x) + self.eval_scattered(x)
+        return self.incident.value(self.k, x) + self.eval_scattered(x)
 
     def boundary_neumann_residual(self, n_angles: int = 64):
         """max |d(u_inc + w)/dr| on the disc boundary (defining property)."""
         ang = np.linspace(0, 2 * np.pi, n_angles, endpoint=False)
         pts = self.center + self.a * np.column_stack([np.cos(ang), np.sin(ang)])
         nu = (pts - self.center) / self.a
-        grad_inc = field_gradient(self.incident, self.k, pts)
+        grad_inc = self.incident.gradient(self.k, pts)
         inc = np.einsum("ic,ic->i", grad_inc, nu.astype(complex))
         return float(np.max(np.abs(inc + self.eval_scattered_radial_derivative(pts))))
 

@@ -25,7 +25,6 @@ __all__ = [
     "Scene",
     "support_function",
     "is_regular",
-    "exterior_angle",
     "convex_hull_from_supports",
     "hausdorff_distance",
 ]
@@ -284,26 +283,6 @@ def is_regular(obstacles, omega: Direction, tol: float | None = None):
     margin = float(best - vals[order[1]])
     regular = margin > tol
     return regular, v[order[0]].copy(), margin
-
-
-def exterior_angle(polygon: Polygon, vertex_index: int):
-    """Exterior angle Theta at a vertex and the smallest corner exponent.
-
-    Returns ``(Theta, lambda_min)`` with ``lambda_min = pi / Theta``.
-    """
-    v = polygon.vertices
-    n = len(v)
-    if not 0 <= vertex_index < n:
-        raise DomainError(f"vertex index {vertex_index} out of range")
-    a = v[(vertex_index - 1) % n] - v[vertex_index]
-    b = v[(vertex_index + 1) % n] - v[vertex_index]
-    cross = b[0] * a[1] - b[1] * a[0]
-    dot = float(np.dot(a, b))
-    if abs(cross) < 1e-12 * np.linalg.norm(a) * np.linalg.norm(b):
-        raise GeometryError(f"degenerate (collinear) vertex {vertex_index}")
-    interior = math.atan2(cross, dot) % (2 * math.pi)
-    theta = 2 * math.pi - interior
-    return theta, math.pi / theta
 
 
 def _clip_halfplane(poly: np.ndarray, w: np.ndarray, h: float) -> np.ndarray:

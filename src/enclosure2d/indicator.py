@@ -40,7 +40,7 @@ import numpy as np
 from scipy.optimize import least_squares
 
 from .errors import DomainError, ReconstructionError, ResolutionError
-from .fields import ModulatedPlane
+from .fields import ModulatedPlane, ProbeParams, eval_probe
 from .forward import build_mesh, eval_total, solve_scattering
 from .geometry import Direction, convex_hull_from_supports, is_regular
 from .trace import TraceData
@@ -95,10 +95,10 @@ def compute_indicator(trace: TraceData, omega: Direction, tau: float, t_ref: flo
     an exact affine shift of the log-magnitude afterwards (this makes
     h_hat exactly independent of t_ref).
     """
-    if tau <= 0:
-        raise DomainError("tau must be positive")
-    k = trace.k
-    needed = required_trace_size(tau, k, trace.radius)
+    pts = trace.points
+    t0 = float(np.max(pts @ omega.vec))
+    probe = ProbeParams(omega, tau, trace.k, t_ref=t0)
+    needed = required_trace_size(tau, trace.k, trace.radius)
     if trace.n < needed:
         raise ResolutionError(
             f"trace has {trace.n} nodes but tau={tau} needs at least {needed}"
@@ -106,13 +106,8 @@ def compute_indicator(trace: TraceData, omega: Direction, tau: float, t_ref: flo
     if t_ref is None:
         t_ref = trace.radius
 
-    pts = trace.points
-    kappa = math.hypot(tau, k)
-    along = pts @ omega.vec
-    across = pts @ omega.perp
-    t0 = float(np.max(along))
-    v = np.exp(tau * (along - t0) + 1j * kappa * across)
-    zeta_dot_nu = trace.normals @ (tau * omega.vec + 1j * kappa * omega.perp)
+    v = eval_probe(probe, pts)
+    zeta_dot_nu = trace.normals @ probe.gradient_factor
     integrand = (trace.dudn - zeta_dot_nu * trace.u) * v
     ds = 2 * np.pi * trace.radius / trace.n
     j_scaled = np.sum(integrand) * ds

@@ -17,8 +17,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, ResolutionError
-from .fields import PointSource, field_gradient, field_value
-from .forward import ScatterSolution, eval_total, eval_total_gradient
+from .fields import PointSource
+from .forward import ScatterSolution, scattered_field
 from .specialfun import hankel1, hankel1_prime
 
 __all__ = ["TraceData", "trace_direct", "recover_neumann", "trace_to_csv", "trace_from_csv"]
@@ -77,9 +77,11 @@ def trace_direct(sol: ScatterSolution, radius: float, n: int, center=None) -> Tr
     ang = 2 * np.pi * np.arange(n) / n
     pts = center + radius * np.column_stack([np.cos(ang), np.sin(ang)])
     nu = np.column_stack([np.cos(ang), np.sin(ang)])
-    u = eval_total(sol, pts)
-    dudn = np.einsum("ic,ic->i", eval_total_gradient(sol, pts), nu.astype(complex))
-    return TraceData(center=center, radius=radius, u=u, dudn=dudn, k=scene.wavenumber_k, provenance="direct")
+    k = scene.wavenumber_k
+    w, grad_w = scattered_field(sol, pts)
+    u = sol.incident.value(k, pts) + w
+    dudn = np.einsum("ic,ic->i", sol.incident.gradient(k, pts) + grad_w, nu.astype(complex))
+    return TraceData(center=center, radius=radius, u=u, dudn=dudn, k=k, provenance="direct")
 
 
 def recover_neumann(
@@ -108,7 +110,8 @@ def recover_neumann(
 
     ang = 2 * np.pi * np.arange(n) / n
     pts = center + radius * np.column_stack([np.cos(ang), np.sin(ang)])
-    phi0 = field_value(PointSource(y), k, pts)
+    source = PointSource(y)
+    phi0 = source.value(k, pts)
     coeffs = np.fft.fft(u_values - phi0) / n
 
     head = np.max(np.abs(coeffs))
@@ -143,7 +146,7 @@ def recover_neumann(
     de_dn = np.fft.ifft(coeffs * multipliers) * n
 
     nu = (pts - center) / radius
-    grad_phi0 = field_gradient(PointSource(y), k, pts)
+    grad_phi0 = source.gradient(k, pts)
     dphi0_dn = np.einsum("ic,ic->i", grad_phi0, nu.astype(complex))
     return dphi0_dn + de_dn
 

@@ -86,9 +86,9 @@ def test_criterion_1_disc_limit():
         1,
         ok,
         f"disc-series agreement 64-gon {errs[64]:.2e} (tol 1e-2), "
-        f"128-gon {errs[128]:.2e}, {elapsed:.1f}s (limit 30s)",
+        f"128-gon {errs[128]:.2e}, time limit 30s",
     )
-    assert ok
+    assert ok, f"took {elapsed:.1f}s"
 
 
 def test_criterion_2_reciprocity(square_scene):
@@ -165,9 +165,9 @@ def test_criterion_5_point_source_support(square_trace, taus):
         5,
         ok,
         f"point-source support error max {max(errs):.4f} over "
-        f"{len(SUPPORT_ANGLES)} directions (tol {SUPPORT_TOL:.4f}), {elapsed:.1f}s",
+        f"{len(SUPPORT_ANGLES)} directions (tol {SUPPORT_TOL:.4f}), time limit 300s",
     )
-    assert ok
+    assert ok, f"took {elapsed:.1f}s"
 
 
 def test_criterion_6_plane_wave_support(square_trace, square_trace_pw, taus):
@@ -254,9 +254,9 @@ def test_criterion_8_hull_reconstruction():
         bool(ok),
         "Hausdorff "
         + ", ".join(f"{n} {d:.4f} (tol {t:.4f})" for n, (d, t) in results.items())
-        + f"; L notch gap {notch:.2f} (>0.15); {elapsed:.0f}s",
+        + f"; L notch gap {notch:.2f} (>0.15); time limit 300s",
     )
-    assert ok
+    assert ok, f"took {elapsed:.1f}s"
 
 
 def test_criterion_9_far_field_relation(square_scene):

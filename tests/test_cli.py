@@ -1,11 +1,14 @@
 """End-to-end command driver tests (in-process main())."""
 
 import json
+import re
+import shlex
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from enclosure2d.cli import main
+from enclosure2d.cli import build_parser, main
 
 from conftest import SQUARE_VERTS
 
@@ -76,6 +79,42 @@ class TestConfigErrors:
 
     def test_missing_file(self, tmp_path):
         assert main(["solve", "--scene", str(tmp_path / "nope.json"), "--out", str(tmp_path / "o")]) == 2
+
+    @pytest.mark.parametrize("argv", [
+        ["hull", "--tau-min", "10", "--tau-max", "20"],  # tau grid spans under 3x
+        ["solve", "--mesh-nodes", "12"],
+        ["solve", "--trace-n", "500"],  # not a power of two
+    ])
+    def test_flag_out_of_domain(self, scene_file, tmp_path, capsys, argv):
+        code = main(argv + ["--scene", str(scene_file), "--out", str(tmp_path / "o")])
+        assert code == 2
+        assert "error[config]" in capsys.readouterr().err
+
+
+class TestExitCodes:
+    def test_near_field_is_solver_error(self, tmp_path, capsys):
+        # the measurement circle passes within 3 panel lengths of the corners
+        path = tmp_path / "scene.json"
+        path.write_text(json.dumps(scene_dict(R=0.72)))
+        assert main(["solve", "--scene", str(path), "--out", str(tmp_path / "o")]) == 4
+        assert "error[solver]" in capsys.readouterr().err
+
+    def test_no_usable_direction_is_reconstruction_error(self, scene_file, tmp_path, capsys):
+        # both directions are side normals of the square and get filtered
+        code = main(["hull", "--scene", str(scene_file), "--out", str(tmp_path / "o"),
+                     "--directions", "2"])
+        assert code == 5
+        assert "error[reconstruction]" in capsys.readouterr().err
+
+
+def test_readme_command_lines_parse():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    blocks = re.findall(r"```bash\n(.*?)```", readme, re.S)
+    lines = [line for block in blocks for line in block.splitlines() if line.startswith("enclosure2d ")]
+    assert lines
+    parser = build_parser()
+    for line in lines:
+        parser.parse_args(shlex.split(line, comments=True)[1:])
 
 
 class TestHull:

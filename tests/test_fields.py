@@ -1,21 +1,16 @@
 import numpy as np
 import pytest
 
-from enclosure2d.errors import DomainError, ResolutionError
+from enclosure2d.errors import DomainError
 from enclosure2d.fields import (
     ModulatedPlane,
     PlaneWave,
     PointSource,
     ProbeParams,
-    ZeroField,
     eval_probe,
-    field_gradient,
-    field_value,
-    herglotz_wave,
     probe_log_magnitude,
 )
 from enclosure2d.geometry import Direction
-from enclosure2d.specialfun import bessel_j
 
 from test_specialfun import j_series, y0_series
 
@@ -28,12 +23,12 @@ ALL_FIELDS = [
 
 class TestValues:
     def test_plane_wave_period(self):
-        v = field_value(PlaneWave(Direction(1.0, 0.0)), 2.0, np.array([np.pi, 0.0]))
+        v = PlaneWave(Direction(1.0, 0.0)).value(2.0, np.array([np.pi, 0.0]))
         assert v == pytest.approx(1.0, abs=1e-12)
 
     def test_modulated_vanishes_at_anchor(self):
         f = ModulatedPlane(x0=np.array([0.2, -0.7]), d=Direction.from_angle(2.2))
-        assert field_value(f, 3.0, f.x0) == pytest.approx(0.0, abs=1e-300)
+        assert f.value(3.0, f.x0) == pytest.approx(0.0, abs=1e-300)
 
     def test_modulated_theta_orientation(self):
         f = ModulatedPlane(x0=np.zeros(2), d=Direction.from_angle(0.9))
@@ -42,29 +37,24 @@ class TestValues:
 
     def test_point_source_series_value(self):
         # (i/4) H_0(1) pinned by an independent series oracle
-        v = field_value(PointSource(np.array([1.0, 0.0])), 1.0, np.zeros(2))
+        v = PointSource(np.array([1.0, 0.0])).value(1.0, np.zeros(2))
         expected = 0.25j * (j_series(0, 1.0) + 1j * y0_series(1.0))
         assert v == pytest.approx(expected, abs=1e-12)
-
-    def test_zero_field(self):
-        x = np.array([[0.1, 0.2], [1.0, 1.0]])
-        assert np.all(field_value(ZeroField(), 2.0, x) == 0)
-        assert np.all(field_gradient(ZeroField(), 2.0, x) == 0)
 
     def test_singularity_guard(self):
         src = PointSource(np.array([1.0, 1.0]))
         with pytest.raises(DomainError):
-            field_value(src, 1.0, np.array([1.0, 1.0]))
+            src.value(1.0, np.array([1.0, 1.0]))
 
 
 def fd_laplacian(f, k, x, h):
     e1, e2 = np.array([h, 0.0]), np.array([0.0, h])
     return (
-        field_value(f, k, x + e1)
-        + field_value(f, k, x - e1)
-        + field_value(f, k, x + e2)
-        + field_value(f, k, x - e2)
-        - 4 * field_value(f, k, x)
+        f.value(k, x + e1)
+        + f.value(k, x - e1)
+        + f.value(k, x + e2)
+        + f.value(k, x - e2)
+        - 4 * f.value(k, x)
     ) / h**2
 
 
@@ -77,7 +67,7 @@ class TestHelmholtz:
             if isinstance(f, PointSource):
                 pts = pts[np.linalg.norm(pts - f.y, axis=1) > 0.5]
             for x in pts:
-                v = field_value(f, k, x)
+                v = f.value(k, x)
                 resid = fd_laplacian(f, k, x, 1e-4) + k**2 * v
                 scale = max(abs(v), 1.0)
                 assert abs(resid) < 1e-5 * k**2 * scale
@@ -87,9 +77,9 @@ class TestHelmholtz:
         h = 1e-6
         for f in ALL_FIELDS:
             x = np.array([0.4, -1.3])
-            g = field_gradient(f, k, x)
+            g = f.gradient(k, x)
             for c, e in enumerate(np.eye(2)):
-                fd = (field_value(f, k, x + h * e) - field_value(f, k, x - h * e)) / (2 * h)
+                fd = (f.value(k, x + h * e) - f.value(k, x - h * e)) / (2 * h)
                 assert g[c] == pytest.approx(fd, rel=1e-6, abs=1e-9)
 
 
@@ -135,33 +125,3 @@ class TestProbe:
             gf, p.tau * p.omega.vec + 1j * np.hypot(p.tau, p.k) * p.omega.perp
         )
 
-
-def dir_grid(m):
-    ang = 2 * np.pi * np.arange(m) / m
-    return np.column_stack([np.cos(ang), np.sin(ang)])
-
-
-class TestHerglotz:
-    def test_constant_density_mean(self):
-        v = herglotz_wave(np.full(16, 1 / (2 * np.pi)), 1.0, np.zeros(2))
-        assert v == pytest.approx(1.0, abs=1e-14)
-
-    def test_jacobi_anger(self):
-        # g == 1 integrates to 2 pi J_0(k|x|)
-        x = np.array([2.0, 0.0])
-        v = herglotz_wave(np.ones(128), 1.0, x)
-        assert v == pytest.approx(2 * np.pi * bessel_j(0, 2.0), abs=1e-8)
-
-    def test_shifted_kernel(self):
-        z = np.array([0.3, -0.8])
-        x = np.array([1.1, 0.6])
-        k = 2.0
-        g = np.exp(-1j * k * dir_grid(256) @ z)
-        v = herglotz_wave(g, k, x)
-        assert v == pytest.approx(
-            2 * np.pi * bessel_j(0, k * np.linalg.norm(x - z)), abs=1e-8
-        )
-
-    def test_too_few_directions(self):
-        with pytest.raises(ResolutionError):
-            herglotz_wave(np.ones(4), 1.0, np.zeros(2))

@@ -8,7 +8,6 @@ from enclosure2d.geometry import (
     Polygon,
     Scene,
     convex_hull_from_supports,
-    exterior_angle,
     hausdorff_distance,
     is_regular,
     support_function,
@@ -100,34 +99,6 @@ class TestRegularity:
         regular, vertex, _ = is_regular([tri], Direction(0.0, 1.0))
         assert regular
         np.testing.assert_allclose(vertex, [0.0, np.sqrt(3) / 3], atol=1e-14)
-
-
-class TestExteriorAngle:
-    def test_square_corner(self):
-        theta, lam = exterior_angle(UNIT_SQ, 0)
-        assert theta == pytest.approx(1.5 * np.pi)
-        assert lam == pytest.approx(2.0 / 3.0)
-
-    def test_equilateral_triangle(self):
-        theta, _ = exterior_angle(Polygon(TRIANGLE_VERTS), 1)
-        assert theta == pytest.approx(5.0 * np.pi / 3.0)
-
-    def test_regular_hexagon(self):
-        t = np.linspace(0, 2 * np.pi, 7)[:-1]
-        hexagon = Polygon(np.stack([np.cos(t), np.sin(t)], axis=1))
-        theta, _ = exterior_angle(hexagon, 3)
-        assert theta == pytest.approx(4.0 * np.pi / 3.0)
-
-    def test_interior_plus_exterior(self):
-        for poly in (UNIT_SQ, Polygon(TRIANGLE_VERTS), Polygon(L_VERTS)):
-            for i in range(poly.n_vertices):
-                theta, _ = exterior_angle(poly, i)
-                v = poly.vertices
-                u = v[i] - v[i - 1]
-                w = v[(i + 1) % len(v)] - v[i]
-                turn = np.arctan2(u[0] * w[1] - u[1] * w[0], u @ w)
-                interior = np.pi - turn  # CCW ordering
-                assert interior + theta == pytest.approx(2 * np.pi, abs=1e-12)
 
 
 def exact_supports(poly, n_dir):

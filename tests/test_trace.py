@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from enclosure2d.errors import DomainError, ResolutionError
-from enclosure2d.fields import PointSource, field_gradient, field_value
+from enclosure2d.fields import PointSource
 from enclosure2d.forward import DiscSeriesSolution, build_mesh, solve_scattering
 from enclosure2d.geometry import Direction
 from enclosure2d.indicator import compute_indicator
@@ -24,8 +24,8 @@ class TestTraceDirect:
         sol = solve_scattering(empty_scene, src, mesh)
         tr = trace_direct(sol, empty_scene.radius_R, 128)
         k = empty_scene.wavenumber_k
-        np.testing.assert_array_equal(tr.u, field_value(src, k, tr.points))
-        grad = field_gradient(src, k, tr.points)
+        np.testing.assert_array_equal(tr.u, src.value(k, tr.points))
+        grad = src.gradient(k, tr.points)
         np.testing.assert_array_equal(tr.dudn, np.einsum("ic,ic->i", grad, tr.normals))
 
     def test_power_of_two_enforced(self, square_sol):
@@ -94,9 +94,9 @@ class TestRecoverNeumann:
         y = square_scene.source_y
         ang = 2 * np.pi * np.arange(n) / n
         pts = R * np.column_stack([np.cos(ang), np.sin(ang)])
-        u = field_value(PointSource(y), k, pts) + np.exp(1j * m * ang)
+        u = PointSource(y).value(k, pts) + np.exp(1j * m * ang)
         rec = recover_neumann(u, k, y, R, square_scene.center)
-        grad = field_gradient(PointSource(y), k, pts)
+        grad = PointSource(y).gradient(k, pts)
         inc_dn = np.einsum("ic,ic->i", grad, pts / R)
         mult = k * hankel1_prime(m, k * R) / hankel1(m, k * R)
         expected = inc_dn + mult * np.exp(1j * m * ang)
