@@ -19,6 +19,7 @@ import argparse
 import csv
 import hashlib
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -93,6 +94,28 @@ def _write_csv(path: Path, args, columns: list[str], rows):
         writer = csv.writer(fh)
         writer.writerow(columns)
         writer.writerows(rows)
+
+
+def _finite_float(text: str) -> float:
+    """argparse type: nan and inf would fail deep inside a stage."""
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"expected a finite number, got {text!r}")
+    return value
+
+
+def _count(text: str) -> int:
+    """argparse type: an integer of at least 1."""
+    try:
+        value = int(text)
+    except ValueError:
+        value = 0
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"expected an integer >= 1, got {text!r}")
+    return value
 
 
 def _tau_grid(args) -> np.ndarray:
@@ -200,6 +223,8 @@ def cmd_farfield(args) -> int:
         "residuals": report.residuals.tolist(),
         "loglog_slope": report.loglog_slope,
         "no_plateau": report.no_plateau,
+        "singular_values": report.singular_values.tolist(),
+        "picard": report.picard.tolist(),
     })
     return EXIT_OK
 
@@ -242,9 +267,9 @@ def build_parser() -> argparse.ArgumentParser:
     def common(p):
         p.add_argument("--scene", required=True, help="scene JSON path")
         p.add_argument("--out", required=True, help="output directory")
-        p.add_argument("--mesh-nodes", type=int, default=64, dest="mesh_nodes")
-        p.add_argument("--grade", type=float, default=4.0)
-        p.add_argument("--trace-n", type=int, default=512, dest="trace_n")
+        p.add_argument("--mesh-nodes", type=_count, default=64, dest="mesh_nodes")
+        p.add_argument("--grade", type=_finite_float, default=4.0)
+        p.add_argument("--trace-n", type=_count, default=512, dest="trace_n")
 
     p = sub.add_parser("solve", help="forward solve + trace export")
     common(p)
@@ -252,34 +277,34 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("hull", help="support sweep + convex hull reconstruction")
     common(p)
-    p.add_argument("--tau-min", type=float, default=8.0, dest="tau_min")
-    p.add_argument("--tau-max", type=float, default=40.0, dest="tau_max")
-    p.add_argument("--tau-count", type=int, default=16, dest="tau_count")
-    p.add_argument("--directions", type=int, default=64)
+    p.add_argument("--tau-min", type=_finite_float, default=8.0, dest="tau_min")
+    p.add_argument("--tau-max", type=_finite_float, default=40.0, dest="tau_max")
+    p.add_argument("--tau-count", type=_count, default=16, dest="tau_count")
+    p.add_argument("--directions", type=_count, default=64)
     p.add_argument("--mode", choices=["pointsource", "planewave"], default="pointsource")
-    p.add_argument("--plane-angle", type=float, default=0.0, dest="plane_angle")
+    p.add_argument("--plane-angle", type=_finite_float, default=0.0, dest="plane_angle")
     p.set_defaults(func=cmd_hull)
 
     p = sub.add_parser("farfield", help="far-field operator + alpha sweep")
     common(p)
-    p.add_argument("--directions", type=int, default=32)
-    p.add_argument("--alpha-min", type=float, default=1e-8, dest="alpha_min")
-    p.add_argument("--alpha-max", type=float, default=1e-2, dest="alpha_max")
-    p.add_argument("--sample-point", type=float, nargs=2, default=(0.0, 0.0), dest="sample_point")
-    p.add_argument("--disc-radius", type=float, default=None, dest="disc_radius",
+    p.add_argument("--directions", type=_count, default=32)
+    p.add_argument("--alpha-min", type=_finite_float, default=1e-8, dest="alpha_min")
+    p.add_argument("--alpha-max", type=_finite_float, default=1e-2, dest="alpha_max")
+    p.add_argument("--sample-point", type=_finite_float, nargs=2, default=(0.0, 0.0), dest="sample_point")
+    p.add_argument("--disc-radius", type=_finite_float, default=None, dest="disc_radius",
                    help="use the disc-series operator instead of the polygon solver")
     p.set_defaults(func=cmd_farfield)
 
     p = sub.add_parser("lsm", help="sampling-point heatmap 1/||g_alpha||")
     common(p)
-    p.add_argument("--directions", type=int, default=32)
-    p.add_argument("--grid-n", type=int, default=21, dest="grid_n")
-    p.add_argument("--disc-radius", type=float, default=None, dest="disc_radius")
+    p.add_argument("--directions", type=_count, default=32)
+    p.add_argument("--grid-n", type=_count, default=21, dest="grid_n")
+    p.add_argument("--disc-radius", type=_finite_float, default=None, dest="disc_radius")
     p.set_defaults(func=cmd_lsm)
 
     p = sub.add_parser("oracle-check", help="disc series self-consistency")
     common(p)
-    p.add_argument("--disc-radius", type=float, default=None, dest="disc_radius")
+    p.add_argument("--disc-radius", type=_finite_float, default=None, dest="disc_radius")
     p.set_defaults(func=cmd_oracle_check)
     return parser
 

@@ -6,12 +6,14 @@ The far-field pattern of the single-layer representation is
 
 Assembling F over incidence/observation direction grids yields the
 far-field operator of the linear sampling method.  The far-field
-equation F g = far-field of a point source at y has no exact solution
-for polygonal scatterers; numerically this shows up as blow-up of the
-Tikhonov-regularized solution norm with no plateau as the regularization
-parameter decreases.  A disc probed at its center is the documented
-solvable contrast case, assembled here straight from the separation
-series so the contrast does not depend on the polygon solver.
+equation F g = far-field b of a point source at y has no exact solution
+for polygonal scatterers; numerically the Tikhonov-regularized solution
+norm blows up with no plateau as the regularization parameter decreases.
+One SVD U diag(s) V^H of B = sqrt(w_o) w_i F serves every alpha and every
+sample point: g = V diag(s / (s^2 + alpha w_i)) U^H c with c = sqrt(w_o) b,
+and s with the Picard coefficients |U^H c| is the discrete Picard evidence.
+The disc series operator, probed at its center, is the solvable contrast
+case that does not depend on the polygon solver.
 """
 
 from __future__ import annotations
@@ -20,18 +22,10 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve
 
 from .errors import DomainError
 from .fields import PlaneWave, PointSource
-from .forward import (
-    BoundaryMesh,
-    DiscSeriesSolution,
-    ScatterSolution,
-    build_mesh,
-    eval_total,
-    factorize,
-)
+from .forward import DiscSeriesSolution, ScatterSolution, build_mesh, eval_total, factorize
 from .geometry import Direction, Scene
 
 __all__ = [
@@ -140,35 +134,46 @@ def disc_far_field_operator(radius: float, k: float, n_obs: int, n_inc: int) -> 
     """Far-field operator of a sound-hard disc at the origin, via the series."""
     obs_angles = 2 * np.pi * np.arange(n_obs) / n_obs
     inc_angles = 2 * np.pi * np.arange(n_inc) / n_inc
-    matrix = np.zeros((n_obs, n_inc), dtype=complex)
-    for j, ang in enumerate(inc_angles):
-        sol = DiscSeriesSolution((0.0, 0.0), radius, k, PlaneWave(Direction.from_angle(ang)))
-        matrix[:, j] = sol.far_field(obs_angles)
+    matrix = np.column_stack([DiscSeriesSolution((0.0, 0.0), radius, k, PlaneWave(Direction.from_angle(ang)))
+                              .far_field(obs_angles) for ang in inc_angles])
     return FarFieldOperator(matrix=matrix, obs_angles=obs_angles, inc_angles=inc_angles, k=k)
 
 
-class _TikhonovFactorization:
-    """Cholesky of (alpha w_i I + w_o A* A), reusable across sample points."""
+_POINT_BLOCK = 256  # sample points per block: a map's working set is (N_obs, block)
 
-    def __init__(self, op: FarFieldOperator, alpha: float):
-        if alpha <= 0:
-            raise DomainError("regularization parameter must be positive")
-        self.op = op
-        a = op.matrix * op.inc_weight
-        normal = op.obs_weight * (a.conj().T @ a)
-        normal += alpha * op.inc_weight * np.eye(normal.shape[0])
-        self.cho = cho_factor(normal)
-        self._a = a
 
-    def solve(self, y) -> tuple[np.ndarray, float, float]:
-        op = self.op
-        y = np.asarray(y, dtype=float)
-        phi_hat = np.column_stack([np.cos(op.obs_angles), np.sin(op.obs_angles)])
-        rhs = far_field_constant(op.k) * np.exp(-1j * op.k * (phi_hat @ y))
-        g = cho_solve(self.cho, op.obs_weight * (self._a.conj().T @ rhs))
-        norm = math.sqrt(op.inc_weight) * float(np.linalg.norm(g))
-        resid = float(np.linalg.norm(self._a @ g - rhs) / np.linalg.norm(rhs))
-        return g, norm, resid
+def _weighted_rhs(op: FarFieldOperator, points) -> np.ndarray:
+    """sqrt(w_o) times the point-source far fields, one column per point."""
+    points = np.atleast_2d(np.asarray(points, dtype=float))
+    phi_hat = np.column_stack([np.cos(op.obs_angles), np.sin(op.obs_angles)])
+    return math.sqrt(op.obs_weight) * far_field_constant(op.k) * np.exp(-1j * op.k * (phi_hat @ points.T))
+
+
+def _tikhonov(op: FarFieldOperator, alphas, points):
+    """Norms and relative residuals, shaped (alphas, points), and the SVD.
+
+    ||g|| is the norm of the filtered coefficients s / (s^2 + alpha w_i)
+    U^H c; the residual is their filtered-out part plus c outside range(U).
+    """
+    alphas = np.atleast_1d(np.asarray(alphas, dtype=float))
+    points = np.atleast_2d(np.asarray(points, dtype=float))
+    if not np.all(np.isfinite(alphas) & (alphas > 0)):
+        raise DomainError("regularization parameters must be finite and positive")
+    if not np.all(np.isfinite(points)):
+        raise DomainError("sample points must be finite")
+    u, s, vh = np.linalg.svd(math.sqrt(op.obs_weight) * op.inc_weight * op.matrix, full_matrices=False)
+    damping = op.inc_weight * alphas[:, None]
+    filtered, missed = s / (s**2 + damping), damping / (s**2 + damping)
+    norms, resids = np.empty((2, len(alphas), len(points)))
+    for start in range(0, len(points), _POINT_BLOCK):
+        block = slice(start, start + _POINT_BLOCK)
+        c = _weighted_rhs(op, points[block])
+        coeffs = u.conj().T @ c
+        power = np.abs(coeffs) ** 2
+        outside = np.sum(np.abs(c - u @ coeffs) ** 2, axis=0)
+        norms[:, block] = np.sqrt(op.inc_weight * (filtered**2 @ power))
+        resids[:, block] = np.sqrt((missed**2 @ power + outside) / np.sum(np.abs(c) ** 2, axis=0))
+    return norms, resids, (u, s, vh)
 
 
 def solve_far_field_equation(op: FarFieldOperator, y, alpha: float):
@@ -177,7 +182,9 @@ def solve_far_field_equation(op: FarFieldOperator, y, alpha: float):
     Returns ``(g, norm, residual)`` with the L2(S1) quadrature-weighted
     density norm and the relative far-field residual.
     """
-    return _TikhonovFactorization(op, alpha).solve(y)
+    norms, resids, (u, s, vh) = _tikhonov(op, alpha, y)
+    g = vh.conj().T @ (s / (s**2 + alpha * op.inc_weight) * (u.conj().T @ _weighted_rhs(op, y)[:, 0]))
+    return g, float(norms[0, 0]), float(resids[0, 0])
 
 
 @dataclass(frozen=True)
@@ -187,6 +194,8 @@ class GrowthReport:
     residuals: np.ndarray
     loglog_slope: float     # d log ||g|| / d log(1/alpha)
     no_plateau: bool
+    singular_values: np.ndarray  # s_i of sqrt(w_o) w_i F, non-increasing
+    picard: np.ndarray           # |u_i^H sqrt(w_o) b| for the sample point
 
 
 def unsolvability_diagnostic(op: FarFieldOperator, y, alphas) -> GrowthReport:
@@ -197,17 +206,12 @@ def unsolvability_diagnostic(op: FarFieldOperator, y, alphas) -> GrowthReport:
     the desk-scale observable of the rhs lying outside the operator range.
     """
     alphas = np.asarray(alphas, dtype=float)
+    norms, resids, (u, s, _) = _tikhonov(op, alphas, y)
     if len(alphas) < 5 or np.any(np.diff(alphas) >= 0):
         raise DomainError("need >= 5 strictly decreasing alpha values")
     if math.log10(alphas[0] / alphas[-1]) < 4:
         raise DomainError("alpha sweep must span at least 4 decades")
-    norms, resids = [], []
-    for alpha in alphas:
-        _, norm, resid = solve_far_field_equation(op, y, alpha)
-        norms.append(norm)
-        resids.append(resid)
-    norms = np.array(norms)
-    resids = np.array(resids)
+    norms, resids = norms[:, 0], resids[:, 0]
     slope = float(np.polyfit(np.log10(1.0 / alphas), np.log10(norms), 1)[0])
 
     window = alphas <= alphas[-1] * 1e3  # last three decades
@@ -221,18 +225,14 @@ def unsolvability_diagnostic(op: FarFieldOperator, y, alphas) -> GrowthReport:
         residuals=resids,
         loglog_slope=slope,
         no_plateau=bool(increasing and ratio_per_decade > 2.0),
+        singular_values=s,
+        picard=np.abs(u.conj().T @ _weighted_rhs(op, y)[:, 0]),
     )
 
 
 def lsm_indicator_map(op: FarFieldOperator, points, alpha: float | None = None) -> np.ndarray:
     """1 / ||g_alpha(y)|| over a grid of sample points (larger ~ inside)."""
-    points = np.atleast_2d(np.asarray(points, dtype=float))
     if alpha is None:
-        alpha = 1e-6 * float(np.max(np.abs(op.matrix))) ** 2
-        alpha = max(alpha, 1e-300)
-    fact = _TikhonovFactorization(op, alpha)
-    out = np.empty(len(points))
-    for i, y in enumerate(points):
-        _, norm, _ = fact.solve(y)
-        out[i] = 1.0 / norm if norm > 0 else np.inf
-    return out
+        alpha = max(1e-6 * float(np.max(np.abs(op.matrix))) ** 2, 1e-300)
+    with np.errstate(divide="ignore"):  # a zero operator gives zero norms, an infinite map
+        return 1.0 / _tikhonov(op, alpha, points)[0][0]

@@ -24,6 +24,13 @@ from .specialfun import hankel1, hankel1_prime
 __all__ = ["TraceData", "trace_direct", "recover_neumann", "trace_to_csv", "trace_from_csv"]
 
 
+def _circle_nodes(center, radius: float, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Equispaced measurement nodes center + R (cos, sin) and their outward normals."""
+    ang = 2 * np.pi * np.arange(n) / n
+    normals = np.column_stack([np.cos(ang), np.sin(ang)])
+    return center + radius * normals, normals
+
+
 @dataclass(frozen=True)
 class TraceData:
     """Total-field Dirichlet and Neumann values on equispaced circle nodes."""
@@ -57,13 +64,11 @@ class TraceData:
 
     @property
     def points(self) -> np.ndarray:
-        a = self.angles
-        return self.center + self.radius * np.column_stack([np.cos(a), np.sin(a)])
+        return _circle_nodes(self.center, self.radius, self.n)[0]
 
     @property
     def normals(self) -> np.ndarray:
-        a = self.angles
-        return np.column_stack([np.cos(a), np.sin(a)])
+        return _circle_nodes(self.center, self.radius, self.n)[1]
 
 
 def trace_direct(sol: ScatterSolution, radius: float, n: int, center=None) -> TraceData:
@@ -74,9 +79,7 @@ def trace_direct(sol: ScatterSolution, radius: float, n: int, center=None) -> Tr
         r_y = np.linalg.norm(sol.incident.y - center)
         if abs(r_y - radius) < 1e-9 * radius:
             raise DomainError("source point lies on the measurement circle")
-    ang = 2 * np.pi * np.arange(n) / n
-    pts = center + radius * np.column_stack([np.cos(ang), np.sin(ang)])
-    nu = np.column_stack([np.cos(ang), np.sin(ang)])
+    pts, nu = _circle_nodes(center, radius, n)
     k = scene.wavenumber_k
     w, grad_w = scattered_field(sol, pts)
     u = sol.incident.value(k, pts) + w
@@ -108,8 +111,7 @@ def recover_neumann(
     if np.linalg.norm(y - center) <= radius:
         raise DomainError("source must lie strictly outside the measurement circle")
 
-    ang = 2 * np.pi * np.arange(n) / n
-    pts = center + radius * np.column_stack([np.cos(ang), np.sin(ang)])
+    pts, nu = _circle_nodes(center, radius, n)
     source = PointSource(y)
     phi0 = source.value(k, pts)
     coeffs = np.fft.fft(u_values - phi0) / n
@@ -145,7 +147,6 @@ def recover_neumann(
     multipliers = k * log_derivative[orders]
     de_dn = np.fft.ifft(coeffs * multipliers) * n
 
-    nu = (pts - center) / radius
     grad_phi0 = source.gradient(k, pts)
     dphi0_dn = np.einsum("ic,ic->i", grad_phi0, nu.astype(complex))
     return dphi0_dn + de_dn

@@ -91,6 +91,23 @@ class TestConfigErrors:
         assert "error[config]" in capsys.readouterr().err
 
 
+    @pytest.mark.parametrize("argv", [
+        ["farfield", "--alpha-min", "nan"],
+        ["hull", "--tau-min", "nan"],
+        ["farfield", "--alpha-max", "inf"],
+        ["hull", "--tau-max", "inf"],
+        ["lsm", "--grid-n", "0"],
+        ["farfield", "--directions", "0"],
+        ["lsm", "--directions", "0"],
+        ["farfield", "--sample-point", "nan", "0"],
+    ])
+    def test_non_finite_or_empty_flag_is_usage_error(self, scene_file, tmp_path, capsys, argv):
+        with pytest.raises(SystemExit) as exc:
+            main(argv + ["--scene", str(scene_file), "--out", str(tmp_path / "o")])
+        assert exc.value.code == 2
+        assert f"argument {argv[1]}" in capsys.readouterr().err
+
+
 class TestExitCodes:
     def test_near_field_is_solver_error(self, tmp_path, capsys):
         # the measurement circle passes within 3 panel lengths of the corners
@@ -154,6 +171,8 @@ class TestFarfieldAndLsm:
         sweep = json.loads((out / "sweep.json").read_text())
         assert sweep["no_plateau"] is False  # disc probed at its center
         assert len(sweep["alphas"]) == len(sweep["norms"])
+        assert len(sweep["singular_values"]) == len(sweep["picard"]) == 32
+        assert np.all(np.diff(sweep["singular_values"]) <= 0)
 
     def test_lsm_heatmap(self, scene_file, tmp_path):
         out = tmp_path / "lsm"

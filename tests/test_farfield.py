@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from scipy.linalg import cho_factor, cho_solve
 
 from enclosure2d.errors import DomainError
 from enclosure2d.farfield import (
@@ -44,6 +45,13 @@ def disc_op():
 @pytest.fixture(scope="module")
 def square_op():
     return assemble_far_field_operator(make_scene(SQUARE_VERTS), 32, 32, nodes_per_edge=32)
+
+
+@pytest.fixture(scope="module")
+def tall_square_op():
+    # more observation than incidence directions: part of every right-hand
+    # side lies outside the operator's range
+    return assemble_far_field_operator(make_scene(SQUARE_VERTS), 32, 16, nodes_per_edge=32)
 
 
 class TestPattern:
@@ -131,6 +139,60 @@ class TestRegularizedSolve:
         rep = unsolvability_diagnostic(square_op, (1.5, 0.3), np.logspace(-2, -8, 13))
         assert rep.no_plateau
         assert rep.norms[-1] > 10 * rep.norms[0]
+
+
+def normal_equation_solve(op, y, alpha):
+    """Reference (g, norm, residual): Cholesky of alpha w_i I + w_o A* A, A = w_i F."""
+    a = op.matrix * op.inc_weight
+    normal = op.obs_weight * (a.conj().T @ a) + alpha * op.inc_weight * np.eye(a.shape[1])
+    phi_hat = np.column_stack([np.cos(op.obs_angles), np.sin(op.obs_angles)])
+    rhs = far_field_constant(op.k) * np.exp(-1j * op.k * (phi_hat @ np.asarray(y, dtype=float)))
+    g = cho_solve(cho_factor(normal), op.obs_weight * (a.conj().T @ rhs))
+    resid = np.linalg.norm(a @ g - rhs) / np.linalg.norm(rhs)
+    return g, np.sqrt(op.inc_weight) * np.linalg.norm(g), resid
+
+
+class TestSvdPath:
+    @pytest.mark.parametrize("alpha", [1e-3, 1e-5, 1e-7])
+    @pytest.mark.parametrize("which", ["disc_op", "square_op", "tall_square_op"])
+    def test_matches_normal_equations(self, request, which, alpha):
+        op = request.getfixturevalue(which)
+        for y in [(0.0, 0.0), (0.2, 0.1), (1.5, 0.5)]:
+            g, norm, resid = solve_far_field_equation(op, y, alpha)
+            g_ref, norm_ref, resid_ref = normal_equation_solve(op, y, alpha)
+            assert np.max(np.abs(g - g_ref)) < 1e-6 * np.max(np.abs(g_ref))
+            assert norm == pytest.approx(norm_ref, rel=1e-8)
+            assert resid == pytest.approx(resid_ref, abs=1e-9)
+
+    def test_map_over_several_blocks_matches_point_solves(self, square_op):
+        rng = np.random.default_rng(0)
+        points = rng.uniform(-2.0, 2.0, size=(300, 2))
+        alpha = 1e-6
+        values = lsm_indicator_map(square_op, points, alpha)
+        ref = [1.0 / solve_far_field_equation(square_op, y, alpha)[1] for y in points]
+        np.testing.assert_allclose(values, ref, rtol=1e-12)
+
+    def test_report_carries_singular_values_and_picard(self, square_op):
+        rep = unsolvability_diagnostic(square_op, (0.2, 0.1), np.logspace(-2, -8, 7))
+        assert len(rep.singular_values) == len(rep.picard) == 32
+        assert np.all(np.diff(rep.singular_values) <= 0)
+        assert np.all(rep.picard >= 0)
+
+    @pytest.mark.parametrize("call", [
+        pytest.param(lambda op: solve_far_field_equation(op, (0.0, 0.0), np.nan), id="solve-nan-alpha"),
+        pytest.param(lambda op: solve_far_field_equation(op, (np.nan, 0.0), 1e-4), id="solve-nan-point"),
+        pytest.param(lambda op: unsolvability_diagnostic(op, (0.0, 0.0), [1e-2, 1e-3, 1e-4, 1e-5, -1e-6]),
+                     id="sweep-negative-alpha"),
+        pytest.param(lambda op: unsolvability_diagnostic(op, (0.0, 0.0), [1e-2, 1e-3, 1e-4, 1e-5, np.nan]),
+                     id="sweep-nan-alpha"),
+        pytest.param(lambda op: unsolvability_diagnostic(op, (0.0, np.inf), np.logspace(-2, -8, 7)),
+                     id="sweep-inf-point"),
+        pytest.param(lambda op: lsm_indicator_map(op, [[0.0, 0.0]], alpha=np.inf), id="map-inf-alpha"),
+        pytest.param(lambda op: lsm_indicator_map(op, [[0.0, 0.0], [np.nan, 0.0]]), id="map-nan-point"),
+    ])
+    def test_bad_alpha_or_point_is_domain_error(self, disc_op, call):
+        with pytest.raises(DomainError):
+            call(disc_op)
 
 
 class TestLsmMap:
