@@ -52,7 +52,7 @@ def main():
     for name, verts in (("square", SQUARE), ("L-shape", L_SHAPE)):
         scene = make_scene(verts)
         tr = boundary_trace(scene)
-        hull, _ = reconstruct_hull(tr, scene.obstacles, dirs, taus)
+        hull, _ = reconstruct_hull(tr, dirs, taus)
         d = hausdorff_distance(hull, verts)
         print(f"  {name:8s}: {len(hull)} hull vertices, "
               f"Hausdorff to the true polygon {d:.4f}")

@@ -19,7 +19,7 @@ from .errors import (
     ResolutionError,
     SolverError,
 )
-from .geometry import Direction, Polygon, Scene, support_function, is_regular
+from .geometry import Direction, Polygon, Scene, support_function
 from .fields import PlaneWave, PointSource, ModulatedPlane, ProbeParams
 from .forward import build_mesh, factorize, solve_scattering, DiscSeriesSolution
 from .trace import TraceData, trace_direct, recover_neumann

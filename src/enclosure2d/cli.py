@@ -1,4 +1,4 @@
-"""Batch experiment driver: solve | hull | farfield | lsm | oracle-check.
+"""Batch experiment driver: solve | hull | farfield | lsm.
 
 Scenes come from a JSON file ({"obstacles": [[[x, y], ...], ...],
 "center": [x, y], "R": r, "R1": r1, "source": [x, y], "k": v}), results
@@ -36,9 +36,9 @@ from .errors import (
     SolverError,
 )
 from .fields import PlaneWave, PointSource
-from .forward import DiscSeriesSolution, build_mesh, solve_scattering
+from .forward import build_mesh, solve_scattering
 from .geometry import Direction, Scene
-from .indicator import compute_samples, estimate_support, reconstruct_hull, required_trace_size
+from .indicator import reconstruct_hull, required_trace_size
 from .farfield import (
     assemble_far_field_operator,
     disc_far_field_operator,
@@ -174,24 +174,18 @@ def cmd_hull(args) -> int:
         incident = PlaneWave(Direction.from_angle(args.plane_angle))
     _, trace = _solve_with_trace(scene, args, incident)
     directions = [Direction.from_angle(2 * np.pi * i / args.directions) for i in range(args.directions)]
-    obstacles = list(scene.obstacles)
-    hull, estimates = reconstruct_hull(trace, obstacles, directions, taus)
+    hull, estimates = reconstruct_hull(trace, directions, taus)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    rows = []
-    for d, est in zip(directions, estimates):
-        if est is None:
-            rows.append([repr(d.angle), "", "", "filtered"])
-        else:
-            rows.append([repr(d.angle), repr(est.h_hat), repr(est.residual_rms),
-                         "usable" if est.usable else "unusable"])
+    rows = [[repr(d.angle), repr(est.h_hat), repr(est.residual_rms), "usable" if est.usable else "unusable"]
+            for d, est in zip(directions, estimates)]
     _write_csv(out / "supports.csv", args, ["angle", "h_hat", "residual_rms", "status"], rows)
     _write_json(out / "hull.json", args, {"vertices": hull.tolist()})
-    n_filtered = sum(1 for e in estimates if e is None)
     _write_json(out / "diagnostics.json", args, {
         "directions": args.directions,
-        "filtered_non_regular": n_filtered,
-        "usable": sum(1 for e in estimates if e is not None and e.usable),
+        # every direction is fitted; the key stays for readers of this file
+        "filtered_non_regular": 0,
+        "usable": sum(1 for e in estimates if e.usable),
     })
     return EXIT_OK
 
@@ -248,18 +242,6 @@ def cmd_lsm(args) -> int:
     return EXIT_OK
 
 
-def cmd_oracle_check(args) -> int:
-    scene = _load_scene(args.scene)
-    k = scene.wavenumber_k
-    oracle = DiscSeriesSolution(scene.center, args.disc_radius or scene.radius_R / 2, k,
-                                PlaneWave(Direction.from_angle(0.0)))
-    residual = oracle.boundary_neumann_residual()
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    _write_json(out / "oracle.json", args, {"boundary_neumann_residual": residual})
-    return EXIT_OK
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="enclosure2d", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
@@ -301,11 +283,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--grid-n", type=_count, default=21, dest="grid_n")
     p.add_argument("--disc-radius", type=_finite_float, default=None, dest="disc_radius")
     p.set_defaults(func=cmd_lsm)
-
-    p = sub.add_parser("oracle-check", help="disc series self-consistency")
-    common(p)
-    p.add_argument("--disc-radius", type=_finite_float, default=None, dest="disc_radius")
-    p.set_defaults(func=cmd_oracle_check)
     return parser
 
 

@@ -30,7 +30,7 @@ from scipy.linalg.lapack import zgecon
 from .errors import DomainError, GeometryError, NearFieldError, SolverError
 from .fields import PlaneWave, PointSource
 from .geometry import Scene
-from .specialfun import bessel_j, bessel_j_prime, hankel1, hankel1_prime
+from .specialfun import bessel_j_prime, hankel1, hankel1_prime
 
 __all__ = [
     "BoundaryMesh",

@@ -24,7 +24,6 @@ __all__ = [
     "Polygon",
     "Scene",
     "support_function",
-    "is_regular",
     "convex_hull_from_supports",
     "hausdorff_distance",
 ]
@@ -259,30 +258,6 @@ def support_function(obstacles, omega: Direction) -> float:
         raise DomainError("support function of an empty obstacle list")
     w = omega.vec
     return max(float(np.max(o.vertices @ w)) for o in obstacles)
-
-
-def is_regular(obstacles, omega: Direction, tol: float | None = None):
-    """Whether exactly one vertex attains the support value within ``tol``.
-
-    Returns ``(regular, argmax_vertex, margin)`` where ``margin`` is the gap
-    between the best and second-best vertex value (a per-direction
-    diagnostic of how close the direction is to a tie).
-    """
-    obstacles = list(obstacles)
-    if not obstacles:
-        raise DomainError("regularity of an empty obstacle list")
-    v = np.vstack([o.vertices for o in obstacles])
-    if tol is None:
-        diam = float(np.max(np.linalg.norm(v[:, None, :] - v[None, :, :], axis=-1)))
-        tol = 1e-9 * diam
-    if tol <= 0:
-        raise DomainError("tol must be positive")
-    vals = v @ omega.vec
-    order = np.argsort(vals)[::-1]
-    best = vals[order[0]]
-    margin = float(best - vals[order[1]])
-    regular = margin > tol
-    return regular, v[order[0]].copy(), margin
 
 
 def _clip_halfplane(poly: np.ndarray, w: np.ndarray, h: float) -> np.ndarray:

@@ -22,7 +22,14 @@ give -1) with asymmetric trimming that discards downward residual
 spikes, recovering the clean upper envelope.  Second, when the trimmed
 residual stays large, a two-exponential complex model is fitted to the
 full (magnitude and phase) indicator by variable projection, and the
-height of the dominant exponent is used instead.
+height of the dominant exponent is used instead.  The variable-projection
+solve runs once, from the best of a fixed grid of starting exponents.
+
+The hull is built from the fitted data alone: every direction is fitted,
+and those whose fit stays poor are left out of the half-plane
+intersection.  Side normals, where a whole edge attains the support
+value, are fitted like any other direction: their two end corners beat
+against each other, which is the case the two-exponential fit models.
 
 All arithmetic is scaled: the probe carries e^{-tau t0} with t0 the
 maximum of x.omega over the circle, so every integrand term has modulus
@@ -42,7 +49,7 @@ from scipy.optimize import least_squares
 from .errors import DomainError, ReconstructionError, ResolutionError
 from .fields import ModulatedPlane, ProbeParams, eval_probe
 from .forward import build_mesh, eval_total, solve_scattering
-from .geometry import Direction, convex_hull_from_supports, is_regular
+from .geometry import Direction, convex_hull_from_supports
 from .trace import TraceData
 
 __all__ = [
@@ -142,7 +149,6 @@ class IndicatorSamples:
     phases: np.ndarray
     usable: np.ndarray
     k: float
-    source: str = ""
 
     def __post_init__(self):
         taus = np.asarray(self.taus, dtype=float)
@@ -157,7 +163,7 @@ class IndicatorSamples:
         return np.hypot(self.taus, self.k) + self.taus
 
 
-def compute_samples(trace: TraceData, omega: Direction, taus, t_ref: float | None = None, source: str = "") -> IndicatorSamples:
+def compute_samples(trace: TraceData, omega: Direction, taus, t_ref: float | None = None) -> IndicatorSamples:
     if t_ref is None:
         t_ref = trace.radius
     pts = [compute_indicator(trace, omega, float(t), t_ref) for t in taus]
@@ -169,7 +175,6 @@ def compute_samples(trace: TraceData, omega: Direction, taus, t_ref: float | Non
         phases=np.array([p.phase for p in pts]),
         usable=np.array([p.usable for p in pts]),
         k=trace.k,
-        source=source,
     )
 
 
@@ -182,7 +187,6 @@ class SupportEstimate:
     offset: float          # c
     residual_rms: float
     n_used: int
-    regularity_margin: float
     usable: bool
 
 
@@ -236,8 +240,9 @@ def _two_exponential_refine(t: np.ndarray, L: np.ndarray, phase: np.ndarray, k: 
     Used when two boundary points of nearly equal height beat against
     each other; the heights are the real parts of the exponents and the
     estimate is the larger one among components with non-negligible
-    amplitude.  Returns (a, b, offset, log_rms) or None if the nonlinear
-    solver fails to beat a diagonal guess.
+    amplitude.  The 26 starting exponents are ranked by their projected
+    misfit and one bounded solve runs from the best.  Returns (a, b,
+    offset, log_rms), or None if the solve fails.
     """
     s = np.hypot(t, k) + t
     # remove the dominant growth so the data is O(1)
@@ -259,21 +264,16 @@ def _two_exponential_refine(t: np.ndarray, L: np.ndarray, phase: np.ndarray, k: 
         r, _ = projected(params)
         return np.concatenate([r.real, r.imag]) / scale
 
-    best = None
-    for dp in np.linspace(-1.2, 1.2, 13):
-        for ddh in (0.0, -0.15):
-            try:
-                res = least_squares(
-                    resid,
-                    [0.0, 0.0, ddh, dp, -0.75],
-                    bounds=([-1, -3, -1, -3, B_MIN], [0.5, 3, 0.5, 3, B_MAX]),
-                    max_nfev=200,
-                )
-            except (ValueError, np.linalg.LinAlgError):
-                continue
-            if best is None or res.cost < best.cost:
-                best = res
-    if best is None:
+    starts = [[0.0, 0.0, ddh, dp, -0.75] for dp in np.linspace(-1.2, 1.2, 13) for ddh in (0.0, -0.15)]
+    try:
+        x0 = min(starts, key=lambda x: float(np.sum(resid(x) ** 2)))
+        best = least_squares(
+            resid,
+            x0,
+            bounds=([-1, -3, -1, -3, B_MIN], [0.5, 3, 0.5, 3, B_MAX]),
+            max_nfev=200,
+        )
+    except (ValueError, np.linalg.LinAlgError):
         return None
     dh1, p1, dh2, p2, b = best.x
     r, c = projected(best.x)
@@ -286,7 +286,7 @@ def _two_exponential_refine(t: np.ndarray, L: np.ndarray, phase: np.ndarray, k: 
     return max(heights), float(b), float(np.log(max(amps[idx], 1e-300))), log_rms
 
 
-def estimate_support(samples: IndicatorSamples, regularity_margin: float = np.inf) -> SupportEstimate:
+def estimate_support(samples: IndicatorSamples) -> SupportEstimate:
     """Robust fit of log|J_hat| = a tau + b log s + c; h_hat = a + t_ref.
 
     The b log s term absorbs the leading s^{-lambda} decay of the
@@ -322,8 +322,7 @@ def estimate_support(samples: IndicatorSamples, regularity_margin: float = np.in
         offset=c,
         residual_rms=rms,
         n_used=n_used,
-        regularity_margin=regularity_margin,
-        usable=rms < RMS_USABLE_THRESHOLD and regularity_margin > 0,
+        usable=rms < RMS_USABLE_THRESHOLD,
     )
 
 
@@ -349,33 +348,15 @@ def classify_threshold(samples: IndicatorSamples, t: float, tol_slope: float = S
     return "inconclusive"
 
 
-def reconstruct_hull(
-    trace: TraceData,
-    obstacles,
-    directions,
-    taus,
-    t_ref: float | None = None,
-    tie_tol: float | None = None,
-):
+def reconstruct_hull(trace: TraceData, directions, taus):
     """Support-function sweep over a direction grid plus half-plane hull.
 
-    Non-regular directions (support line touching a whole side) are
-    filtered out, honoring the regularity hypothesis of the support
-    formula.  Returns ``(hull_vertices, estimates)`` where ``estimates``
-    has one entry per input direction (``None`` for filtered ones).
+    Reads only the trace: every direction is fitted, and the usable
+    estimates bound the hull.  Returns ``(hull_vertices, estimates)``
+    with one ``SupportEstimate`` per input direction.
     """
-    estimates = []
-    used = []
-    for omega in directions:
-        regular, _, margin = is_regular(obstacles, omega, tie_tol)
-        if not regular:
-            estimates.append(None)
-            continue
-        samples = compute_samples(trace, omega, taus, t_ref)
-        est = estimate_support(samples, regularity_margin=margin)
-        estimates.append(est)
-        if est.usable:
-            used.append((omega, est.h_hat))
+    estimates = [estimate_support(compute_samples(trace, omega, taus)) for omega in directions]
+    used = [(est.omega, est.h_hat) for est in estimates if est.usable]
     if len(used) < 3:
         raise ReconstructionError(f"only {len(used)} usable directions (need 3)")
     hull = convex_hull_from_supports(used, clip_radius=trace.radius, center=trace.center)

@@ -13,13 +13,14 @@ from __future__ import annotations
 import csv
 import io
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
 from .errors import DomainError, ResolutionError
 from .fields import PointSource
 from .forward import ScatterSolution, scattered_field
-from .specialfun import hankel1, hankel1_prime
+from .specialfun import hankel1
 
 __all__ = ["TraceData", "trace_direct", "recover_neumann", "trace_to_csv", "trace_from_csv"]
 
@@ -62,11 +63,12 @@ class TraceData:
     def angles(self) -> np.ndarray:
         return 2 * np.pi * np.arange(self.n) / self.n
 
-    @property
+    # built once per trace: every indicator sample reads both
+    @cached_property
     def points(self) -> np.ndarray:
         return _circle_nodes(self.center, self.radius, self.n)[0]
 
-    @property
+    @cached_property
     def normals(self) -> np.ndarray:
         return _circle_nodes(self.center, self.radius, self.n)[1]
 

@@ -217,7 +217,7 @@ def test_criterion_8_hull_reconstruction():
     """Support sweeps rebuild the convex hull of square, triangle and L."""
     start = time.monotonic()
     # half-step offset grid: no direction is normal to an axis-aligned or
-    # pi/3-rotated side, so no support-line ties are filtered out
+    # pi/3-rotated side, so no support line touches a whole edge
     dirs = [Direction.from_angle((j + 0.5) * 2 * np.pi / 64) for j in range(64)]
     taus = np.geomspace(4.0, 40.0, 64)
     results = {}
@@ -231,7 +231,7 @@ def test_criterion_8_hull_reconstruction():
         mesh = build_mesh(scene, nodes_per_edge=64)
         sol = solve_scattering(scene, PointSource(scene.source_y), mesh)
         tr = trace_direct(sol, scene.radius_R, 512)
-        hull, _ = reconstruct_hull(tr, scene.obstacles, dirs, taus)
+        hull, _ = reconstruct_hull(tr, dirs, taus)
         target = np.asarray(verts, float)
         diam = np.max(
             np.linalg.norm(target[:, None, :] - target[None, :, :], axis=-1)

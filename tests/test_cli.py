@@ -9,8 +9,11 @@ import numpy as np
 import pytest
 
 from enclosure2d.cli import build_parser, main
+from enclosure2d.geometry import hausdorff_distance
 
 from conftest import SQUARE_VERTS
+
+README = Path(__file__).resolve().parents[1] / "README.md"
 
 
 def scene_dict(**overrides):
@@ -117,7 +120,7 @@ class TestExitCodes:
         assert "error[solver]" in capsys.readouterr().err
 
     def test_no_usable_direction_is_reconstruction_error(self, scene_file, tmp_path, capsys):
-        # both directions are side normals of the square and get filtered
+        # both directions are fitted, but two half-planes cannot bound a hull
         code = main(["hull", "--scene", str(scene_file), "--out", str(tmp_path / "o"),
                      "--directions", "2"])
         assert code == 5
@@ -125,13 +128,20 @@ class TestExitCodes:
 
 
 def test_readme_command_lines_parse():
-    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
-    blocks = re.findall(r"```bash\n(.*?)```", readme, re.S)
+    blocks = re.findall(r"```bash\n(.*?)```", README.read_text(), re.S)
     lines = [line for block in blocks for line in block.splitlines() if line.startswith("enclosure2d ")]
     assert lines
     parser = build_parser()
     for line in lines:
         parser.parse_args(shlex.split(line, comments=True)[1:])
+
+
+def test_readme_python_quick_start_runs():
+    (block,) = re.findall(r"```python\n(.*?)```", README.read_text(), re.S)
+    namespace = {}
+    exec(compile(block, "README.md", "exec"), namespace)
+    (square,) = namespace["scene"].obstacles
+    assert hausdorff_distance(namespace["hull"], square.vertices) < 0.05 * square.diameter
 
 
 class TestHull:
@@ -150,14 +160,15 @@ class TestHull:
             "--directions", "8",
         ])
         assert code == 0
-        hull = json.loads((out / "hull.json").read_text())
-        assert len(hull["vertices"]) >= 3
+        hull = np.array(json.loads((out / "hull.json").read_text())["vertices"])
+        assert hausdorff_distance(hull, SQUARE_VERTS) < 0.05 * np.sqrt(2)
         diagnostics = json.loads((out / "diagnostics.json").read_text())
-        # the 8-direction grid hits all four side normals
-        assert diagnostics["filtered_non_regular"] == 4
+        # the 8-direction grid holds all four side normals; none is dropped
+        assert diagnostics["filtered_non_regular"] == 0
         rows = [l for l in (out / "supports.csv").read_text().splitlines()
                 if not l.startswith("#")]
         assert len(rows) == 1 + 8
+        assert [r.split(",")[-1] for r in rows[1:]] == ["usable"] * 8
 
 
 class TestFarfieldAndLsm:
@@ -184,9 +195,3 @@ class TestFarfieldAndLsm:
         rows = [l for l in (out / "heatmap.csv").read_text().splitlines()
                 if not l.startswith("#")]
         assert len(rows) == 1 + 25
-
-    def test_oracle_check(self, scene_file, tmp_path):
-        out = tmp_path / "oracle"
-        assert main(["oracle-check", "--scene", str(scene_file), "--out", str(out)]) == 0
-        payload = json.loads((out / "oracle.json").read_text())
-        assert payload["boundary_neumann_residual"] < 1e-10

@@ -9,7 +9,6 @@ from enclosure2d.geometry import (
     Scene,
     convex_hull_from_supports,
     hausdorff_distance,
-    is_regular,
     support_function,
 )
 from conftest import L_VERTS, SQUARE_VERTS, TRIANGLE_VERTS, make_scene
@@ -80,25 +79,6 @@ class TestSupportFunction:
             lhs = np.linalg.norm(v) * support_function(polys, w)
             rhs = support_function(polys, a) + support_function(polys, b)
             assert lhs <= rhs + 1e-12
-
-
-class TestRegularity:
-    def test_side_normal_is_not_regular(self):
-        regular, _, _ = is_regular([UNIT_SQ], Direction(1.0, 0.0))
-        assert not regular
-
-    def test_oblique_is_regular(self):
-        d = Direction.from_angle(np.pi / 6)
-        regular, vertex, margin = is_regular([UNIT_SQ], d)
-        assert regular
-        assert margin > 0
-        np.testing.assert_allclose(vertex, [1.0, 1.0])
-
-    def test_triangle_apex(self):
-        tri = Polygon(TRIANGLE_VERTS)
-        regular, vertex, _ = is_regular([tri], Direction(0.0, 1.0))
-        assert regular
-        np.testing.assert_allclose(vertex, [0.0, np.sqrt(3) / 3], atol=1e-14)
 
 
 def exact_supports(poly, n_dir):

@@ -13,6 +13,7 @@ from enclosure2d.geometry import (
 )
 from enclosure2d.indicator import (
     IndicatorSamples,
+    SupportEstimate,
     classify_threshold,
     compute_indicator,
     compute_samples,
@@ -80,7 +81,6 @@ def synthetic_samples(taus, h=0.7, b=-0.5, c=1.2, k=2.0, noise=None, seed=0):
         log_magnitudes=logs,
         phases=np.zeros_like(taus),
         usable=np.ones(len(taus), dtype=bool),
-        source="synthetic",
     )
 
 
@@ -105,10 +105,30 @@ class TestFit:
             log_magnitudes=samples.log_magnitudes,
             phases=samples.phases,
             usable=np.arange(len(samples.taus)) < 5,
-            source=samples.source,
         )
         with pytest.raises(ReconstructionError):
             estimate_support(bad)
+
+    @pytest.mark.parametrize("grid", [(4.0, 40.0, 64), (8.0, 40.0, 16)])
+    def test_two_term_beat(self, grid):
+        # two corners 0.02 apart in height beat against each other; the
+        # envelope cannot fit that, so the two-exponential refine must
+        taus = np.geomspace(*grid)
+        k = 2.0
+        s = np.hypot(taus, k) + taus
+        j = s**-0.75 * (np.exp((0.5 + 0.3j) * taus) + 0.8 * np.exp((0.48 - 0.7j) * taus))
+        samples = IndicatorSamples(
+            omega=Direction(1.0, 0.0),
+            taus=taus,
+            k=k,
+            t_ref=0.0,
+            log_magnitudes=np.log(np.abs(j)),
+            phases=np.angle(j),
+            usable=np.ones(len(taus), dtype=bool),
+        )
+        est = estimate_support(samples)
+        assert est.usable
+        assert est.h_hat == pytest.approx(0.5, abs=1e-6)
 
     def test_end_to_end_square(self, square_trace, taus):
         est = estimate_support(compute_samples(square_trace, OM30, taus))
@@ -169,27 +189,25 @@ class TestCovariance:
 
 class TestHull:
     def test_square_hull(self, square_trace, taus):
+        # the grid holds the four side normals; they are fitted like every
+        # other direction, from the trace alone
         dirs = [Direction.from_angle(2 * np.pi * i / 24) for i in range(24)]
-        hull, estimates = reconstruct_hull(square_trace, [SQUARE], dirs, taus)
-        # the four side normals are in the grid and must be filtered;
-        # the resulting 30-degree gaps cost (side/2) tan(15 deg) ~ 0.13 of
-        # slack over each side even with perfect support data
-        assert sum(1 for e in estimates if e is None) == 4
-        assert hausdorff_distance(hull, SQUARE_VERTS) < 0.15 * SQUARE.diameter
+        hull, estimates = reconstruct_hull(square_trace, dirs, taus)
+        assert all(isinstance(e, SupportEstimate) for e in estimates)
+        assert hausdorff_distance(hull, SQUARE_VERTS) < 0.05 * SQUARE.diameter
 
     def test_square_hull_offset_grid(self, square_trace):
-        # half-step offset keeps every direction regular and away from the
-        # side normals, tightening the reconstruction
+        # half-step offset keeps every direction away from the side normals
         dirs = [Direction.from_angle(2 * np.pi * (i + 0.5) / 64) for i in range(64)]
         taus = np.geomspace(4, 40, 64)
-        hull, estimates = reconstruct_hull(square_trace, [SQUARE], dirs, taus)
-        assert all(e is not None for e in estimates)
+        hull, estimates = reconstruct_hull(square_trace, dirs, taus)
+        assert len(estimates) == len(dirs)
         assert hausdorff_distance(hull, SQUARE_VERTS) < 0.05 * SQUARE.diameter
 
     def test_insufficient_directions(self, square_trace, taus):
         dirs = [Direction.from_angle(a) for a in (0.0, np.pi / 2)]
         with pytest.raises(ReconstructionError):
-            reconstruct_hull(square_trace, [SQUARE], dirs, taus)
+            reconstruct_hull(square_trace, dirs, taus)
 
 
 class TestModulatedCheck:
