@@ -35,7 +35,9 @@ All arithmetic is scaled: the probe carries e^{-tau t0} with t0 the
 maximum of x.omega over the circle, so every integrand term has modulus
 at most O(|u| tau).  The quadrature roundoff floor (machine epsilon times
 the L1 mass of the integrand) is tracked per sample; samples below it are
-flagged unusable and excluded from fits.
+flagged unusable and excluded from fits, and the fits weight the rest by
+their distance above it, so a sample just above the floor, whose log
+carries an error of order e^{floor - log|J|}, cannot steer the slope.
 """
 
 from __future__ import annotations
@@ -79,6 +81,10 @@ TRIM_SIGMA = 2.0
 # residual exceeds the trigger, the two-exponential refinement takes over
 S_SINGLE_MIN = 16.0
 TWO_TERM_TRIGGER = 0.01
+# log-magnitude error of a sample far above its round-off floor; a sample
+# near the floor carries the relative error e^{floor - L} on top, and each
+# fit weights its residual by 1 / hypot(SIGMA0, e^{floor - L})
+SIGMA0 = 3e-3
 
 
 def required_trace_size(tau: float, k: float, radius: float) -> int:
@@ -94,53 +100,14 @@ class IndicatorPoint:
     usable: bool
 
 
-def compute_indicator(trace: TraceData, omega: Direction, tau: float, t_ref: float | None = None) -> IndicatorPoint:
-    """One scaled indicator value from the Cauchy data.
-
-    Internally the probe is referenced to t0 = max(x.omega) on the circle
-    so the quadrature runs on O(1) numbers; the requested t_ref enters as
-    an exact affine shift of the log-magnitude afterwards (this makes
-    h_hat exactly independent of t_ref).
-    """
-    pts = trace.points
-    t0 = float(np.max(pts @ omega.vec))
-    probe = ProbeParams(omega, tau, trace.k, t_ref=t0)
-    needed = required_trace_size(tau, trace.k, trace.radius)
-    if trace.n < needed:
-        raise ResolutionError(
-            f"trace has {trace.n} nodes but tau={tau} needs at least {needed}"
-        )
-    if t_ref is None:
-        t_ref = trace.radius
-
-    v = eval_probe(probe, pts)
-    zeta_dot_nu = trace.normals @ probe.gradient_factor
-    integrand = (trace.dudn - zeta_dot_nu * trace.u) * v
-    ds = 2 * np.pi * trace.radius / trace.n
-    j_scaled = np.sum(integrand) * ds
-    l1_mass = float(np.sum(np.abs(integrand)) * ds)
-
-    log_floor_t0 = math.log(max(l1_mass, 1e-300)) + math.log(np.finfo(float).eps)
-    mag = abs(j_scaled)
-    log_mag_t0 = math.log(mag) if mag > 0 else -math.inf
-    shift = tau * (t0 - t_ref)
-    log_mag = log_mag_t0 + shift
-    usable = (
-        np.isfinite(log_mag)
-        and log_mag_t0 > log_floor_t0 + math.log(NOISE_SNR)
-        and log_mag > UNDERFLOW_LOG
-    )
-    return IndicatorPoint(
-        log_magnitude=log_mag,
-        phase=float(np.angle(j_scaled)),
-        log_noise_floor=log_floor_t0 + shift,
-        usable=bool(usable),
-    )
-
-
 @dataclass(frozen=True)
 class IndicatorSamples:
-    """Scaled indicator values over a strictly increasing tau grid."""
+    """Scaled indicator values over a strictly increasing tau grid.
+
+    ``log_noise_floors`` holds each sample's quadrature round-off floor
+    on the same scale as ``log_magnitudes``; samples without a floor
+    (``None``) are weighted equally in the fit.
+    """
 
     omega: Direction
     t_ref: float
@@ -149,6 +116,7 @@ class IndicatorSamples:
     phases: np.ndarray
     usable: np.ndarray
     k: float
+    log_noise_floors: np.ndarray | None = None
 
     def __post_init__(self):
         taus = np.asarray(self.taus, dtype=float)
@@ -163,18 +131,74 @@ class IndicatorSamples:
         return np.hypot(self.taus, self.k) + self.taus
 
 
-def compute_samples(trace: TraceData, omega: Direction, taus, t_ref: float | None = None) -> IndicatorSamples:
+def _indicator_values(trace: TraceData, omega: Direction, taus: np.ndarray, t_ref: float | None):
+    """(log_magnitudes, phases, log_noise_floors, usable) arrays over ``taus``."""
+    if len(taus) == 0:
+        raise DomainError("need at least one tau sample")
+    pts = trace.points
+    t0 = float(np.max(pts @ omega.vec))
+    probes = [ProbeParams(omega, float(tau), trace.k, t_ref=t0) for tau in taus]
+    tau_max = float(np.max(taus))
+    needed = required_trace_size(tau_max, trace.k, trace.radius)
+    if trace.n < needed:
+        raise ResolutionError(
+            f"trace has {trace.n} nodes but tau={tau_max} needs at least {needed}"
+        )
     if t_ref is None:
         t_ref = trace.radius
-    pts = [compute_indicator(trace, omega, float(t), t_ref) for t in taus]
+
+    v = np.array([eval_probe(p, pts) for p in probes])
+    zeta_dot_nu = np.array([trace.normals @ p.gradient_factor for p in probes])
+    integrand = (trace.dudn - zeta_dot_nu * trace.u) * v
+    ds = 2 * np.pi * trace.radius / trace.n
+    j_scaled = np.sum(integrand, axis=1) * ds
+    l1_mass = np.sum(np.abs(integrand), axis=1) * ds
+
+    log_floor_t0 = np.log(np.maximum(l1_mass, 1e-300)) + math.log(np.finfo(float).eps)
+    mag = np.abs(j_scaled)
+    with np.errstate(divide="ignore"):
+        log_mag_t0 = np.log(mag)
+    shift = taus * (t0 - t_ref)
+    log_mag = log_mag_t0 + shift
+    usable = (
+        np.isfinite(log_mag)
+        & (log_mag_t0 > log_floor_t0 + math.log(NOISE_SNR))
+        & (log_mag > UNDERFLOW_LOG)
+    )
+    return log_mag, np.angle(j_scaled), log_floor_t0 + shift, usable
+
+
+def compute_indicator(trace: TraceData, omega: Direction, tau: float, t_ref: float | None = None) -> IndicatorPoint:
+    """One scaled indicator value: the one-tau case of ``compute_samples``."""
+    log_mag, phase, log_floor, usable = _indicator_values(trace, omega, np.array([float(tau)]), t_ref)
+    return IndicatorPoint(
+        log_magnitude=float(log_mag[0]),
+        phase=float(phase[0]),
+        log_noise_floor=float(log_floor[0]),
+        usable=bool(usable[0]),
+    )
+
+
+def compute_samples(trace: TraceData, omega: Direction, taus, t_ref: float | None = None) -> IndicatorSamples:
+    """Scaled indicator values and their round-off floors over a tau grid.
+
+    One pass over the trace per direction.  Internally the probe is
+    referenced to t0 = max(x.omega) on the circle so the quadrature runs
+    on O(1) numbers; the requested t_ref (default: the circle radius)
+    enters as an exact affine shift of the log-magnitude afterwards (this
+    makes h_hat exactly independent of t_ref).
+    """
+    taus = np.asarray(taus, float)
+    log_mag, phase, log_floor, usable = _indicator_values(trace, omega, taus, t_ref)
     return IndicatorSamples(
         omega=omega,
-        t_ref=float(t_ref),
-        taus=np.asarray(taus, float),
-        log_magnitudes=np.array([p.log_magnitude for p in pts]),
-        phases=np.array([p.phase for p in pts]),
-        usable=np.array([p.usable for p in pts]),
+        t_ref=float(trace.radius if t_ref is None else t_ref),
+        taus=taus,
+        log_magnitudes=log_mag,
+        phases=phase,
+        usable=usable,
         k=trace.k,
+        log_noise_floors=log_floor,
     )
 
 
@@ -190,14 +214,35 @@ class SupportEstimate:
     usable: bool
 
 
-def _trimmed_envelope_fit(t: np.ndarray, L: np.ndarray, k: float):
+def _fit_weights(samples: IndicatorSamples, mask: np.ndarray) -> np.ndarray:
+    """Per-sample weights 1 / hypot(SIGMA0, e^{floor - L}), scaled to rms 1.
+
+    Samples without a recorded floor are weighted equally.
+    """
+    if samples.log_noise_floors is None:
+        return np.ones(np.count_nonzero(mask))
+    rel_noise = np.exp(samples.log_noise_floors[mask] - samples.log_magnitudes[mask])
+    w = 1.0 / np.hypot(SIGMA0, rel_noise)
+    return w / np.sqrt(np.mean(w**2))
+
+
+def _weighted_rms(r: np.ndarray, w: np.ndarray) -> float:
+    return float(np.sqrt(np.sum((w * r) ** 2) / np.sum(w**2)))
+
+
+def _weighted_lstsq(design: np.ndarray, y: np.ndarray, w: np.ndarray):
+    coeffs, _, rank, _ = np.linalg.lstsq(design * w[:, None], y * w, rcond=None)
+    return coeffs, rank
+
+
+def _trimmed_envelope_fit(t: np.ndarray, L: np.ndarray, k: float, wt: np.ndarray):
     """Profile b over its admissible window with asymmetric trimming.
 
     Interference between same-height boundary contributions only pushes
     log |J| *down* (toward the nulls of the beat pattern), so residuals
     far below the model are discarded while the upper envelope is kept.
     For clean single-corner data no point is trimmed and the fit reduces
-    to plain least squares.
+    to weighted least squares with the sample weights ``wt``.
     """
     ls = np.log(np.hypot(t, k) + t)
     ones = np.ones_like(t)
@@ -207,10 +252,10 @@ def _trimmed_envelope_fit(t: np.ndarray, L: np.ndarray, k: float):
         design = np.column_stack([t, ones])
         w = np.ones(len(y), dtype=bool)
         for _ in range(6):
-            coeffs, *_ = np.linalg.lstsq(design[w], y[w], rcond=None)
+            coeffs, _ = _weighted_lstsq(design[w], y[w], wt[w])
             r = y - design @ coeffs
-            pos = r[w & (r > 0)]
-            sigma = max(float(np.sqrt(np.mean(pos**2))) if len(pos) else 1e-3, 1e-3)
+            pos = w & (r > 0)
+            sigma = max(_weighted_rms(r[pos], wt[pos]) if pos.any() else 1e-3, 1e-3)
             w_new = r > -TRIM_SIGMA * sigma
             if np.count_nonzero(w_new) < 6:
                 w = np.ones(len(y), dtype=bool)
@@ -218,31 +263,32 @@ def _trimmed_envelope_fit(t: np.ndarray, L: np.ndarray, k: float):
             if np.array_equal(w_new, w):
                 break
             w = w_new
-        coeffs, *_ = np.linalg.lstsq(design[w], y[w], rcond=None)
-        rms = float(np.sqrt(np.mean((y[w] - design[w] @ coeffs) ** 2)))
+        coeffs, _ = _weighted_lstsq(design[w], y[w], wt[w])
+        rms = _weighted_rms(y[w] - design[w] @ coeffs, wt[w])
         if best is None or rms < best[0]:
             best = (rms, float(coeffs[0]), b, float(coeffs[1]), w.copy())
     rms, a, b, c, w = best
     # continuous release: refit b on the kept points and accept it while
     # it stays near the admissible window (exact recovery on clean data)
     design3 = np.column_stack([t, ls, ones])[w]
-    coeffs3, _, rank, _ = np.linalg.lstsq(design3, L[w], rcond=None)
+    coeffs3, rank = _weighted_lstsq(design3, L[w], wt[w])
     if rank == 3 and B_MIN - 0.2 <= coeffs3[1] <= B_MAX + 0.2:
         resid = L[w] - design3 @ coeffs3
         a, b, c = (float(v) for v in coeffs3)
-        rms = float(np.sqrt(np.mean(resid**2)))
+        rms = _weighted_rms(resid, wt[w])
     return a, b, c, rms, int(np.count_nonzero(w))
 
 
-def _two_exponential_refine(t: np.ndarray, L: np.ndarray, phase: np.ndarray, k: float):
+def _two_exponential_refine(t: np.ndarray, L: np.ndarray, phase: np.ndarray, k: float, wt: np.ndarray):
     """Variable-projection fit of J = s^b (c1 e^{z1 tau} + c2 e^{z2 tau}).
 
     Used when two boundary points of nearly equal height beat against
     each other; the heights are the real parts of the exponents and the
     estimate is the larger one among components with non-negligible
     amplitude.  The 26 starting exponents are ranked by their projected
-    misfit and one bounded solve runs from the best.  Returns (a, b,
-    offset, log_rms), or None if the solve fails.
+    misfit and one bounded solve runs from the best.  Each sample's
+    residual carries its weight ``wt``.  Returns (a, b, offset,
+    log_rms), or None if the solve fails.
     """
     s = np.hypot(t, k) + t
     # remove the dominant growth so the data is O(1)
@@ -262,7 +308,7 @@ def _two_exponential_refine(t: np.ndarray, L: np.ndarray, phase: np.ndarray, k: 
 
     def resid(params):
         r, _ = projected(params)
-        return np.concatenate([r.real, r.imag]) / scale
+        return np.concatenate([r.real * wt, r.imag * wt]) / scale
 
     starts = [[0.0, 0.0, ddh, dp, -0.75] for dp in np.linspace(-1.2, 1.2, 13) for ddh in (0.0, -0.15)]
     try:
@@ -279,7 +325,7 @@ def _two_exponential_refine(t: np.ndarray, L: np.ndarray, phase: np.ndarray, k: 
     r, c = projected(best.x)
     model = J0 - r
     mag = np.abs(model)
-    log_rms = float(np.sqrt(np.mean((np.log(np.maximum(mag, 1e-300)) - np.log(np.abs(J0))) ** 2)))
+    log_rms = _weighted_rms(np.log(np.maximum(mag, 1e-300)) - np.log(np.abs(J0)), wt)
     amps = np.abs(c)
     heights = [a0 + dh for dh, amp in ((dh1, amps[0]), (dh2, amps[1])) if amp > 1e-3 * amps.max()]
     idx = int(np.argmax(amps))
@@ -305,13 +351,13 @@ def estimate_support(samples: IndicatorSamples) -> SupportEstimate:
             f"only {n_used} usable indicator samples (need 8)"
         )
     t, L = taus[mask], samples.log_magnitudes[mask]
+    wt = _fit_weights(samples, mask)
     far = (np.hypot(t, samples.k) + t) >= S_SINGLE_MIN
-    if np.count_nonzero(far) >= 8:
-        a, b, c, rms, _ = _trimmed_envelope_fit(t[far], L[far], samples.k)
-    else:
-        a, b, c, rms, _ = _trimmed_envelope_fit(t, L, samples.k)
+    if np.count_nonzero(far) < 8:
+        far = np.ones(len(t), dtype=bool)
+    a, b, c, rms, _ = _trimmed_envelope_fit(t[far], L[far], samples.k, wt[far])
     if rms > TWO_TERM_TRIGGER:
-        refined = _two_exponential_refine(t, L, samples.phases[mask], samples.k)
+        refined = _two_exponential_refine(t, L, samples.phases[mask], samples.k, wt)
         if refined is not None and refined[3] < rms:
             a, b, c, rms = refined
     return SupportEstimate(

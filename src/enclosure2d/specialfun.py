@@ -5,6 +5,15 @@ budget everywhere we evaluate.  Only real arguments and integer orders are
 supported; the derivative identities for the Hankel function of the first
 kind are exposed as helpers because the solver and the circle-harmonic
 extension both need them.
+
+H^(1)_0 and H^(1)_1 are the kernels of the Nystrom matrix, the
+single-layer field and the point source, so nearly all solver time is
+spent in them.  They are built as J + iY from scipy's real-argument
+Cephes routines j0/y0/j1/y1, which agree with the general complex-argument
+routine special.hankel1 to about 1e-14 relative and are several times
+faster; higher orders, used only by the disc series, go through
+special.hankel1.  This module is the one place that calls scipy's Bessel
+and Hankel routines.
 """
 
 from __future__ import annotations
@@ -56,12 +65,24 @@ def bessel_y(n: int, x):
     return special.yv(n, x)
 
 
+# real-argument (J_n, Y_n) pairs for the orders the kernels use
+_LOW_ORDER = {0: (special.j0, special.y0), 1: (special.j1, special.y1)}
+
+
 def hankel1(n: int, x):
     """H^(1)_n(x) = J_n(x) + i Y_n(x) for x > 0."""
     n = _check_order(n)
     x = np.asarray(x, dtype=float)
     if np.any(x <= 0):
         raise DomainError("hankel1 requires x > 0")
+    if n in _LOW_ORDER:
+        j, y = _LOW_ORDER[n]
+        # written into one complex array: no N^2 float temporaries, and a
+        # 0-d input gives a scalar, as from special.hankel1
+        out = np.empty(x.shape, dtype=complex)
+        j(x, out=out.real)
+        y(x, out=out.imag)
+        return out[()]
     return special.hankel1(n, x)
 
 
@@ -75,5 +96,5 @@ def hankel1_prime(n: int, x):
     if np.any(x <= 0):
         raise DomainError("hankel1_prime requires x > 0")
     if n == 0:
-        return -special.hankel1(1, x)
-    return special.hankel1(n - 1, x) - (n / x) * special.hankel1(n, x)
+        return -hankel1(1, x)
+    return hankel1(n - 1, x) - (n / x) * hankel1(n, x)

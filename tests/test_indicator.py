@@ -1,8 +1,10 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
 from enclosure2d.errors import ReconstructionError
-from enclosure2d.fields import PointSource
+from enclosure2d.fields import PointSource, ProbeParams, eval_probe
 from enclosure2d.forward import build_mesh, solve_scattering
 from enclosure2d.geometry import (
     Direction,
@@ -24,6 +26,7 @@ from enclosure2d.indicator import (
 )
 from enclosure2d.trace import trace_direct
 from conftest import SQUARE_VERTS, make_scene
+from test_acceptance import SUPPORT_ANGLES, SUPPORT_TOL
 
 OM30 = Direction.from_angle(np.pi / 6)
 H30 = np.cos(np.pi / 6) / 2 + np.sin(np.pi / 6) / 2 + 0.0  # support of centered square
@@ -64,6 +67,33 @@ class TestScaling:
         ]
         assert ests[1].h_hat == pytest.approx(ests[0].h_hat, abs=1e-12)
         assert ests[2].h_hat == pytest.approx(ests[0].h_hat, abs=1e-12)
+
+
+def _reference_indicator(trace, omega, tau):
+    """The per-tau quadrature that compute_samples runs for all tau at once."""
+    t0 = np.max(trace.points @ omega.vec)
+    probe = ProbeParams(omega, tau, trace.k, t_ref=t0)
+    integrand = (trace.dudn - (trace.normals @ probe.gradient_factor) * trace.u) * eval_probe(probe, trace.points)
+    ds = 2 * np.pi * trace.radius / trace.n
+    j = np.sum(integrand) * ds
+    shift = tau * (t0 - trace.radius)
+    log_floor = np.log(np.sum(np.abs(integrand)) * ds) + np.log(np.finfo(float).eps)
+    return np.log(abs(j)) + shift, np.angle(j), log_floor + shift
+
+
+class TestOnePass:
+    def test_samples_match_per_tau_quadrature(self, square_trace):
+        taus = np.geomspace(4.0, 40.0, 64)
+        for ang in (0.3, 2.2, 5.0):
+            om = Direction.from_angle(ang)
+            samples = compute_samples(square_trace, om, taus)
+            ref = np.array([_reference_indicator(square_trace, om, t) for t in taus])
+            np.testing.assert_allclose(samples.log_magnitudes, ref[:, 0], rtol=0, atol=1e-12)
+            np.testing.assert_allclose(samples.phases, ref[:, 1], rtol=0, atol=1e-12)
+            np.testing.assert_allclose(samples.log_noise_floors, ref[:, 2], rtol=0, atol=1e-12)
+            points = [compute_indicator(square_trace, om, t) for t in taus]
+            assert samples.usable.tolist() == [p.usable for p in points]
+            assert [p.log_magnitude for p in points] == pytest.approx(samples.log_magnitudes, rel=0, abs=1e-12)
 
 
 def synthetic_samples(taus, h=0.7, b=-0.5, c=1.2, k=2.0, noise=None, seed=0):
@@ -185,6 +215,32 @@ class TestCovariance:
             ei = estimate_support(compute_samples(square_trace_pw, om, taus))
             assert ej.usable and ei.usable
             assert abs(ej.h_hat - ei.h_hat) < 0.05
+
+
+def _with_noise(trace, level, seed):
+    """The trace plus complex Gaussian noise of rms ``level`` times max |u| (and max |du/dn|)."""
+    rng = np.random.default_rng(seed)
+    z = (rng.standard_normal((2, trace.n)) + 1j * rng.standard_normal((2, trace.n))) / np.sqrt(2)
+    return dataclasses.replace(
+        trace,
+        u=trace.u + level * np.max(np.abs(trace.u)) * z[0],
+        dudn=trace.dudn + level * np.max(np.abs(trace.dudn)) * z[1],
+    )
+
+
+class TestRoundOff:
+    @pytest.mark.parametrize("seed", range(8))
+    def test_plane_wave_support_survives_round_off(self, square_trace_pw, taus, seed):
+        # criterion 6's scene and directions with round-off-sized noise:
+        # the samples just above the eps*L1 floor carry log errors of
+        # 1e-3 to 0.1, which the fits must weight down, not amplify
+        noisy = _with_noise(square_trace_pw, 1e-15, seed)
+        errs = []
+        for ang in SUPPORT_ANGLES:
+            om = Direction.from_angle(ang)
+            est = estimate_support(compute_samples(noisy, om, taus))
+            errs.append(abs(est.h_hat - support_function([SQUARE], om)))
+        assert max(errs) <= SUPPORT_TOL
 
 
 class TestHull:

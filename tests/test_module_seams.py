@@ -44,3 +44,24 @@ def test_no_unused_imports():
         used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)} | _exported_names(tree)
         offenders += [f"{path.name}: {name}" for name in _imported_names(tree) if name not in used]
     assert not offenders, f"imported but never used: {offenders}"
+
+
+def _imports_scipy_special(node) -> bool:
+    if isinstance(node, ast.ImportFrom):
+        module = node.module or ""
+        return module.startswith("scipy.special") or (
+            module == "scipy" and any(alias.name == "special" for alias in node.names)
+        )
+    if isinstance(node, ast.Import):
+        return any(alias.name.startswith("scipy.special") for alias in node.names)
+    return isinstance(node, ast.Attribute) and node.attr == "special" and getattr(node.value, "id", None) == "scipy"
+
+
+def test_bessel_kernels_come_from_specialfun_only():
+    # one definition of H0/H1: every other module goes through specialfun
+    offenders = [
+        path.name
+        for path in sorted(PACKAGE.glob("*.py"))
+        if path.name != "specialfun.py" and any(map(_imports_scipy_special, ast.walk(ast.parse(path.read_text()))))
+    ]
+    assert not offenders, f"scipy.special used outside specialfun.py: {offenders}"

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from scipy import special
 
 from enclosure2d.errors import DomainError
 from enclosure2d.specialfun import (
@@ -138,6 +139,35 @@ class TestAsymptotics:
             ) * base
             assert abs(d1 - 1.0) * r < 2.0
             assert abs(d2 - 1j) * r < 2.0
+
+
+KERNEL_ARGS = np.geomspace(1e-8, 200.0, 4000)
+
+
+def _reference_hankel1_prime(n, x):
+    if n == 0:
+        return -special.hankel1(1, x)
+    return special.hankel1(0, x) - special.hankel1(1, x) / x
+
+
+class TestLowOrderKernels:
+    """Orders 0 and 1 agree with scipy's complex-argument routine."""
+
+    @pytest.mark.parametrize("n", [0, 1])
+    @pytest.mark.parametrize("x", [np.asarray(2.7), KERNEL_ARGS.reshape(40, 100)], ids=["0d", "2d"])
+    def test_matches_complex_argument_routine(self, n, x):
+        for f, ref in ((hankel1, special.hankel1(n, x)), (hankel1_prime, _reference_hankel1_prime(n, x))):
+            got = f(n, x)
+            assert np.shape(got) == np.shape(x)
+            assert np.max(np.abs(got - ref) / np.abs(ref)) <= 1e-13
+
+    @pytest.mark.parametrize("n", [0, 1])
+    def test_nonpositive_argument_rejected(self, n):
+        for x in (0.0, -1.0, np.array([[1.0, 0.0], [2.0, 3.0]])):
+            with pytest.raises(DomainError):
+                hankel1(n, x)
+            with pytest.raises(DomainError):
+                hankel1_prime(n, x)
 
 
 class TestDomainGuards:
