@@ -191,14 +191,15 @@ def cmd_hull(args) -> int:
 
 
 def _alpha_sweep(args) -> np.ndarray:
-    if args.alpha_min <= 0 or args.alpha_max <= args.alpha_min:
-        raise ConfigError("need 0 < alpha-min < alpha-max")
+    if not 0 < args.alpha_min < args.alpha_max or not math.isfinite(args.alpha_max / args.alpha_min):
+        raise ConfigError("need 0 < alpha-min < alpha-max with a finite ratio")
     count = max(5, int(round(np.log10(args.alpha_max / args.alpha_min))) + 1)
     return np.geomspace(args.alpha_max, args.alpha_min, count)
 
 
 def cmd_farfield(args) -> int:
     scene = _load_scene(args.scene)
+    alphas = _alpha_sweep(args)
     if args.disc_radius is not None:
         op = disc_far_field_operator(args.disc_radius, scene.wavenumber_k, args.directions, args.directions)
     else:
@@ -209,7 +210,7 @@ def cmd_farfield(args) -> int:
     rows = [[i, j, repr(op.matrix[i, j].real), repr(op.matrix[i, j].imag)]
             for i in range(op.matrix.shape[0]) for j in range(op.matrix.shape[1])]
     _write_csv(out / "operator.csv", args, ["obs_index", "inc_index", "re", "im"], rows)
-    report = unsolvability_diagnostic(op, np.asarray(args.sample_point), _alpha_sweep(args))
+    report = unsolvability_diagnostic(op, np.asarray(args.sample_point), alphas)
     _write_json(out / "sweep.json", args, {
         "sample_point": list(args.sample_point),
         "alphas": report.alphas.tolist(),

@@ -242,10 +242,6 @@ class Scene:
     def to_json(self) -> str:
         return json.dumps(self.to_dict(), indent=2)
 
-    @classmethod
-    def from_json(cls, text: str) -> "Scene":
-        return cls.from_dict(json.loads(text))
-
 
 def support_function(obstacles, omega: Direction) -> float:
     """max over all obstacle vertices of v . omega.

@@ -15,15 +15,16 @@ Two refinements make the fit robust when several boundary points share
 nearly the same height in the probe direction (directions close to a
 side normal, or normals of a hull edge spanning a nonconvex notch).
 There the indicator is a beat pattern |c1 e^{z1 tau} + c2 e^{z2 tau}|
-whose interference nulls wreck a plain least-squares slope.  First, the
-log s exponent is profiled over its physically admissible window (convex
-corners give -pi/Theta in (-1, -1/2); flat-side endpoint contributions
-give -1) with asymmetric trimming that discards downward residual
-spikes, recovering the clean upper envelope.  Second, when the trimmed
-residual stays large, a two-exponential complex model is fitted to the
-full (magnitude and phase) indicator by variable projection, and the
-height of the dominant exponent is used instead.  The variable-projection
-solve runs once, from the best of a fixed grid of starting exponents.
+whose interference nulls wreck a plain least-squares slope.  First, one
+fit of all three parameters with asymmetric trimming discards downward
+residual spikes and recovers the clean upper envelope; the log s
+exponent is clamped to its physically admissible window (convex corners
+give -pi/Theta in (-1, -1/2); flat-side endpoint contributions give -1).
+Second, when the trimmed residual stays large, a two-exponential
+complex model is fitted to the full (magnitude and phase) indicator by
+variable projection, and the height of the dominant exponent is used
+instead.  The variable-projection solve runs once, from the best of a
+fixed grid of starting exponents.
 
 The hull is built from the fitted data alone: every direction is fitted,
 and those whose fit stays poor are left out of the half-plane
@@ -230,52 +231,46 @@ def _weighted_rms(r: np.ndarray, w: np.ndarray) -> float:
     return float(np.sqrt(np.sum((w * r) ** 2) / np.sum(w**2)))
 
 
-def _weighted_lstsq(design: np.ndarray, y: np.ndarray, w: np.ndarray):
-    coeffs, _, rank, _ = np.linalg.lstsq(design * w[:, None], y * w, rcond=None)
-    return coeffs, rank
+def _weighted_lstsq(design: np.ndarray, y: np.ndarray, w: np.ndarray) -> np.ndarray:
+    return np.linalg.lstsq(design * w[:, None], y * w, rcond=None)[0]
+
+
+def _clamped_fit(design: np.ndarray, L: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """Weighted [a, b, c] fit; a b outside [B_MIN, B_MAX] is held at the nearer end."""
+    coeffs = _weighted_lstsq(design, L, w)
+    b = min(max(coeffs[1], B_MIN), B_MAX)
+    if b != coeffs[1]:
+        a, c = _weighted_lstsq(design[:, [0, 2]], L - b * design[:, 1], w)
+        coeffs = np.array([a, b, c])
+    return coeffs
 
 
 def _trimmed_envelope_fit(t: np.ndarray, L: np.ndarray, k: float, wt: np.ndarray):
-    """Profile b over its admissible window with asymmetric trimming.
+    """One weighted fit of a tau + b log s + c with asymmetric trimming.
 
     Interference between same-height boundary contributions only pushes
     log |J| *down* (toward the nulls of the beat pattern), so residuals
     far below the model are discarded while the upper envelope is kept.
-    For clean single-corner data no point is trimmed and the fit reduces
-    to weighted least squares with the sample weights ``wt``.
+    b stays in its admissible window in every pass.  For clean
+    single-corner data no point is trimmed and the fit reduces to
+    weighted least squares with the sample weights ``wt``.
     """
-    ls = np.log(np.hypot(t, k) + t)
-    ones = np.ones_like(t)
-    best = None
-    for b in np.linspace(B_MIN, B_MAX, 27):
-        y = L - b * ls
-        design = np.column_stack([t, ones])
-        w = np.ones(len(y), dtype=bool)
-        for _ in range(6):
-            coeffs, _ = _weighted_lstsq(design[w], y[w], wt[w])
-            r = y - design @ coeffs
-            pos = w & (r > 0)
-            sigma = max(_weighted_rms(r[pos], wt[pos]) if pos.any() else 1e-3, 1e-3)
-            w_new = r > -TRIM_SIGMA * sigma
-            if np.count_nonzero(w_new) < 6:
-                w = np.ones(len(y), dtype=bool)
-                break
-            if np.array_equal(w_new, w):
-                break
-            w = w_new
-        coeffs, _ = _weighted_lstsq(design[w], y[w], wt[w])
-        rms = _weighted_rms(y[w] - design[w] @ coeffs, wt[w])
-        if best is None or rms < best[0]:
-            best = (rms, float(coeffs[0]), b, float(coeffs[1]), w.copy())
-    rms, a, b, c, w = best
-    # continuous release: refit b on the kept points and accept it while
-    # it stays near the admissible window (exact recovery on clean data)
-    design3 = np.column_stack([t, ls, ones])[w]
-    coeffs3, rank = _weighted_lstsq(design3, L[w], wt[w])
-    if rank == 3 and B_MIN - 0.2 <= coeffs3[1] <= B_MAX + 0.2:
-        resid = L[w] - design3 @ coeffs3
-        a, b, c = (float(v) for v in coeffs3)
-        rms = _weighted_rms(resid, wt[w])
+    design = np.column_stack([t, np.log(np.hypot(t, k) + t), np.ones_like(t)])
+    w = np.ones(len(t), dtype=bool)
+    for _ in range(6):
+        r = L - design @ _clamped_fit(design[w], L[w], wt[w])
+        pos = w & (r > 0)
+        sigma = max(_weighted_rms(r[pos], wt[pos]) if pos.any() else 1e-3, 1e-3)
+        w_new = r > -TRIM_SIGMA * sigma
+        if np.count_nonzero(w_new) < 6:
+            w = np.ones(len(t), dtype=bool)
+            break
+        if np.array_equal(w_new, w):
+            break
+        w = w_new
+    coeffs = _clamped_fit(design[w], L[w], wt[w])
+    rms = _weighted_rms(L[w] - design[w] @ coeffs, wt[w])
+    a, b, c = (float(v) for v in coeffs)
     return a, b, c, rms, int(np.count_nonzero(w))
 
 
@@ -336,10 +331,11 @@ def estimate_support(samples: IndicatorSamples) -> SupportEstimate:
     """Robust fit of log|J_hat| = a tau + b log s + c; h_hat = a + t_ref.
 
     The b log s term absorbs the leading s^{-lambda} decay of the
-    indicator; b is profiled over the physically admissible exponent
-    window with asymmetric trimming, and a two-exponential complex fit
-    takes over when interference between equal-height boundary points
-    leaves the trimmed residual large.
+    indicator.  One fit with asymmetric trimming estimates all three
+    parameters, with b clamped to the physically admissible exponent
+    window, and a two-exponential complex fit takes over when
+    interference between equal-height boundary points leaves the trimmed
+    residual large.
     """
     taus = samples.taus
     if taus[-1] / taus[0] < 3.0:

@@ -87,6 +87,7 @@ class TestConfigErrors:
         ["hull", "--tau-min", "10", "--tau-max", "20"],  # tau grid spans under 3x
         ["solve", "--mesh-nodes", "12"],
         ["solve", "--trace-n", "500"],  # not a power of two
+        ["farfield", "--alpha-max", "1e300", "--alpha-min", "1e-300"],  # ratio overflows
     ])
     def test_flag_out_of_domain(self, scene_file, tmp_path, capsys, argv):
         code = main(argv + ["--scene", str(scene_file), "--out", str(tmp_path / "o")])

@@ -14,6 +14,8 @@ from enclosure2d.geometry import (
     support_function,
 )
 from enclosure2d.indicator import (
+    B_MAX,
+    B_MIN,
     IndicatorSamples,
     SupportEstimate,
     classify_threshold,
@@ -139,14 +141,20 @@ class TestFit:
         with pytest.raises(ReconstructionError):
             estimate_support(bad)
 
-    @pytest.mark.parametrize("grid", [(4.0, 40.0, 64), (8.0, 40.0, 16)])
-    def test_two_term_beat(self, grid):
+    @pytest.mark.parametrize(
+        "grid, p2",
+        [((4.0, 40.0, 64), -0.7), ((8.0, 40.0, 16), -0.7), ((8.0, 40.0, 16), 1.0)],
+        ids=["grid0", "grid1", "grid2"],
+    )
+    def test_two_term_beat(self, grid, p2):
         # two corners 0.02 apart in height beat against each other; the
-        # envelope cannot fit that, so the two-exponential refine must
+        # envelope cannot fit that, so the two-exponential refine must.
+        # On grid2 the first of the refine's starts ends in a wrong basin
+        # (h_hat off by 0.08), so it must solve from the best-ranked one
         taus = np.geomspace(*grid)
         k = 2.0
         s = np.hypot(taus, k) + taus
-        j = s**-0.75 * (np.exp((0.5 + 0.3j) * taus) + 0.8 * np.exp((0.48 - 0.7j) * taus))
+        j = s**-0.75 * (np.exp((0.5 + 0.3j) * taus) + 0.8 * np.exp((0.48 + 1j * p2) * taus))
         samples = IndicatorSamples(
             omega=Direction(1.0, 0.0),
             taus=taus,
@@ -164,6 +172,18 @@ class TestFit:
         est = estimate_support(compute_samples(square_trace, OM30, taus))
         assert est.usable
         assert abs(est.h_hat - H30) <= 0.03
+
+    def test_point_source_square_b_in_window(self, square_trace, taus):
+        # criterion 5's directions: b never leaves its admissible window,
+        # and at 0.3 rad (9 usable samples) a b pushed past B_MIN would
+        # have bent the slope by 0.04
+        estimates = {
+            ang: estimate_support(compute_samples(square_trace, Direction.from_angle(ang), taus))
+            for ang in SUPPORT_ANGLES
+        }
+        assert all(B_MIN <= e.log_s_coefficient <= B_MAX for e in estimates.values())
+        om = Direction.from_angle(0.3)
+        assert abs(estimates[0.3].h_hat - support_function([SQUARE], om)) <= 0.01
 
 
 class TestThreshold:
