@@ -6,12 +6,12 @@ modulated plane field (x0 - x).theta e^{-ik x.d} with theta chosen so
 that theta_perp = d.  The probe is the exponentially growing Helmholtz
 solution e^{x.(tau omega + i sqrt(tau^2 + k^2) omega_perp)}, always
 evaluated in a scaled form e^{-tau t_ref} * probe so that magnitudes stay
-representable for large tau.
+representable for large tau.  One probe may carry a whole tau grid,
+which gives each probe quantity a leading tau axis.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -105,37 +105,45 @@ class ModulatedPlane:
 
 @dataclass(frozen=True)
 class ProbeParams:
-    """Probe direction, growth parameter and magnitude-scaling shift."""
+    """Probe direction, growth parameter and magnitude-scaling shift.
+
+    ``tau`` is a positive float or a 1-D array of positive values (a tau
+    grid).  For a grid of shape (T,), ``eval_probe`` returns (T, N) for N
+    points, ``gradient_factor`` (T, 2) and ``s`` (T,), also when T = 1.
+    """
 
     omega: Direction
-    tau: float
+    tau: float | np.ndarray
     k: float
     t_ref: float = 0.0
 
     def __post_init__(self):
-        if self.tau <= 0 or self.k <= 0:
+        if np.any(np.asarray(self.tau) <= 0) or self.k <= 0:
             raise DomainError("tau and k must be positive")
 
     @property
-    def s(self) -> float:
+    def s(self) -> float | np.ndarray:
         """Auxiliary parameter sqrt(tau^2 + k^2) + tau."""
-        return math.hypot(self.tau, self.k) + self.tau
+        return np.hypot(self.tau, self.k) + self.tau
 
     @property
     def gradient_factor(self) -> np.ndarray:
         """Constant vector zeta with grad(probe) = zeta * probe."""
-        kappa = math.hypot(self.tau, self.k)
-        return self.tau * self.omega.vec + 1j * kappa * self.omega.perp
+        tau = np.asarray(self.tau)[..., None]
+        return tau * self.omega.vec + 1j * np.hypot(tau, self.k) * self.omega.perp
+
+
+def _per_tau(p: ProbeParams, out: np.ndarray):
+    """A tau grid keeps its (T, N) shape; a scalar tau gives the single-point shapes."""
+    return out if np.ndim(p.tau) else _one_point(out)
 
 
 def eval_probe(p: ProbeParams, x):
     """Scaled probe value e^{tau (x.omega - t_ref)} e^{i kappa x.omega_perp}."""
-    x = _points(x)
-    kappa = math.hypot(p.tau, p.k)
-    return _one_point(np.exp(p.tau * (x @ p.omega.vec - p.t_ref) + 1j * kappa * (x @ p.omega.perp)))
+    x, tau = _points(x), np.asarray(p.tau)[..., None]
+    return _per_tau(p, np.exp(tau * (x @ p.omega.vec - p.t_ref) + 1j * np.hypot(tau, p.k) * (x @ p.omega.perp)))
 
 
 def probe_log_magnitude(p: ProbeParams, x):
     """log |scaled probe| = tau (x.omega - t_ref); overflow-free."""
-    return _one_point(p.tau * (_points(x) @ p.omega.vec - p.t_ref))
-
+    return _per_tau(p, np.asarray(p.tau)[..., None] * (_points(x) @ p.omega.vec - p.t_ref))

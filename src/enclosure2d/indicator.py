@@ -32,6 +32,10 @@ intersection.  Side normals, where a whole edge attains the support
 value, are fitted like any other direction: their two end corners beat
 against each other, which is the case the two-exponential fit models.
 
+One probe carries the whole tau grid of a direction, so each direction
+is one vectorised pass over the trace, and every fit reads s from that
+probe's definition.
+
 All arithmetic is scaled: the probe carries e^{-tau t0} with t0 the
 maximum of x.omega over the circle, so every integrand term has modulus
 at most O(|u| tau).  The quadrature roundoff floor (machine epsilon times
@@ -106,8 +110,8 @@ class IndicatorSamples:
     """Scaled indicator values over a strictly increasing tau grid.
 
     ``log_noise_floors`` holds each sample's quadrature round-off floor
-    on the same scale as ``log_magnitudes``; samples without a floor
-    (``None``) are weighted equally in the fit.
+    on the same scale as ``log_magnitudes``; samples whose floor is -inf
+    (noise-free data) all weigh the same in the fit.
     """
 
     omega: Direction
@@ -117,7 +121,7 @@ class IndicatorSamples:
     phases: np.ndarray
     usable: np.ndarray
     k: float
-    log_noise_floors: np.ndarray | None = None
+    log_noise_floors: np.ndarray
 
     def __post_init__(self):
         taus = np.asarray(self.taus, dtype=float)
@@ -129,7 +133,7 @@ class IndicatorSamples:
 
     @property
     def s(self) -> np.ndarray:
-        return np.hypot(self.taus, self.k) + self.taus
+        return ProbeParams(self.omega, self.taus, self.k).s
 
 
 def _indicator_values(trace: TraceData, omega: Direction, taus: np.ndarray, t_ref: float | None):
@@ -138,7 +142,7 @@ def _indicator_values(trace: TraceData, omega: Direction, taus: np.ndarray, t_re
         raise DomainError("need at least one tau sample")
     pts = trace.points
     t0 = float(np.max(pts @ omega.vec))
-    probes = [ProbeParams(omega, float(tau), trace.k, t_ref=t0) for tau in taus]
+    probe = ProbeParams(omega, taus, trace.k, t_ref=t0)
     tau_max = float(np.max(taus))
     needed = required_trace_size(tau_max, trace.k, trace.radius)
     if trace.n < needed:
@@ -148,8 +152,10 @@ def _indicator_values(trace: TraceData, omega: Direction, taus: np.ndarray, t_re
     if t_ref is None:
         t_ref = trace.radius
 
-    v = np.array([eval_probe(p, pts) for p in probes])
-    zeta_dot_nu = np.array([trace.normals @ p.gradient_factor for p in probes])
+    v = eval_probe(probe, pts)
+    # einsum, not gradient_factor @ normals.T: it rounds each tau's zeta.nu
+    # exactly as a one-tau matvec does
+    zeta_dot_nu = np.einsum("nc,tc->tn", trace.normals.astype(complex), probe.gradient_factor)
     integrand = (trace.dudn - zeta_dot_nu * trace.u) * v
     ds = 2 * np.pi * trace.radius / trace.n
     j_scaled = np.sum(integrand, axis=1) * ds
@@ -216,12 +222,7 @@ class SupportEstimate:
 
 
 def _fit_weights(samples: IndicatorSamples, mask: np.ndarray) -> np.ndarray:
-    """Per-sample weights 1 / hypot(SIGMA0, e^{floor - L}), scaled to rms 1.
-
-    Samples without a recorded floor are weighted equally.
-    """
-    if samples.log_noise_floors is None:
-        return np.ones(np.count_nonzero(mask))
+    """Per-sample weights 1 / hypot(SIGMA0, e^{floor - L}), scaled to rms 1."""
     rel_noise = np.exp(samples.log_noise_floors[mask] - samples.log_magnitudes[mask])
     w = 1.0 / np.hypot(SIGMA0, rel_noise)
     return w / np.sqrt(np.mean(w**2))
@@ -245,7 +246,7 @@ def _clamped_fit(design: np.ndarray, L: np.ndarray, w: np.ndarray) -> np.ndarray
     return coeffs
 
 
-def _trimmed_envelope_fit(t: np.ndarray, L: np.ndarray, k: float, wt: np.ndarray):
+def _trimmed_envelope_fit(t: np.ndarray, L: np.ndarray, s: np.ndarray, wt: np.ndarray):
     """One weighted fit of a tau + b log s + c with asymmetric trimming.
 
     Interference between same-height boundary contributions only pushes
@@ -255,7 +256,7 @@ def _trimmed_envelope_fit(t: np.ndarray, L: np.ndarray, k: float, wt: np.ndarray
     single-corner data no point is trimmed and the fit reduces to
     weighted least squares with the sample weights ``wt``.
     """
-    design = np.column_stack([t, np.log(np.hypot(t, k) + t), np.ones_like(t)])
+    design = np.column_stack([t, np.log(s), np.ones_like(t)])
     w = np.ones(len(t), dtype=bool)
     for _ in range(6):
         r = L - design @ _clamped_fit(design[w], L[w], wt[w])
@@ -274,7 +275,7 @@ def _trimmed_envelope_fit(t: np.ndarray, L: np.ndarray, k: float, wt: np.ndarray
     return a, b, c, rms, int(np.count_nonzero(w))
 
 
-def _two_exponential_refine(t: np.ndarray, L: np.ndarray, phase: np.ndarray, k: float, wt: np.ndarray):
+def _two_exponential_refine(t: np.ndarray, L: np.ndarray, phase: np.ndarray, s: np.ndarray, wt: np.ndarray):
     """Variable-projection fit of J = s^b (c1 e^{z1 tau} + c2 e^{z2 tau}).
 
     Used when two boundary points of nearly equal height beat against
@@ -285,7 +286,6 @@ def _two_exponential_refine(t: np.ndarray, L: np.ndarray, phase: np.ndarray, k: 
     residual carries its weight ``wt``.  Returns (a, b, offset,
     log_rms), or None if the solve fails.
     """
-    s = np.hypot(t, k) + t
     # remove the dominant growth so the data is O(1)
     a0 = float(np.polyfit(t, L, 1)[0])
     p0 = float(np.polyfit(t, np.unwrap(phase), 1)[0])
@@ -346,14 +346,14 @@ def estimate_support(samples: IndicatorSamples) -> SupportEstimate:
         raise ReconstructionError(
             f"only {n_used} usable indicator samples (need 8)"
         )
-    t, L = taus[mask], samples.log_magnitudes[mask]
+    t, L, s = taus[mask], samples.log_magnitudes[mask], samples.s[mask]
     wt = _fit_weights(samples, mask)
-    far = (np.hypot(t, samples.k) + t) >= S_SINGLE_MIN
+    far = s >= S_SINGLE_MIN
     if np.count_nonzero(far) < 8:
         far = np.ones(len(t), dtype=bool)
-    a, b, c, rms, _ = _trimmed_envelope_fit(t[far], L[far], samples.k, wt[far])
+    a, b, c, rms, _ = _trimmed_envelope_fit(t[far], L[far], s[far], wt[far])
     if rms > TWO_TERM_TRIGGER:
-        refined = _two_exponential_refine(t, L, samples.phases[mask], samples.k, wt)
+        refined = _two_exponential_refine(t, L, samples.phases[mask], s, wt)
         if refined is not None and refined[3] < rms:
             a, b, c, rms = refined
     return SupportEstimate(

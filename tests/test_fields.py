@@ -125,3 +125,26 @@ class TestProbe:
             gf, p.tau * p.omega.vec + 1j * np.hypot(p.tau, p.k) * p.omega.perp
         )
 
+
+    def test_tau_grid_matches_stacked_scalar_probes(self):
+        omega = Direction.from_angle(0.7)
+        taus = np.geomspace(4.0, 40.0, 64)
+        x = np.random.default_rng(5).uniform(-2, 2, size=(9, 2))
+        grid = ProbeParams(omega, taus, 2.0, t_ref=1.3)
+        scalars = [ProbeParams(omega, float(t), 2.0, t_ref=1.3) for t in taus]
+        values = eval_probe(grid, x)
+        assert values.shape == (64, 9)
+        assert grid.gradient_factor.shape == (64, 2)
+        assert grid.s.shape == (64,)
+        assert np.array_equal(values, [eval_probe(p, x) for p in scalars])
+        assert np.array_equal(grid.gradient_factor, [p.gradient_factor for p in scalars])
+        assert np.array_equal(grid.s, [p.s for p in scalars])
+
+    def test_tau_grid_keeps_its_axis(self):
+        p = ProbeParams(Direction.from_angle(0.7), np.array([5.0]), 2.0)
+        assert eval_probe(p, np.zeros(2)).shape == (1, 1)
+        assert p.gradient_factor.shape == (1, 2)
+
+    def test_non_positive_tau_in_grid(self):
+        with pytest.raises(DomainError):
+            ProbeParams(Direction.from_angle(0.7), [4.0, 0.0], 2.0)

@@ -113,6 +113,7 @@ def synthetic_samples(taus, h=0.7, b=-0.5, c=1.2, k=2.0, noise=None, seed=0):
         log_magnitudes=logs,
         phases=np.zeros_like(taus),
         usable=np.ones(len(taus), dtype=bool),
+        log_noise_floors=np.full(len(taus), -np.inf),
     )
 
 
@@ -137,6 +138,7 @@ class TestFit:
             log_magnitudes=samples.log_magnitudes,
             phases=samples.phases,
             usable=np.arange(len(samples.taus)) < 5,
+            log_noise_floors=samples.log_noise_floors,
         )
         with pytest.raises(ReconstructionError):
             estimate_support(bad)
@@ -163,6 +165,7 @@ class TestFit:
             log_magnitudes=np.log(np.abs(j)),
             phases=np.angle(j),
             usable=np.ones(len(taus), dtype=bool),
+            log_noise_floors=np.full(len(taus), -np.inf),
         )
         est = estimate_support(samples)
         assert est.usable
