@@ -83,7 +83,8 @@ B_MIN, B_MAX = -1.1, -0.45
 TRIM_SIGMA = 2.0
 # single-term asymptotics are trusted only for s >= S_SINGLE_MIN (the
 # neglected corrections are O(1/s)); below that, or whenever the trimmed
-# residual exceeds the trigger, the two-exponential refinement takes over
+# residual exceeds the trigger or b sits clamped at B_MIN (a tie the
+# envelope cannot resolve), the two-exponential refinement takes over
 S_SINGLE_MIN = 16.0
 TWO_TERM_TRIGGER = 0.01
 # log-magnitude error of a sample far above its round-off floor; a sample
@@ -335,7 +336,8 @@ def estimate_support(samples: IndicatorSamples) -> SupportEstimate:
     parameters, with b clamped to the physically admissible exponent
     window, and a two-exponential complex fit takes over when
     interference between equal-height boundary points leaves the trimmed
-    residual large.
+    residual large or holds b at B_MIN; it is kept only when its log
+    rms is lower.
     """
     taus = samples.taus
     if taus[-1] / taus[0] < 3.0:
@@ -352,7 +354,7 @@ def estimate_support(samples: IndicatorSamples) -> SupportEstimate:
     if np.count_nonzero(far) < 8:
         far = np.ones(len(t), dtype=bool)
     a, b, c, rms, _ = _trimmed_envelope_fit(t[far], L[far], s[far], wt[far])
-    if rms > TWO_TERM_TRIGGER:
+    if rms > TWO_TERM_TRIGGER or b <= B_MIN:
         refined = _two_exponential_refine(t, L, samples.phases[mask], s, wt)
         if refined is not None and refined[3] < rms:
             a, b, c, rms = refined

@@ -188,6 +188,14 @@ class TestFit:
         om = Direction.from_angle(0.3)
         assert abs(estimates[0.3].h_hat - support_function([SQUARE], om)) <= 0.01
 
+    @pytest.mark.parametrize("j", [3, 12])
+    def test_b_at_window_edge_runs_refine(self, square_trace, j):
+        # criterion 8's offset directions 3 and 12: the envelope's rms stays
+        # under TWO_TERM_TRIGGER but b sits at B_MIN, 0.03 off in h_hat
+        om = Direction.from_angle((j + 0.5) * 2 * np.pi / 64)
+        est = estimate_support(compute_samples(square_trace, om, np.geomspace(4.0, 40.0, 64)))
+        assert abs(est.h_hat - support_function([SQUARE], om)) <= 0.01
+
 
 class TestThreshold:
     def test_dichotomy(self, square_trace, taus):
