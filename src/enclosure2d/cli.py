@@ -38,7 +38,7 @@ from .errors import (
 from .fields import PlaneWave, PointSource
 from .forward import build_mesh, solve_scattering
 from .geometry import Direction, Scene
-from .indicator import reconstruct_hull, required_trace_size
+from .indicator import reconstruct_hull
 from .farfield import (
     assemble_far_field_operator,
     disc_far_field_operator,
@@ -124,16 +124,6 @@ def _tau_grid(args) -> np.ndarray:
     return np.geomspace(args.tau_min, args.tau_max, args.tau_count)
 
 
-def _trace_size(args, scene, tau_max) -> int:
-    needed = required_trace_size(tau_max, scene.wavenumber_k, scene.radius_R)
-    n = args.trace_n
-    if n < needed:
-        raise ResolutionError(
-            f"trace-n {n} cannot resolve tau-max {tau_max} (needs >= {needed})"
-        )
-    return n
-
-
 def _solve_with_trace(scene, args, incident):
     mesh = build_mesh(scene, nodes_per_edge=args.mesh_nodes, p_grade=args.grade)
     sol = solve_scattering(scene, incident, mesh)
@@ -167,7 +157,6 @@ def cmd_hull(args) -> int:
     if not scene.obstacles:
         raise ConfigError("hull requires at least one obstacle")
     taus = _tau_grid(args)
-    _trace_size(args, scene, taus[-1])
     if args.mode == "pointsource":
         incident = PointSource(scene.source_y)
     else:
@@ -197,14 +186,18 @@ def _alpha_sweep(args) -> np.ndarray:
     return np.geomspace(args.alpha_max, args.alpha_min, count)
 
 
+def _far_field_operator(scene, args):
+    """The disc-series operator when --disc-radius is given, else the polygon solver's."""
+    if args.disc_radius is not None:
+        return disc_far_field_operator(args.disc_radius, scene.wavenumber_k, args.directions, args.directions)
+    return assemble_far_field_operator(scene, args.directions, args.directions,
+                                       nodes_per_edge=args.mesh_nodes, p_grade=args.grade)
+
+
 def cmd_farfield(args) -> int:
     scene = _load_scene(args.scene)
     alphas = _alpha_sweep(args)
-    if args.disc_radius is not None:
-        op = disc_far_field_operator(args.disc_radius, scene.wavenumber_k, args.directions, args.directions)
-    else:
-        op = assemble_far_field_operator(scene, args.directions, args.directions,
-                                         nodes_per_edge=args.mesh_nodes, p_grade=args.grade)
+    op = _far_field_operator(scene, args)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     rows = [[i, j, repr(op.matrix[i, j].real), repr(op.matrix[i, j].imag)]
@@ -226,11 +219,7 @@ def cmd_farfield(args) -> int:
 
 def cmd_lsm(args) -> int:
     scene = _load_scene(args.scene)
-    if args.disc_radius is not None:
-        op = disc_far_field_operator(args.disc_radius, scene.wavenumber_k, args.directions, args.directions)
-    else:
-        op = assemble_far_field_operator(scene, args.directions, args.directions,
-                                         nodes_per_edge=args.mesh_nodes, p_grade=args.grade)
+    op = _far_field_operator(scene, args)
     half = scene.radius_R
     n = args.grid_n
     xs = np.linspace(-half, half, n)

@@ -41,7 +41,6 @@ class TraceData:
     u: np.ndarray      # (N,) complex
     dudn: np.ndarray   # (N,) complex, outward radial derivative
     k: float
-    provenance: str    # "direct" or "recovered"
 
     def __post_init__(self):
         n = len(self.u)
@@ -51,8 +50,6 @@ class TraceData:
             raise DomainError("u and dudn must have matching size")
         if not (np.all(np.isfinite(self.u)) and np.all(np.isfinite(self.dudn))):
             raise DomainError("trace values must be finite")
-        if self.provenance not in ("direct", "recovered"):
-            raise DomainError(f"unknown provenance {self.provenance!r}")
         object.__setattr__(self, "center", np.asarray(self.center, dtype=float))
 
     @property
@@ -86,7 +83,7 @@ def trace_direct(sol: ScatterSolution, radius: float, n: int, center=None) -> Tr
     w, grad_w = scattered_field(sol, pts)
     u = sol.incident.value(k, pts) + w
     dudn = np.einsum("ic,ic->i", sol.incident.gradient(k, pts) + grad_w, nu.astype(complex))
-    return TraceData(center=center, radius=radius, u=u, dudn=dudn, k=k, provenance="direct")
+    return TraceData(center=center, radius=radius, u=u, dudn=dudn, k=k)
 
 
 def recover_neumann(
@@ -169,9 +166,9 @@ def trace_to_csv(trace: TraceData, header_lines=()) -> str:
     return buf.getvalue()
 
 
-def trace_from_csv(text: str, center, radius: float, k: float, provenance: str = "direct") -> TraceData:
+def trace_from_csv(text: str, center, radius: float, k: float) -> TraceData:
     rows = [r for r in csv.reader(io.StringIO(text)) if r and not r[0].startswith("#")]
     body = rows[1:]  # skip column header
     u = np.array([float(r[1]) + 1j * float(r[2]) for r in body])
     dudn = np.array([float(r[3]) + 1j * float(r[4]) for r in body])
-    return TraceData(center=np.asarray(center, float), radius=radius, u=u, dudn=dudn, k=k, provenance=provenance)
+    return TraceData(center=np.asarray(center, float), radius=radius, u=u, dudn=dudn, k=k)

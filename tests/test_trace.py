@@ -8,7 +8,6 @@ from enclosure2d.geometry import Direction
 from enclosure2d.indicator import compute_indicator
 from enclosure2d.specialfun import hankel1, hankel1_prime
 from enclosure2d.trace import (
-    TraceData,
     recover_neumann,
     trace_direct,
     trace_from_csv,
@@ -127,26 +126,3 @@ class TestCsvRoundTrip:
         )
         np.testing.assert_array_equal(again.u, square_trace.u)
         np.testing.assert_array_equal(again.dudn, square_trace.dudn)
-
-    def test_provenance_tag(self, square_trace):
-        assert square_trace.provenance == "direct"
-        tr = TraceData(
-            center=square_trace.center,
-            radius=square_trace.radius,
-            k=square_trace.k,
-            u=square_trace.u,
-            dudn=square_trace.dudn,
-            provenance="recovered",
-        )
-        assert tr.provenance == "recovered"
-
-    def test_bad_provenance(self, square_trace):
-        with pytest.raises(DomainError):
-            TraceData(
-                center=square_trace.center,
-                radius=square_trace.radius,
-                k=square_trace.k,
-                u=square_trace.u,
-                dudn=square_trace.dudn,
-                provenance="guessed",
-            )
