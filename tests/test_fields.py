@@ -125,7 +125,6 @@ class TestProbe:
             gf, p.tau * p.omega.vec + 1j * np.hypot(p.tau, p.k) * p.omega.perp
         )
 
-
     def test_tau_grid_matches_stacked_scalar_probes(self):
         omega = Direction.from_angle(0.7)
         taus = np.geomspace(4.0, 40.0, 64)
