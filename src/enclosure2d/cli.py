@@ -135,8 +135,6 @@ def cmd_solve(args) -> int:
     scene = _load_scene(args.scene)
     if not scene.obstacles:
         raise ConfigError("solve requires at least one obstacle")
-    if abs(np.linalg.norm(scene.source_y - scene.center) - scene.radius_R) < 1e-9:
-        raise ConfigError("TRACE_SOURCE_ON_CIRCLE: source sits on the measurement circle")
     sol, trace = _solve_with_trace(scene, args, PointSource(scene.source_y))
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)

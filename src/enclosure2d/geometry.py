@@ -193,7 +193,7 @@ class Scene:
         """Diameter of the union of the obstacles (0 if empty)."""
         if not self.obstacles:
             return 0.0
-        v = np.vstack([o.vertices for o in self.obstacles])
+        v = self.all_vertices
         return float(np.max(np.linalg.norm(v[:, None, :] - v[None, :, :], axis=-1)))
 
     @property
@@ -201,8 +201,7 @@ class Scene:
         """diam D < dist(D, boundary of the source circle)."""
         if not self.obstacles:
             return True
-        v = np.vstack([o.vertices for o in self.obstacles])
-        dist = self.radius_R1 - float(np.max(np.linalg.norm(v - self.center, axis=1)))
+        dist = self.radius_R1 - float(np.max(np.linalg.norm(self.all_vertices - self.center, axis=1)))
         return self.diameter < dist
 
     @property

@@ -54,8 +54,7 @@ import numpy as np
 from scipy.optimize import least_squares
 
 from .errors import DomainError, ReconstructionError, ResolutionError
-from .fields import ModulatedPlane, ProbeParams, eval_probe
-from .forward import build_mesh, eval_total, solve_scattering
+from .fields import ProbeParams, eval_probe
 from .geometry import Direction, convex_hull_from_supports
 from .trace import TraceData
 
@@ -68,11 +67,9 @@ __all__ = [
     "estimate_support",
     "classify_threshold",
     "reconstruct_hull",
-    "modulated_nonvanishing_check",
     "required_trace_size",
 ]
 
-UNDERFLOW_LOG = math.log(1e-290)
 NOISE_SNR = 30.0
 SLOPE_TOL = 0.01
 RMS_USABLE_THRESHOLD = 0.05
@@ -168,11 +165,7 @@ def _indicator_values(trace: TraceData, omega: Direction, taus: np.ndarray, t_re
         log_mag_t0 = np.log(mag)
     shift = taus * (t0 - t_ref)
     log_mag = log_mag_t0 + shift
-    usable = (
-        np.isfinite(log_mag)
-        & (log_mag_t0 > log_floor_t0 + math.log(NOISE_SNR))
-        & (log_mag > UNDERFLOW_LOG)
-    )
+    usable = np.isfinite(log_mag) & (log_mag_t0 > log_floor_t0 + math.log(NOISE_SNR))
     return log_mag, np.angle(j_scaled), log_floor_t0 + shift, usable
 
 
@@ -214,9 +207,7 @@ def compute_samples(trace: TraceData, omega: Direction, taus, t_ref: float | Non
 class SupportEstimate:
     omega: Direction
     h_hat: float
-    slope: float           # a in the fit model
     log_s_coefficient: float  # b; compare against -pi/Theta
-    offset: float          # c
     residual_rms: float
     n_used: int
     usable: bool
@@ -272,8 +263,7 @@ def _trimmed_envelope_fit(t: np.ndarray, L: np.ndarray, s: np.ndarray, wt: np.nd
         w = w_new
     coeffs = _clamped_fit(design[w], L[w], wt[w])
     rms = _weighted_rms(L[w] - design[w] @ coeffs, wt[w])
-    a, b, c = (float(v) for v in coeffs)
-    return a, b, c, rms, int(np.count_nonzero(w))
+    return float(coeffs[0]), float(coeffs[1]), rms
 
 
 def _two_exponential_refine(t: np.ndarray, L: np.ndarray, phase: np.ndarray, s: np.ndarray, wt: np.ndarray):
@@ -284,8 +274,8 @@ def _two_exponential_refine(t: np.ndarray, L: np.ndarray, phase: np.ndarray, s: 
     estimate is the larger one among components with non-negligible
     amplitude.  The 26 starting exponents are ranked by their projected
     misfit and one bounded solve runs from the best.  Each sample's
-    residual carries its weight ``wt``.  Returns (a, b, offset,
-    log_rms), or None if the solve fails.
+    residual carries its weight ``wt``.  Returns (h, b, log_rms), with h
+    on the same scale as the envelope's a, or None if the solve fails.
     """
     # remove the dominant growth so the data is O(1)
     a0 = float(np.polyfit(t, L, 1)[0])
@@ -324,8 +314,7 @@ def _two_exponential_refine(t: np.ndarray, L: np.ndarray, phase: np.ndarray, s: 
     log_rms = _weighted_rms(np.log(np.maximum(mag, 1e-300)) - np.log(np.abs(J0)), wt)
     amps = np.abs(c)
     heights = [a0 + dh for dh, amp in ((dh1, amps[0]), (dh2, amps[1])) if amp > 1e-3 * amps.max()]
-    idx = int(np.argmax(amps))
-    return max(heights), float(b), float(np.log(max(amps[idx], 1e-300))), log_rms
+    return max(heights), float(b), log_rms
 
 
 def estimate_support(samples: IndicatorSamples) -> SupportEstimate:
@@ -353,24 +342,22 @@ def estimate_support(samples: IndicatorSamples) -> SupportEstimate:
     far = s >= S_SINGLE_MIN
     if np.count_nonzero(far) < 8:
         far = np.ones(len(t), dtype=bool)
-    a, b, c, rms, _ = _trimmed_envelope_fit(t[far], L[far], s[far], wt[far])
+    a, b, rms = _trimmed_envelope_fit(t[far], L[far], s[far], wt[far])
     if rms > TWO_TERM_TRIGGER or b <= B_MIN:
         refined = _two_exponential_refine(t, L, samples.phases[mask], s, wt)
-        if refined is not None and refined[3] < rms:
-            a, b, c, rms = refined
+        if refined is not None and refined[2] < rms:
+            a, b, rms = refined
     return SupportEstimate(
         omega=samples.omega,
         h_hat=a + samples.t_ref,
-        slope=a,
         log_s_coefficient=b,
-        offset=c,
         residual_rms=rms,
         n_used=n_used,
         usable=rms < RMS_USABLE_THRESHOLD,
     )
 
 
-def classify_threshold(samples: IndicatorSamples, t: float, tol_slope: float = SLOPE_TOL) -> str:
+def classify_threshold(samples: IndicatorSamples, t: float) -> str:
     """'decays' / 'blows_up' / 'inconclusive' for e^{-tau t} |J(tau)|.
 
     The decision uses the least-squares slope of log(e^{-tau t} |J|) over
@@ -385,9 +372,9 @@ def classify_threshold(samples: IndicatorSamples, t: float, tol_slope: float = S
     half = len(taus) // 2
     tt, gg = taus[half:], g[half:]
     slope = float(np.polyfit(tt, gg, 1)[0])
-    if slope < -tol_slope:
+    if slope < -SLOPE_TOL:
         return "decays"
-    if slope > tol_slope:
+    if slope > SLOPE_TOL:
         return "blows_up"
     return "inconclusive"
 
@@ -397,30 +384,16 @@ def reconstruct_hull(trace: TraceData, directions, taus):
 
     Reads only the trace: every direction is fitted, and the usable
     estimates bound the hull.  Returns ``(hull_vertices, estimates)``
-    with one ``SupportEstimate`` per input direction.
+    with one ``SupportEstimate`` per input direction.  Raises
+    ReconstructionError when fewer than 3 directions are usable or their
+    half-planes do not intersect.
     """
     estimates = [estimate_support(compute_samples(trace, omega, taus)) for omega in directions]
     used = [(est.omega, est.h_hat) for est in estimates if est.usable]
     if len(used) < 3:
         raise ReconstructionError(f"only {len(used)} usable directions (need 3)")
     hull = convex_hull_from_supports(used, clip_radius=trace.radius, center=trace.center)
+    if len(hull) == 0:
+        raise ReconstructionError(f"the half-planes of {len(used)} usable directions do not intersect")
     return hull, estimates
 
-
-def modulated_nonvanishing_check(scene, x0, d: Direction, nodes_per_edge: int = 64, p_grade: float = 4.0):
-    """Total modulated field (1.3)-style value at the scene's source point.
-
-    Solves the scattering problem for the linearly modulated plane field
-    anchored at the vertex ``x0`` and evaluates the total field at
-    ``scene.source_y``; a nonzero value verifies the hypothesis under
-    which the point-source support formula holds without the far-source
-    condition.
-    """
-    x0 = np.asarray(x0, dtype=float)
-    vertices = scene.all_vertices
-    if len(vertices) and np.min(np.linalg.norm(vertices - x0, axis=1)) > 1e-9:
-        raise DomainError("x0 must be a vertex of the scene")
-    incident = ModulatedPlane(x0=x0, d=d)
-    mesh = build_mesh(scene, nodes_per_edge=nodes_per_edge, p_grade=p_grade)
-    sol = solve_scattering(scene, incident, mesh)
-    return eval_total(sol, scene.source_y)

@@ -24,6 +24,9 @@ from .specialfun import hankel1
 
 __all__ = ["TraceData", "trace_direct", "recover_neumann", "trace_to_csv", "trace_from_csv"]
 
+# recover_neumann's harmonic tail must fall below this fraction of the head
+TAIL_TOL = 1e-6
+
 
 def _circle_nodes(center, radius: float, n: int) -> tuple[np.ndarray, np.ndarray]:
     """Equispaced measurement nodes center + R (cos, sin) and their outward normals."""
@@ -70,10 +73,10 @@ class TraceData:
         return _circle_nodes(self.center, self.radius, self.n)[1]
 
 
-def trace_direct(sol: ScatterSolution, radius: float, n: int, center=None) -> TraceData:
-    """Sample the solved total field and its radial derivative on the circle."""
+def trace_direct(sol: ScatterSolution, radius: float, n: int) -> TraceData:
+    """Sample the total field and its radial derivative on the circle about the scene's center."""
     scene = sol.scene
-    center = scene.center if center is None else np.asarray(center, dtype=float)
+    center = scene.center
     if isinstance(sol.incident, PointSource):
         r_y = np.linalg.norm(sol.incident.y - center)
         if abs(r_y - radius) < 1e-9 * radius:
@@ -86,14 +89,7 @@ def trace_direct(sol: ScatterSolution, radius: float, n: int, center=None) -> Tr
     return TraceData(center=center, radius=radius, u=u, dudn=dudn, k=k)
 
 
-def recover_neumann(
-    u_values,
-    k: float,
-    y,
-    radius: float,
-    center=(0.0, 0.0),
-    tail_tol: float = 1e-6,
-) -> np.ndarray:
+def recover_neumann(u_values, k: float, y, radius: float, center=(0.0, 0.0)) -> np.ndarray:
     """Neumann trace from Dirichlet data via the exterior Dirichlet problem.
 
     The scattered part E = u - Phi_0(., y) is radiating outside the circle,
@@ -115,35 +111,28 @@ def recover_neumann(
     phi0 = source.value(k, pts)
     coeffs = np.fft.fft(u_values - phi0) / n
 
+    orders = np.abs(np.fft.fftfreq(n, 1.0 / n).astype(int))
     head = np.max(np.abs(coeffs))
     if head > 0:
-        orders_all = np.fft.fftfreq(n, 1.0 / n).astype(int)
-        tail = np.max(np.abs(coeffs[np.abs(orders_all) >= (3 * n) // 8]))
-        if tail > tail_tol * head:
+        tail = np.max(np.abs(coeffs[orders >= (3 * n) // 8]))
+        if tail > TAIL_TOL * head:
             raise ResolutionError(
-                f"harmonic tail {tail:.2e} has not decayed below {tail_tol:.0e} "
+                f"harmonic tail {tail:.2e} has not decayed below {TAIL_TOL:.0e} "
                 "of the head; increase the trace resolution"
             )
 
-    orders = np.abs(np.fft.fftfreq(n, 1.0 / n).astype(int))
-    # Radiating-mode multiplier k H_m'(kR) / H_m(kR); the ratio is even in
-    # the order (H_{-m} = (-1)^m H_m).  H_m itself overflows for large m,
-    # so build the ratio from the upward recursion for H_m / H_{m-1},
-    # which is stable for the order-dominant Hankel solution.
+    # Radiating-mode multiplier k H_m'(kR) / H_m(kR) = k (H_{m-1} / H_m - m / x);
+    # it is even in the order (H_{-m} = (-1)^m H_m).  H_m itself overflows
+    # for large m, so build H_m / H_{m-1} by the upward recursion, which is
+    # stable for the order-dominant Hankel solution; at m = 0 it is
+    # H_0 / H_{-1} = -H_0 / H_1.
     x = k * radius
-    m_max = int(np.max(orders))
-    ratio = np.empty(m_max + 1, dtype=complex)  # ratio[m] = H_m(x) / H_{m-1}(x)
-    ratio[0] = np.nan
-    if m_max >= 1:
-        ratio[1] = hankel1(1, x) / hankel1(0, x)
-        for m in range(1, m_max):
-            ratio[m + 1] = 2 * m / x - 1.0 / ratio[m]
-    log_derivative = np.empty(m_max + 1, dtype=complex)  # H_m'(x) / H_m(x)
-    log_derivative[0] = -hankel1(1, x) / hankel1(0, x)
-    if m_max >= 1:
-        ms = np.arange(1, m_max + 1)
-        log_derivative[1:] = 1.0 / ratio[1:] - ms / x
-    multipliers = k * log_derivative[orders]
+    m = np.arange(np.max(orders) + 1)
+    ratio = np.empty(len(m), dtype=complex)  # ratio[m] = H_m(x) / H_{m-1}(x)
+    ratio[0] = -hankel1(0, x) / hankel1(1, x)
+    for j in range(len(m) - 1):
+        ratio[j + 1] = 2 * j / x - 1.0 / ratio[j]
+    multipliers = k * (1.0 / ratio - m / x)[orders]
     de_dn = np.fft.ifft(coeffs * multipliers) * n
 
     grad_phi0 = source.gradient(k, pts)

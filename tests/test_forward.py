@@ -10,6 +10,7 @@ from enclosure2d.forward import (
     build_mesh,
     eval_total,
     factorize,
+    modulated_nonvanishing_check,
     scattered_field,
     solve_scattering,
 )
@@ -200,3 +201,45 @@ class TestDiscSeries:
         s1 = DiscSeriesSolution(center=np.zeros(2), a=a, k=k, incident=PointSource(y1))
         s2 = DiscSeriesSolution(center=np.zeros(2), a=a, k=k, incident=PointSource(y2))
         assert s1.eval_total(y2) == pytest.approx(s2.eval_total(y1), abs=1e-10)
+
+
+class TestModulatedCheck:
+    def test_free_space_exact(self, empty_scene):
+        d = Direction.from_angle(0.5)
+        x0 = np.array([0.3, 0.3])
+        v = modulated_nonvanishing_check(empty_scene, x0, d)
+        y = empty_scene.source_y
+        k = empty_scene.wavenumber_k
+        theta = np.array([-d.vec[1], d.vec[0]])
+        expected = (x0 - y) @ theta * np.exp(-1j * k * (y @ d.vec))
+        assert v == pytest.approx(expected, abs=1e-14)
+
+    def test_square_vertex_nonzero(self, square_scene):
+        v = modulated_nonvanishing_check(
+            square_scene,
+            SQUARE_VERTS[2],
+            Direction.from_angle(1.0),
+            nodes_per_edge=32,
+        )
+        assert abs(v) > 1e-3
+
+    def test_far_source_remainder_decay(self):
+        # |u - (x0-y).theta e^{-ik y.d}| = O(|y|^{-1/2}) along a ray
+        d = Direction.from_angle(0.3)
+        x0 = SQUARE_VERTS[2]
+        theta = np.array([-d.vec[1], d.vec[0]])
+        rems = []
+        for r in (50.0, 100.0):
+            scene = Scene(
+                obstacles=(Polygon(SQUARE_VERTS),),
+                radius_R=2.0,
+                radius_R1=r,
+                source_y=(r * np.cos(1.2), r * np.sin(1.2)),
+                wavenumber_k=2.0,
+            )
+            v = modulated_nonvanishing_check(scene, x0, d, nodes_per_edge=32)
+            y = scene.source_y
+            free = (x0 - y) @ theta * np.exp(-1j * scene.wavenumber_k * (y @ d.vec))
+            rems.append(abs(v - free))
+        assert rems[1] < rems[0]
+        assert rems[1] / rems[0] == pytest.approx(np.sqrt(0.5), rel=0.5)

@@ -3,6 +3,7 @@ import dataclasses
 import numpy as np
 import pytest
 
+from enclosure2d import indicator
 from enclosure2d.errors import ReconstructionError
 from enclosure2d.fields import PointSource, ProbeParams, eval_probe
 from enclosure2d.forward import build_mesh, solve_scattering
@@ -22,7 +23,6 @@ from enclosure2d.indicator import (
     compute_indicator,
     compute_samples,
     estimate_support,
-    modulated_nonvanishing_check,
     reconstruct_hull,
     required_trace_size,
 )
@@ -81,6 +81,17 @@ def _reference_indicator(trace, omega, tau):
     shift = tau * (t0 - trace.radius)
     log_floor = np.log(np.sum(np.abs(integrand)) * ds) + np.log(np.finfo(float).eps)
     return np.log(abs(j)) + shift, np.angle(j), log_floor + shift
+
+
+class TestReferenceShift:
+    @pytest.mark.parametrize("t_ref", [40, 100])
+    def test_usable_flags_and_h_hat_ignore_t_ref(self, square_trace, taus, t_ref):
+        # t_ref only shifts log|J| by tau (t0 - t_ref); which samples are
+        # usable, and the support estimate, must not depend on it
+        default = compute_samples(square_trace, OM30, taus)
+        shifted = compute_samples(square_trace, OM30, taus, t_ref=t_ref)
+        assert shifted.usable.tolist() == default.usable.tolist()
+        assert estimate_support(shifted).h_hat == pytest.approx(estimate_support(default).h_hat, abs=1e-9)
 
 
 class TestOnePass:
@@ -228,7 +239,7 @@ class TestCovariance:
             center=b,
         )
         sol = solve_scattering(scene, PointSource(scene.source_y), build_mesh(scene))
-        tr = trace_direct(sol, scene.radius_R, 512, center=b)
+        tr = trace_direct(sol, scene.radius_R, 512)
         for ang in (np.pi / 6, 2.0, 4.0):
             om = Direction.from_angle(ang)
             e0 = estimate_support(compute_samples(square_trace, om, taus))
@@ -291,49 +302,18 @@ class TestHull:
         assert len(estimates) == len(dirs)
         assert hausdorff_distance(hull, SQUARE_VERTS) < 0.05 * SQUARE.diameter
 
+    def test_empty_intersection_raises(self, square_trace, taus, monkeypatch):
+        # three usable supports h = -1 at 0, 120 and 240 degrees bound no point
+        def fake(samples):
+            return dataclasses.replace(estimate_support(samples), h_hat=-1.0, usable=True)
+
+        monkeypatch.setattr(indicator, "estimate_support", fake)
+        dirs = [Direction.from_angle(np.radians(deg)) for deg in (0, 120, 240)]
+        with pytest.raises(ReconstructionError):
+            reconstruct_hull(square_trace, dirs, taus)
+
     def test_insufficient_directions(self, square_trace, taus):
         dirs = [Direction.from_angle(a) for a in (0.0, np.pi / 2)]
         with pytest.raises(ReconstructionError):
             reconstruct_hull(square_trace, dirs, taus)
 
-
-class TestModulatedCheck:
-    def test_free_space_exact(self, empty_scene):
-        d = Direction.from_angle(0.5)
-        x0 = np.array([0.3, 0.3])
-        v = modulated_nonvanishing_check(empty_scene, x0, d)
-        y = empty_scene.source_y
-        k = empty_scene.wavenumber_k
-        theta = np.array([-d.vec[1], d.vec[0]])
-        expected = (x0 - y) @ theta * np.exp(-1j * k * (y @ d.vec))
-        assert v == pytest.approx(expected, abs=1e-14)
-
-    def test_square_vertex_nonzero(self, square_scene):
-        v = modulated_nonvanishing_check(
-            square_scene,
-            SQUARE_VERTS[2],
-            Direction.from_angle(1.0),
-            nodes_per_edge=32,
-        )
-        assert abs(v) > 1e-3
-
-    def test_far_source_remainder_decay(self):
-        # |u - (x0-y).theta e^{-ik y.d}| = O(|y|^{-1/2}) along a ray
-        d = Direction.from_angle(0.3)
-        x0 = SQUARE_VERTS[2]
-        theta = np.array([-d.vec[1], d.vec[0]])
-        rems = []
-        for r in (50.0, 100.0):
-            scene = Scene(
-                obstacles=(Polygon(SQUARE_VERTS),),
-                radius_R=2.0,
-                radius_R1=r,
-                source_y=(r * np.cos(1.2), r * np.sin(1.2)),
-                wavenumber_k=2.0,
-            )
-            v = modulated_nonvanishing_check(scene, x0, d, nodes_per_edge=32)
-            y = scene.source_y
-            free = (x0 - y) @ theta * np.exp(-1j * scene.wavenumber_k * (y @ d.vec))
-            rems.append(abs(v - free))
-        assert rems[1] < rems[0]
-        assert rems[1] / rems[0] == pytest.approx(np.sqrt(0.5), rel=0.5)

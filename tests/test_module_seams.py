@@ -65,3 +65,18 @@ def test_bessel_kernels_come_from_specialfun_only():
         if path.name != "specialfun.py" and any(map(_imports_scipy_special, ast.walk(ast.parse(path.read_text()))))
     ]
     assert not offenders, f"scipy.special used outside specialfun.py: {offenders}"
+
+
+def test_inversion_does_not_import_the_solver():
+    # the inversion reads the trace, the probe and the hull geometry only:
+    # no forward solve, no far-field operator, no scene or true support
+    tree = ast.parse((PACKAGE / "indicator.py").read_text())
+    offenders = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            module = (node.module or "").rsplit(".", 1)[-1]
+            names = [alias.name for alias in node.names]
+            if module in ("forward", "farfield"):
+                offenders += names
+            offenders += [n for n in names if n in ("support_function", "Scene", "Polygon")]
+    assert not offenders, f"indicator.py imports ground-truth or solver names: {sorted(offenders)}"
