@@ -164,9 +164,10 @@ def cmd_hull(args) -> int:
     hull, estimates = reconstruct_hull(trace, directions, taus)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    rows = [[repr(d.angle), repr(est.h_hat), repr(est.residual_rms), "usable" if est.usable else "unusable"]
+    rows = [[repr(d.angle), repr(est.h_hat), repr(est.residual_rms), repr(est.log_s_coefficient), est.n_used,
+             "usable" if est.usable else "unusable"]
             for d, est in zip(directions, estimates)]
-    _write_csv(out / "supports.csv", args, ["angle", "h_hat", "residual_rms", "status"], rows)
+    _write_csv(out / "supports.csv", args, ["angle", "h_hat", "residual_rms", "b", "n_used", "status"], rows)
     _write_json(out / "hull.json", args, {"vertices": hull.tolist()})
     _write_json(out / "diagnostics.json", args, {
         "directions": args.directions,

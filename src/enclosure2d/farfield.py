@@ -96,10 +96,6 @@ class FarFieldOperator:
     def obs_weight(self) -> float:
         return 2 * np.pi / len(self.obs_angles)
 
-    def apply(self, g: np.ndarray) -> np.ndarray:
-        """Quadrature application int F(phi, d) g(d) ds(d)."""
-        return self.inc_weight * (self.matrix @ g)
-
     def reciprocity_defect(self) -> float:
         """max |F(phi, d) - F(-d, -phi)| when both grids close under negation."""
         n_obs, n_inc = self.matrix.shape

@@ -6,8 +6,9 @@ modulated plane field (x0 - x).theta e^{-ik x.d} with theta chosen so
 that theta_perp = d.  The probe is the exponentially growing Helmholtz
 solution e^{x.(tau omega + i sqrt(tau^2 + k^2) omega_perp)}, always
 evaluated in a scaled form e^{-tau t_ref} * probe so that magnitudes stay
-representable for large tau.  One probe may carry a whole tau grid,
-which gives each probe quantity a leading tau axis.
+representable for large tau.  The probe always carries a tau grid (a
+single tau is a grid of one), so every probe quantity has a leading tau
+axis.
 """
 
 from __future__ import annotations
@@ -26,7 +27,6 @@ __all__ = [
     "ModulatedPlane",
     "ProbeParams",
     "eval_probe",
-    "probe_log_magnitude",
 ]
 
 
@@ -105,11 +105,11 @@ class ModulatedPlane:
 
 @dataclass(frozen=True)
 class ProbeParams:
-    """Probe direction, growth parameter and magnitude-scaling shift.
+    """Probe direction, tau grid and magnitude-scaling shift.
 
-    ``tau`` is a positive float or a 1-D array of positive values (a tau
-    grid).  For a grid of shape (T,), ``eval_probe`` returns (T, N) for N
-    points, ``gradient_factor`` (T, 2) and ``s`` (T,), also when T = 1.
+    ``tau`` becomes a 1-D array of positive values at construction (a
+    float is a grid of one).  For T values of tau, ``eval_probe`` returns
+    (T, N) for N points, ``gradient_factor`` (T, 2) and ``s`` (T,).
     """
 
     omega: Direction
@@ -118,32 +118,24 @@ class ProbeParams:
     t_ref: float = 0.0
 
     def __post_init__(self):
-        if np.any(np.asarray(self.tau) <= 0) or self.k <= 0:
-            raise DomainError("tau and k must be positive")
+        tau = np.atleast_1d(np.asarray(self.tau, dtype=float))
+        object.__setattr__(self, "tau", tau)
+        if tau.ndim != 1 or np.any(tau <= 0) or self.k <= 0:
+            raise DomainError("tau must be a positive float or 1-D grid, and k positive")
 
     @property
-    def s(self) -> float | np.ndarray:
+    def s(self) -> np.ndarray:
         """Auxiliary parameter sqrt(tau^2 + k^2) + tau."""
         return np.hypot(self.tau, self.k) + self.tau
 
     @property
     def gradient_factor(self) -> np.ndarray:
-        """Constant vector zeta with grad(probe) = zeta * probe."""
-        tau = np.asarray(self.tau)[..., None]
+        """Constant vectors zeta with grad(probe) = zeta * probe, one row per tau."""
+        tau = self.tau[:, None]
         return tau * self.omega.vec + 1j * np.hypot(tau, self.k) * self.omega.perp
 
 
-def _per_tau(p: ProbeParams, out: np.ndarray):
-    """A tau grid keeps its (T, N) shape; a scalar tau gives the single-point shapes."""
-    return out if np.ndim(p.tau) else _one_point(out)
-
-
-def eval_probe(p: ProbeParams, x):
+def eval_probe(p: ProbeParams, x) -> np.ndarray:
     """Scaled probe value e^{tau (x.omega - t_ref)} e^{i kappa x.omega_perp}."""
-    x, tau = _points(x), np.asarray(p.tau)[..., None]
-    return _per_tau(p, np.exp(tau * (x @ p.omega.vec - p.t_ref) + 1j * np.hypot(tau, p.k) * (x @ p.omega.perp)))
-
-
-def probe_log_magnitude(p: ProbeParams, x):
-    """log |scaled probe| = tau (x.omega - t_ref); overflow-free."""
-    return _per_tau(p, np.asarray(p.tau)[..., None] * (_points(x) @ p.omega.vec - p.t_ref))
+    x, tau = _points(x), p.tau[:, None]
+    return np.exp(tau * (x @ p.omega.vec - p.t_ref) + 1j * np.hypot(tau, p.k) * (x @ p.omega.perp))

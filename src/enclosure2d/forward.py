@@ -60,8 +60,6 @@ class BoundaryMesh:
     weights: np.ndarray      # (N,)
     edge_ids: np.ndarray     # (N,) global edge index
     panel_sizes: np.ndarray  # (N,) arclength of the containing panel
-    edge_lengths: np.ndarray  # per global edge
-    grading_levels: int
 
     @property
     def n_nodes(self) -> int:
@@ -116,8 +114,6 @@ def build_mesh(scene: Scene, nodes_per_edge: int = 64, p_grade: float = 4.0) -> 
         weights=(unit_weights * ell[:, None]).ravel(),
         edge_ids=np.repeat(np.arange(len(edges)), len(t)),
         panel_sizes=(unit_panels * ell[:, None]).ravel(),
-        edge_lengths=ell,
-        grading_levels=min(MAX_GRADING_LEVELS, panels_per_half - 1),
     )
 
 

@@ -222,6 +222,8 @@ class Scene:
 
     @classmethod
     def from_dict(cls, data: dict) -> "Scene":
+        if not isinstance(data, dict):
+            raise GeometryError(f"scene must be a JSON object, got {type(data).__name__}")
         allowed = {"obstacles", "center", "R", "R1", "source", "k"}
         unknown = set(data) - allowed
         if unknown:
@@ -229,14 +231,18 @@ class Scene:
         missing = {"obstacles", "R", "R1", "source", "k"} - set(data)
         if missing:
             raise GeometryError(f"missing scene keys: {sorted(missing)}")
-        return cls(
-            obstacles=tuple(Polygon(np.asarray(v, float)) for v in data["obstacles"]),
-            center=np.asarray(data.get("center", (0.0, 0.0)), float),
-            radius_R=float(data["R"]),
-            radius_R1=float(data["R1"]),
-            source_y=np.asarray(data["source"], float),
-            wavenumber_k=float(data["k"]),
-        )
+        try:
+            return cls(
+                obstacles=tuple(Polygon(np.asarray(v, float)) for v in data["obstacles"]),
+                center=np.asarray(data.get("center", (0.0, 0.0)), float),
+                radius_R=float(data["R"]),
+                radius_R1=float(data["R1"]),
+                source_y=np.asarray(data["source"], float),
+                wavenumber_k=float(data["k"]),
+            )
+        except (TypeError, ValueError) as exc:
+            # a field that does not convert to a number or has the wrong shape
+            raise GeometryError(f"malformed scene field: {exc}") from exc
 
     def to_json(self) -> str:
         return json.dumps(self.to_dict(), indent=2)
@@ -257,8 +263,6 @@ def support_function(obstacles, omega: Direction) -> float:
 
 def _clip_halfplane(poly: np.ndarray, w: np.ndarray, h: float) -> np.ndarray:
     """Sutherland-Hodgman clip of a convex polygon against {x . w <= h}."""
-    if len(poly) == 0:
-        return poly
     vals = poly @ w - h
     out = []
     n = len(poly)
@@ -274,8 +278,6 @@ def _clip_halfplane(poly: np.ndarray, w: np.ndarray, h: float) -> np.ndarray:
 
 
 def _dedupe_ring(poly: np.ndarray, tol: float) -> np.ndarray:
-    if len(poly) == 0:
-        return poly
     keep = [poly[0]]
     for p in poly[1:]:
         if np.linalg.norm(p - keep[-1]) > tol:

@@ -32,9 +32,9 @@ intersection.  Side normals, where a whole edge attains the support
 value, are fitted like any other direction: their two end corners beat
 against each other, which is the case the two-exponential fit models.
 
-One probe carries the whole tau grid of a direction, so each direction
-is one vectorised pass over the trace, and every fit reads s from that
-probe's definition.
+``compute_samples`` is the one sampling entry point: one probe carries
+the whole tau grid of a direction, so each direction is one vectorised
+pass over the trace, and every fit reads s from that probe's definition.
 
 All arithmetic is scaled: the probe carries e^{-tau t0} with t0 the
 maximum of x.omega over the circle, so every integrand term has modulus
@@ -59,10 +59,8 @@ from .geometry import Direction, convex_hull_from_supports
 from .trace import TraceData
 
 __all__ = [
-    "IndicatorPoint",
     "IndicatorSamples",
     "SupportEstimate",
-    "compute_indicator",
     "compute_samples",
     "estimate_support",
     "classify_threshold",
@@ -96,14 +94,6 @@ def required_trace_size(tau: float, k: float, radius: float) -> int:
 
 
 @dataclass(frozen=True)
-class IndicatorPoint:
-    log_magnitude: float  # log |J e^{-tau t_ref}|
-    phase: float
-    log_noise_floor: float
-    usable: bool
-
-
-@dataclass(frozen=True)
 class IndicatorSamples:
     """Scaled indicator values over a strictly increasing tau grid.
 
@@ -134,8 +124,16 @@ class IndicatorSamples:
         return ProbeParams(self.omega, self.taus, self.k).s
 
 
-def _indicator_values(trace: TraceData, omega: Direction, taus: np.ndarray, t_ref: float | None):
-    """(log_magnitudes, phases, log_noise_floors, usable) arrays over ``taus``."""
+def compute_samples(trace: TraceData, omega: Direction, taus, t_ref: float | None = None) -> IndicatorSamples:
+    """Scaled indicator values and their round-off floors over a tau grid.
+
+    One pass over the trace per direction.  Internally the probe is
+    referenced to t0 = max(x.omega) on the circle so the quadrature runs
+    on O(1) numbers; the requested t_ref (default: the circle radius)
+    enters as an exact affine shift of the log-magnitude afterwards (this
+    makes h_hat exactly independent of t_ref).
+    """
+    taus = np.asarray(taus, float)
     if len(taus) == 0:
         raise DomainError("need at least one tau sample")
     pts = trace.points
@@ -147,8 +145,7 @@ def _indicator_values(trace: TraceData, omega: Direction, taus: np.ndarray, t_re
         raise ResolutionError(
             f"trace has {trace.n} nodes but tau={tau_max} needs at least {needed}"
         )
-    if t_ref is None:
-        t_ref = trace.radius
+    t_ref = float(trace.radius if t_ref is None else t_ref)
 
     v = eval_probe(probe, pts)
     # einsum, not gradient_factor @ normals.T: it rounds each tau's zeta.nu
@@ -165,41 +162,15 @@ def _indicator_values(trace: TraceData, omega: Direction, taus: np.ndarray, t_re
         log_mag_t0 = np.log(mag)
     shift = taus * (t0 - t_ref)
     log_mag = log_mag_t0 + shift
-    usable = np.isfinite(log_mag) & (log_mag_t0 > log_floor_t0 + math.log(NOISE_SNR))
-    return log_mag, np.angle(j_scaled), log_floor_t0 + shift, usable
-
-
-def compute_indicator(trace: TraceData, omega: Direction, tau: float, t_ref: float | None = None) -> IndicatorPoint:
-    """One scaled indicator value: the one-tau case of ``compute_samples``."""
-    log_mag, phase, log_floor, usable = _indicator_values(trace, omega, np.array([float(tau)]), t_ref)
-    return IndicatorPoint(
-        log_magnitude=float(log_mag[0]),
-        phase=float(phase[0]),
-        log_noise_floor=float(log_floor[0]),
-        usable=bool(usable[0]),
-    )
-
-
-def compute_samples(trace: TraceData, omega: Direction, taus, t_ref: float | None = None) -> IndicatorSamples:
-    """Scaled indicator values and their round-off floors over a tau grid.
-
-    One pass over the trace per direction.  Internally the probe is
-    referenced to t0 = max(x.omega) on the circle so the quadrature runs
-    on O(1) numbers; the requested t_ref (default: the circle radius)
-    enters as an exact affine shift of the log-magnitude afterwards (this
-    makes h_hat exactly independent of t_ref).
-    """
-    taus = np.asarray(taus, float)
-    log_mag, phase, log_floor, usable = _indicator_values(trace, omega, taus, t_ref)
     return IndicatorSamples(
         omega=omega,
-        t_ref=float(trace.radius if t_ref is None else t_ref),
+        t_ref=t_ref,
         taus=taus,
         log_magnitudes=log_mag,
-        phases=phase,
-        usable=usable,
+        phases=np.angle(j_scaled),
+        usable=np.isfinite(log_mag) & (log_mag_t0 > log_floor_t0 + math.log(NOISE_SNR)),
         k=trace.k,
-        log_noise_floors=log_floor,
+        log_noise_floors=log_floor_t0 + shift,
     )
 
 

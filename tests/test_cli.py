@@ -10,6 +10,7 @@ import pytest
 
 from enclosure2d.cli import build_parser, main
 from enclosure2d.geometry import hausdorff_distance
+from enclosure2d.indicator import B_MAX, B_MIN
 
 from conftest import SQUARE_VERTS
 
@@ -82,6 +83,20 @@ class TestConfigErrors:
 
     def test_missing_file(self, tmp_path):
         assert main(["solve", "--scene", str(tmp_path / "nope.json"), "--out", str(tmp_path / "o")]) == 2
+
+    @pytest.mark.parametrize("body", [
+        [[1]],
+        5,
+        scene_dict(R="two"),
+        scene_dict(k=None),
+        scene_dict(obstacles=[[[-0.5, -0.5], [0.5], [0.5, 0.5]]]),  # ragged vertex list
+        scene_dict(source=[6.0, 0.0, 0.0]),
+    ], ids=["list", "number", "R-text", "k-null", "ragged-vertices", "3d-source"])
+    def test_malformed_scene_body(self, tmp_path, capsys, body):
+        path = tmp_path / "scene.json"
+        path.write_text(json.dumps(body))
+        assert main(["solve", "--scene", str(path), "--out", str(tmp_path / "o")]) == 2
+        assert "error[config]" in capsys.readouterr().err
 
     @pytest.mark.parametrize("argv", [
         ["hull", "--tau-min", "10", "--tau-max", "20"],  # tau grid spans under 3x
@@ -169,7 +184,9 @@ class TestHull:
         rows = [l for l in (out / "supports.csv").read_text().splitlines()
                 if not l.startswith("#")]
         assert len(rows) == 1 + 8
+        assert rows[0] == "angle,h_hat,residual_rms,b,n_used,status"
         assert [r.split(",")[-1] for r in rows[1:]] == ["usable"] * 8
+        assert all(B_MIN <= float(r.split(",")[3]) <= B_MAX for r in rows[1:])
 
 
 class TestFarfieldAndLsm:

@@ -8,7 +8,6 @@ from enclosure2d.fields import (
     PointSource,
     ProbeParams,
     eval_probe,
-    probe_log_magnitude,
 )
 from enclosure2d.geometry import Direction
 
@@ -88,41 +87,42 @@ class TestProbe:
         p = ProbeParams(omega=Direction.from_angle(0.3), tau=12.0, k=2.0, t_ref=0.8)
         # any x with x . omega = t_ref
         x = 0.8 * p.omega.vec + 1.7 * p.omega.perp
-        assert abs(eval_probe(p, x)) == pytest.approx(1.0, abs=1e-12)
+        assert abs(eval_probe(p, x)[0, 0]) == pytest.approx(1.0, abs=1e-12)
 
     def test_s_accessor(self):
         p = ProbeParams(omega=Direction(1.0, 0.0), tau=3.0, k=4.0)
-        assert p.s == pytest.approx(8.0)
+        assert p.s == pytest.approx([8.0])
 
     def test_fd_laplacian(self):
-        p = ProbeParams(omega=Direction.from_angle(1.9), tau=10.0, k=1.0, t_ref=0.0)
+        tau = 10.0
+        p = ProbeParams(omega=Direction.from_angle(1.9), tau=tau, k=1.0, t_ref=0.0)
         rng = np.random.default_rng(3)
         h = 1e-5
         for x in rng.uniform(-0.5, 0.5, size=(5, 2)):
             e1, e2 = np.array([h, 0.0]), np.array([0.0, h])
-            lap = (
+            (lap,) = (
                 eval_probe(p, x + e1)
                 + eval_probe(p, x - e1)
                 + eval_probe(p, x + e2)
                 + eval_probe(p, x - e2)
                 - 4 * eval_probe(p, x)
-            ) / h**2
-            v = eval_probe(p, x)
-            assert abs(lap + p.k**2 * v) < 1e-5 * p.tau**2 * abs(v)
+            )[:, 0] / h**2
+            v = eval_probe(p, x)[0, 0]
+            assert abs(lap + p.k**2 * v) < 1e-5 * tau**2 * abs(v)
 
     def test_scaling_identity(self):
         om = Direction.from_angle(0.6)
         tau, a = 25.0, 1.4
         x = np.array([0.9, -0.4])
-        la = probe_log_magnitude(ProbeParams(om, tau, 2.0, t_ref=a), x)
-        l0 = probe_log_magnitude(ProbeParams(om, tau, 2.0, t_ref=0.0), x)
+        la = np.log(np.abs(eval_probe(ProbeParams(om, tau, 2.0, t_ref=a), x)))
+        l0 = np.log(np.abs(eval_probe(ProbeParams(om, tau, 2.0, t_ref=0.0), x)))
         assert la == pytest.approx(l0 - tau * a, abs=1e-12 * tau * a)
 
     def test_gradient_factor(self):
         p = ProbeParams(omega=Direction.from_angle(0.2), tau=5.0, k=3.0)
-        gf = p.gradient_factor
+        (gf,) = p.gradient_factor
         np.testing.assert_allclose(
-            gf, p.tau * p.omega.vec + 1j * np.hypot(p.tau, p.k) * p.omega.perp
+            gf, 5.0 * p.omega.vec + 1j * np.hypot(5.0, 3.0) * p.omega.perp
         )
 
     def test_tau_grid_matches_stacked_scalar_probes(self):
@@ -135,14 +135,15 @@ class TestProbe:
         assert values.shape == (64, 9)
         assert grid.gradient_factor.shape == (64, 2)
         assert grid.s.shape == (64,)
-        assert np.array_equal(values, [eval_probe(p, x) for p in scalars])
-        assert np.array_equal(grid.gradient_factor, [p.gradient_factor for p in scalars])
-        assert np.array_equal(grid.s, [p.s for p in scalars])
+        assert np.array_equal(values, np.vstack([eval_probe(p, x) for p in scalars]))
+        assert np.array_equal(grid.gradient_factor, np.vstack([p.gradient_factor for p in scalars]))
+        assert np.array_equal(grid.s, np.concatenate([p.s for p in scalars]))
 
-    def test_tau_grid_keeps_its_axis(self):
-        p = ProbeParams(Direction.from_angle(0.7), np.array([5.0]), 2.0)
-        assert eval_probe(p, np.zeros(2)).shape == (1, 1)
+    def test_float_tau_is_a_grid_of_one(self):
+        p = ProbeParams(Direction.from_angle(0.7), 5.0, 2.0)
+        assert eval_probe(p, np.zeros((3, 2))).shape == (1, 3)
         assert p.gradient_factor.shape == (1, 2)
+        assert p.s.shape == (1,)
 
     def test_non_positive_tau_in_grid(self):
         with pytest.raises(DomainError):

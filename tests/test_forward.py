@@ -38,12 +38,12 @@ class TestMesh:
         scene = make_scene(TRIANGLE_VERTS)
         p = 4.0
         mesh = build_mesh(scene, nodes_per_edge=64, p_grade=p)
-        assert mesh.grading_levels == min(
-            MAX_GRADING_LEVELS, 64 // (2 * NODES_PER_PANEL) - 1
-        )
-        for e, ell in enumerate(mesh.edge_lengths):
-            smallest = np.min(mesh.panel_sizes[mesh.edge_ids == e])
-            assert smallest <= 0.5 ** (p * mesh.grading_levels) * ell
+        levels = min(MAX_GRADING_LEVELS, 64 // (2 * NODES_PER_PANEL) - 1)
+        for e in range(3):
+            on_edge = mesh.edge_ids == e
+            ell = np.sum(mesh.weights[on_edge])
+            smallest = np.min(mesh.panel_sizes[on_edge])
+            assert smallest <= 0.5 ** (p * levels) * ell
 
     def test_refinement_halves_max_panel(self, square_scene):
         coarse = build_mesh(square_scene, nodes_per_edge=32)
@@ -55,7 +55,7 @@ class TestMesh:
     def test_empty_scene_mesh(self, empty_scene):
         mesh = build_mesh(empty_scene)
         assert mesh.nodes.shape == mesh.normals.shape == (0, 2)
-        for arr in (mesh.weights, mesh.edge_ids, mesh.panel_sizes, mesh.edge_lengths):
+        for arr in (mesh.weights, mesh.edge_ids, mesh.panel_sizes):
             assert arr.shape == (0,)
         assert mesh.edge_ids.dtype.kind == "i"
         assert mesh.nodes.dtype == mesh.weights.dtype == mesh.panel_sizes.dtype == float

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from enclosure2d import indicator
-from enclosure2d.errors import ReconstructionError
+from enclosure2d.errors import DomainError, ReconstructionError
 from enclosure2d.fields import PointSource, ProbeParams, eval_probe
 from enclosure2d.forward import build_mesh, solve_scattering
 from enclosure2d.geometry import (
@@ -17,10 +17,10 @@ from enclosure2d.geometry import (
 from enclosure2d.indicator import (
     B_MAX,
     B_MIN,
+    NOISE_SNR,
     IndicatorSamples,
     SupportEstimate,
     classify_threshold,
-    compute_indicator,
     compute_samples,
     estimate_support,
     reconstruct_hull,
@@ -45,22 +45,24 @@ class TestGreenNull:
         src = PointSource(empty_scene.source_y)
         sol = solve_scattering(empty_scene, src, build_mesh(empty_scene))
         tr = trace_direct(sol, empty_scene.radius_R, 512)
-        for tau in taus:
-            pt = compute_indicator(tr, OM30, tau)
-            # |J| below 1e-12 of the integrand mass; mass = floor / machine eps
-            log_mass = pt.log_noise_floor - np.log(np.finfo(float).eps)
-            assert pt.log_magnitude < log_mass + np.log(1e-12)
-            assert not pt.usable
+        samples = compute_samples(tr, OM30, taus)
+        # |J| below 1e-12 of the integrand mass; mass = floor / machine eps
+        log_mass = samples.log_noise_floors - np.log(np.finfo(float).eps)
+        assert np.all(samples.log_magnitudes < log_mass + np.log(1e-12))
+        assert not samples.usable.any()
 
 
 class TestScaling:
-    def test_t_ref_shift(self, square_trace):
-        tau, delta = 12.0, 0.37
-        a = compute_indicator(square_trace, OM30, tau, t_ref=1.0)
-        b = compute_indicator(square_trace, OM30, tau, t_ref=1.0 + delta)
-        assert b.log_magnitude - a.log_magnitude == pytest.approx(
-            -tau * delta, abs=1e-12 * tau
-        )
+    def test_t_ref_shift(self, square_trace, taus):
+        grid, delta = np.union1d(taus, [12.0]), 0.37
+        a = compute_samples(square_trace, OM30, grid, t_ref=1.0)
+        b = compute_samples(square_trace, OM30, grid, t_ref=1.0 + delta)
+        shift = b.log_magnitudes - a.log_magnitudes
+        assert np.all(np.abs(shift + grid * delta) <= 1e-12 * grid)
+
+    def test_empty_tau_grid(self, square_trace):
+        with pytest.raises(DomainError):
+            compute_samples(square_trace, OM30, [])
 
     def test_h_hat_t_ref_independent(self, square_trace, taus):
         ests = [
@@ -75,7 +77,7 @@ def _reference_indicator(trace, omega, tau):
     """The per-tau quadrature that compute_samples runs for all tau at once."""
     t0 = np.max(trace.points @ omega.vec)
     probe = ProbeParams(omega, tau, trace.k, t_ref=t0)
-    integrand = (trace.dudn - (trace.normals @ probe.gradient_factor) * trace.u) * eval_probe(probe, trace.points)
+    integrand = (trace.dudn - (trace.normals @ probe.gradient_factor[0]) * trace.u) * eval_probe(probe, trace.points)[0]
     ds = 2 * np.pi * trace.radius / trace.n
     j = np.sum(integrand) * ds
     shift = tau * (t0 - trace.radius)
@@ -104,9 +106,7 @@ class TestOnePass:
             np.testing.assert_allclose(samples.log_magnitudes, ref[:, 0], rtol=0, atol=1e-12)
             np.testing.assert_allclose(samples.phases, ref[:, 1], rtol=0, atol=1e-12)
             np.testing.assert_allclose(samples.log_noise_floors, ref[:, 2], rtol=0, atol=1e-12)
-            points = [compute_indicator(square_trace, om, t) for t in taus]
-            assert samples.usable.tolist() == [p.usable for p in points]
-            assert [p.log_magnitude for p in points] == pytest.approx(samples.log_magnitudes, rel=0, abs=1e-12)
+            assert samples.usable.tolist() == (ref[:, 0] > ref[:, 2] + np.log(NOISE_SNR)).tolist()
 
 
 def synthetic_samples(taus, h=0.7, b=-0.5, c=1.2, k=2.0, noise=None, seed=0):
