@@ -84,8 +84,8 @@ class Polygon:
     def __post_init__(self):
         v = np.asarray(self.vertices, dtype=float)
         object.__setattr__(self, "vertices", v)
-        if v.ndim != 2 or v.shape[1] != 2 or v.shape[0] < 3:
-            raise GeometryError("polygon needs at least 3 planar vertices")
+        if v.ndim != 2 or v.shape[1] != 2 or v.shape[0] < 3 or not np.all(np.isfinite(v)):
+            raise GeometryError("polygon needs at least 3 finite planar vertices")
         d = np.linalg.norm(v - np.roll(v, -1, axis=0), axis=1)
         if np.any(d < 1e-12):
             raise GeometryError("consecutive vertices coincide")
@@ -170,6 +170,8 @@ class Scene:
         object.__setattr__(self, "obstacles", tuple(self.obstacles))
         object.__setattr__(self, "center", np.asarray(self.center, dtype=float))
         object.__setattr__(self, "source_y", np.asarray(self.source_y, dtype=float))
+        if not np.all(np.isfinite([self.radius_R, self.radius_R1, self.wavenumber_k, *self.source_y, *self.center])):
+            raise GeometryError("scene radii, wavenumber, source and center must be finite")
         if self.radius_R <= 0 or self.wavenumber_k <= 0:
             raise GeometryError("radius_R and wavenumber_k must be positive")
         if self.radius_R1 <= self.radius_R:

@@ -91,7 +91,9 @@ class TestConfigErrors:
         scene_dict(k=None),
         scene_dict(obstacles=[[[-0.5, -0.5], [0.5], [0.5, 0.5]]]),  # ragged vertex list
         scene_dict(source=[6.0, 0.0, 0.0]),
-    ], ids=["list", "number", "R-text", "k-null", "ragged-vertices", "3d-source"])
+        scene_dict(k=float("nan")),  # Python's json reads NaN and Infinity
+        scene_dict(obstacles=[[[-0.5, -0.5], [float("nan"), -0.5], [0.5, 0.5]]]),
+    ], ids=["list", "number", "R-text", "k-null", "ragged-vertices", "3d-source", "k-nan", "vertex-nan"])
     def test_malformed_scene_body(self, tmp_path, capsys, body):
         path = tmp_path / "scene.json"
         path.write_text(json.dumps(body))
