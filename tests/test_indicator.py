@@ -40,6 +40,11 @@ def test_required_trace_size():
     assert n == 4 * int(np.ceil(np.hypot(40.0, 2.0) * 2.0)) + 32
 
 
+def test_empty_tau_grid(square_trace):
+    with pytest.raises(DomainError):
+        compute_samples(square_trace, OM30, [])
+
+
 class TestGreenNull:
     def test_empty_scene_null(self, empty_scene, taus):
         src = PointSource(empty_scene.source_y)
@@ -59,10 +64,6 @@ class TestScaling:
         b = compute_samples(square_trace, OM30, grid, t_ref=1.0 + delta)
         shift = b.log_magnitudes - a.log_magnitudes
         assert np.all(np.abs(shift + grid * delta) <= 1e-12 * grid)
-
-    def test_empty_tau_grid(self, square_trace):
-        with pytest.raises(DomainError):
-            compute_samples(square_trace, OM30, [])
 
     def test_h_hat_t_ref_independent(self, square_trace, taus):
         ests = [
