@@ -165,9 +165,9 @@ def cmd_hull(args) -> int:
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     rows = [[repr(d.angle), repr(est.h_hat), repr(est.residual_rms), repr(est.log_s_coefficient), est.n_used,
-             "usable" if est.usable else "unusable"]
+             est.fit_path, "usable" if est.usable else "unusable"]
             for d, est in zip(directions, estimates)]
-    _write_csv(out / "supports.csv", args, ["angle", "h_hat", "residual_rms", "b", "n_used", "status"], rows)
+    _write_csv(out / "supports.csv", args, ["angle", "h_hat", "residual_rms", "b", "n_used", "fit", "status"], rows)
     _write_json(out / "hull.json", args, {"vertices": hull.tolist()})
     _write_json(out / "diagnostics.json", args, {
         "directions": args.directions,

@@ -233,6 +233,11 @@ class Scene:
         missing = {"obstacles", "R", "R1", "source", "k"} - set(data)
         if missing:
             raise GeometryError(f"missing scene keys: {sorted(missing)}")
+        # bool is an int subclass, so float() and np.asarray would read
+        # true/false as 1/0
+        booleans = sorted(key for key, value in data.items() if _holds_bool(value))
+        if booleans:
+            raise GeometryError(f"scene fields must be numbers, not booleans: {booleans}")
         try:
             return cls(
                 obstacles=tuple(Polygon(np.asarray(v, float)) for v in data["obstacles"]),
@@ -248,6 +253,18 @@ class Scene:
 
     def to_json(self) -> str:
         return json.dumps(self.to_dict(), indent=2)
+
+
+def _holds_bool(value) -> bool:
+    """Whether a JSON value is a boolean or a list nesting one."""
+    stack = [value]
+    while stack:
+        item = stack.pop()
+        if isinstance(item, bool):
+            return True
+        if isinstance(item, list):
+            stack.extend(item)
+    return False
 
 
 def support_function(obstacles, omega: Direction) -> float:

@@ -24,7 +24,10 @@ Second, when the trimmed residual stays large, a two-exponential
 complex model is fitted to the full (magnitude and phase) indicator by
 variable projection, and the height of the dominant exponent is used
 instead.  The variable-projection solve runs once, from the best of a
-fixed grid of starting exponents.
+fixed grid of starting exponents.  The linear coefficients are projected
+out in closed form (a two-column QR), batched over parameter rows: all
+starts are ranked in one call, and each forward-difference Jacobian
+evaluates its five perturbed points in one call.
 
 The hull is built from the fitted data alone: every direction is fitted,
 and those whose fit stays poor are left out of the half-plane
@@ -86,6 +89,9 @@ TWO_TERM_TRIGGER = 0.01
 # near the floor carries the relative error e^{floor - L} on top, and each
 # fit weights its residual by 1 / hypot(SIGMA0, e^{floor - L})
 SIGMA0 = 3e-3
+# bounds of the two-term refine's (dh1, p1, dh2, p2, b)
+_LOWER = np.array([-1.0, -3.0, -1.0, -3.0, B_MIN])
+_UPPER = np.array([0.5, 3.0, 0.5, 3.0, B_MAX])
 
 
 def required_trace_size(tau: float, k: float, radius: float) -> int:
@@ -182,6 +188,7 @@ class SupportEstimate:
     residual_rms: float
     n_used: int
     usable: bool
+    fit_path: str  # "envelope" or "two_term": the fit whose h_hat is reported
 
 
 def _fit_weights(samples: IndicatorSamples, mask: np.ndarray) -> np.ndarray:
@@ -237,6 +244,53 @@ def _trimmed_envelope_fit(t: np.ndarray, L: np.ndarray, s: np.ndarray, wt: np.nd
     return float(coeffs[0]), float(coeffs[1]), rms
 
 
+def _two_term_basis(rows: np.ndarray, t: np.ndarray, s: np.ndarray) -> np.ndarray:
+    """(m, 2, n) columns s^b e^{(dh_j + i p_j) tau} of each (dh1, p1, dh2, p2, b) row."""
+    z = rows[:, 0:4:2] + 1j * rows[:, 1:4:2]
+    return np.exp(z[:, :, None] * t) * s ** rows[:, 4, None, None]
+
+
+def _projected_residuals(rows: np.ndarray, t: np.ndarray, s: np.ndarray, j0: np.ndarray) -> np.ndarray:
+    """(m, n) residuals basis c - J0, with c the least-squares amplitudes, one per row.
+
+    Each row of ``rows`` is (dh1, p1, dh2, p2, b).  J0 is projected off
+    span{s^b e^{z1 tau}, s^b e^{z2 tau}} by a closed-form two-column
+    Gram-Schmidt QR with one re-orthogonalisation, vectorised over rows.
+    A second column left with norm at most n eps max(|b1|, |b2|) is
+    dropped (rank 1), as ``np.linalg.lstsq``'s default rcond does for
+    identical columns.
+    """
+    basis = _two_term_basis(rows, t, s)
+    b1, b2 = basis[:, 0], basis[:, 1]
+    norms = np.sqrt(np.vecdot(basis, basis).real)
+    q1 = b1 / norms[:, :1]
+    v = b2 - q1 * np.vecdot(q1, b2)[:, None]
+    v -= q1 * np.vecdot(q1, v)[:, None]
+    v_norm = np.sqrt(np.vecdot(v, v).real)
+    rank2 = v_norm > len(t) * np.finfo(float).eps * norms.max(axis=1)
+    q2 = v / np.where(rank2, v_norm, np.inf)[:, None]
+    return q1 * np.vecdot(q1, j0)[:, None] + q2 * np.vecdot(q2, j0)[:, None] - j0
+
+
+def _forward_jacobian(rows_fun, x: np.ndarray, f_x: np.ndarray) -> np.ndarray:
+    """Forward-difference Jacobian of a batched residual map at x.
+
+    ``rows_fun`` maps (m, 5) parameter rows to (m, M) residual rows; all
+    five perturbed points go through it in one call.  The steps follow
+    ``scipy.optimize.least_squares``' own 2-point rule, sqrt(eps) sign(x)
+    max(1, |x|), flipped when x + h would leave [_LOWER, _UPPER] and
+    clipped to the far bound when neither side has room, so the solve takes
+    the iterates the built-in finite differences would give.
+    """
+    h = math.sqrt(np.finfo(float).eps) * np.where(x >= 0, 1.0, -1.0) * np.maximum(1.0, np.abs(x))
+    lower_dist, upper_dist = x - _LOWER, _UPPER - x
+    fits = np.abs(h) <= np.maximum(lower_dist, upper_dist)
+    h = np.where(((x + h < _LOWER) | (x + h > _UPPER)) & fits, -h, h)
+    h = np.where(fits, h, np.where(upper_dist >= lower_dist, upper_dist, -lower_dist))
+    dx = (x + h) - x
+    return ((rows_fun(x + np.diag(h)) - f_x) / dx[:, None]).T
+
+
 def _two_exponential_refine(t: np.ndarray, L: np.ndarray, phase: np.ndarray, s: np.ndarray, wt: np.ndarray):
     """Variable-projection fit of J = s^b (c1 e^{z1 tau} + c2 e^{z2 tau}).
 
@@ -244,9 +298,13 @@ def _two_exponential_refine(t: np.ndarray, L: np.ndarray, phase: np.ndarray, s: 
     each other; the heights are the real parts of the exponents and the
     estimate is the larger one among components with non-negligible
     amplitude.  The 26 starting exponents are ranked by their projected
-    misfit and one bounded solve runs from the best.  Each sample's
-    residual carries its weight ``wt``.  Returns (h, b, log_rms), with h
-    on the same scale as the envelope's a, or None if the solve fails.
+    misfit and one bounded solve runs from the best.  The ranking, each
+    residual and each Jacobian (all five forward-difference points) are
+    one call of the batched closed-form projection
+    ``_projected_residuals``; the final coefficients come from one
+    least-squares solve at the solution.  Each sample's residual carries
+    its weight ``wt``.  Returns (h, b, log_rms), with h on the same scale
+    as the envelope's a, or None if the solve fails.
     """
     # remove the dominant growth so the data is O(1)
     a0 = float(np.polyfit(t, L, 1)[0])
@@ -254,34 +312,32 @@ def _two_exponential_refine(t: np.ndarray, L: np.ndarray, phase: np.ndarray, s: 
     J0 = np.exp(L - a0 * t + 1j * (np.unwrap(phase) - p0 * t))
     scale = float(np.mean(np.abs(J0)))
 
-    def projected(params):
-        dh1, p1, dh2, p2, b = params
-        basis = np.column_stack([
-            np.exp((dh1 + 1j * p1) * t),
-            np.exp((dh2 + 1j * p2) * t),
-        ]) * (s**b)[:, None]
-        c, *_ = np.linalg.lstsq(basis, J0, rcond=None)
-        return basis @ c - J0, c
+    def resid_rows(rows):
+        r = _projected_residuals(rows, t, s, J0)
+        return np.concatenate([r.real * wt, r.imag * wt], axis=1) / scale
 
-    def resid(params):
-        r, _ = projected(params)
-        return np.concatenate([r.real * wt, r.imag * wt]) / scale
+    # least_squares evaluates the residual at x right before it asks for
+    # the Jacobian there, so f(x) is reused rather than recomputed
+    last = {}
 
-    starts = [[0.0, 0.0, ddh, dp, -0.75] for dp in np.linspace(-1.2, 1.2, 13) for ddh in (0.0, -0.15)]
+    def resid(x):
+        last["x"], last["f"] = x.copy(), resid_rows(x[None])[0]
+        return last["f"]
+
+    def jac(x):
+        f_x = last["f"] if np.array_equal(x, last["x"]) else resid(x)
+        return _forward_jacobian(resid_rows, x, f_x)
+
+    starts = np.array([[0.0, 0.0, ddh, dp, -0.75] for dp in np.linspace(-1.2, 1.2, 13) for ddh in (0.0, -0.15)])
     try:
-        x0 = min(starts, key=lambda x: float(np.sum(resid(x) ** 2)))
-        best = least_squares(
-            resid,
-            x0,
-            bounds=([-1, -3, -1, -3, B_MIN], [0.5, 3, 0.5, 3, B_MAX]),
-            max_nfev=200,
-        )
+        x0 = starts[np.argmin(np.sum(resid_rows(starts) ** 2, axis=1))]
+        best = least_squares(resid, x0, jac=jac, bounds=(_LOWER, _UPPER), max_nfev=200)
     except (ValueError, np.linalg.LinAlgError):
         return None
     dh1, p1, dh2, p2, b = best.x
-    r, c = projected(best.x)
-    model = J0 - r
-    mag = np.abs(model)
+    basis = _two_term_basis(best.x[None], t, s)[0].T
+    c = np.linalg.lstsq(basis, J0, rcond=None)[0]
+    mag = np.abs(basis @ c)
     log_rms = _weighted_rms(np.log(np.maximum(mag, 1e-300)) - np.log(np.abs(J0)), wt)
     amps = np.abs(c)
     heights = [a0 + dh for dh, amp in ((dh1, amps[0]), (dh2, amps[1])) if amp > 1e-3 * amps.max()]
@@ -314,10 +370,11 @@ def estimate_support(samples: IndicatorSamples) -> SupportEstimate:
     if np.count_nonzero(far) < 8:
         far = np.ones(len(t), dtype=bool)
     a, b, rms = _trimmed_envelope_fit(t[far], L[far], s[far], wt[far])
+    fit_path = "envelope"
     if rms > TWO_TERM_TRIGGER or b <= B_MIN:
         refined = _two_exponential_refine(t, L, samples.phases[mask], s, wt)
         if refined is not None and refined[2] < rms:
-            a, b, rms = refined
+            (a, b, rms), fit_path = refined, "two_term"
     return SupportEstimate(
         omega=samples.omega,
         h_hat=a + samples.t_ref,
@@ -325,6 +382,7 @@ def estimate_support(samples: IndicatorSamples) -> SupportEstimate:
         residual_rms=rms,
         n_used=n_used,
         usable=rms < RMS_USABLE_THRESHOLD,
+        fit_path=fit_path,
     )
 
 

@@ -93,7 +93,13 @@ class TestConfigErrors:
         scene_dict(source=[6.0, 0.0, 0.0]),
         scene_dict(k=float("nan")),  # Python's json reads NaN and Infinity
         scene_dict(obstacles=[[[-0.5, -0.5], [float("nan"), -0.5], [0.5, 0.5]]]),
-    ], ids=["list", "number", "R-text", "k-null", "ragged-vertices", "3d-source", "k-nan", "vertex-nan"])
+        scene_dict(R=True),  # read as R = 1.0, the solve used to exit 4
+        scene_dict(source=[6.0, False]),  # read as (6, 0), the solve used to run
+        scene_dict(center=[0.0, False]),
+        scene_dict(k=True),
+        scene_dict(obstacles=[[[-0.5, -0.5], [0.5, -0.5], [0.5, True]]]),
+    ], ids=["list", "number", "R-text", "k-null", "ragged-vertices", "3d-source", "k-nan", "vertex-nan",
+            "R-true", "source-false", "center-false", "k-true", "vertex-true"])
     def test_malformed_scene_body(self, tmp_path, capsys, body):
         path = tmp_path / "scene.json"
         path.write_text(json.dumps(body))
@@ -186,9 +192,12 @@ class TestHull:
         rows = [l for l in (out / "supports.csv").read_text().splitlines()
                 if not l.startswith("#")]
         assert len(rows) == 1 + 8
-        assert rows[0] == "angle,h_hat,residual_rms,b,n_used,status"
+        assert rows[0] == "angle,h_hat,residual_rms,b,n_used,fit,status"
         assert [r.split(",")[-1] for r in rows[1:]] == ["usable"] * 8
         assert all(B_MIN <= float(r.split(",")[3]) <= B_MAX for r in rows[1:])
+        # the side normals are ties the envelope cannot fit; the corner
+        # directions between them are single-corner envelopes
+        assert [r.split(",")[5] for r in rows[1:]] == ["two_term", "envelope"] * 4
 
 
 class TestFarfieldAndLsm:

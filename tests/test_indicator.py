@@ -2,6 +2,8 @@ import dataclasses
 
 import numpy as np
 import pytest
+from scipy.optimize import least_squares
+from scipy.optimize._numdiff import approx_derivative
 
 from enclosure2d import indicator
 from enclosure2d.errors import DomainError, ReconstructionError
@@ -129,12 +131,35 @@ def synthetic_samples(taus, h=0.7, b=-0.5, c=1.2, k=2.0, noise=None, seed=0):
     )
 
 
+BEAT_GRIDS = [((4.0, 40.0, 64), -0.7), ((8.0, 40.0, 16), -0.7), ((8.0, 40.0, 16), 1.0)]
+BEAT_IDS = ["grid0", "grid1", "grid2"]
+
+
+def beat_samples(grid, p2):
+    """Noise-free samples of two corners 0.02 apart in height."""
+    taus = np.geomspace(*grid)
+    k = 2.0
+    s = np.hypot(taus, k) + taus
+    j = s**-0.75 * (np.exp((0.5 + 0.3j) * taus) + 0.8 * np.exp((0.48 + 1j * p2) * taus))
+    return IndicatorSamples(
+        omega=Direction(1.0, 0.0),
+        taus=taus,
+        k=k,
+        t_ref=0.0,
+        log_magnitudes=np.log(np.abs(j)),
+        phases=np.angle(j),
+        usable=np.ones(len(taus), dtype=bool),
+        log_noise_floors=np.full(len(taus), -np.inf),
+    )
+
+
 class TestFit:
     def test_model_matching_data_exact(self, taus):
         est = estimate_support(synthetic_samples(taus))
         assert est.h_hat == pytest.approx(0.7, abs=1e-10)
         assert est.log_s_coefficient == pytest.approx(-0.5, abs=1e-8)
         assert est.residual_rms < 1e-10
+        assert est.fit_path == "envelope"
 
     def test_noisy_data(self, taus):
         est = estimate_support(synthetic_samples(taus, noise=1e-3, seed=4))
@@ -155,32 +180,15 @@ class TestFit:
         with pytest.raises(ReconstructionError):
             estimate_support(bad)
 
-    @pytest.mark.parametrize(
-        "grid, p2",
-        [((4.0, 40.0, 64), -0.7), ((8.0, 40.0, 16), -0.7), ((8.0, 40.0, 16), 1.0)],
-        ids=["grid0", "grid1", "grid2"],
-    )
+    @pytest.mark.parametrize("grid, p2", BEAT_GRIDS, ids=BEAT_IDS)
     def test_two_term_beat(self, grid, p2):
         # two corners 0.02 apart in height beat against each other; the
         # envelope cannot fit that, so the two-exponential refine must.
         # On grid2 the first of the refine's starts ends in a wrong basin
         # (h_hat off by 0.08), so it must solve from the best-ranked one
-        taus = np.geomspace(*grid)
-        k = 2.0
-        s = np.hypot(taus, k) + taus
-        j = s**-0.75 * (np.exp((0.5 + 0.3j) * taus) + 0.8 * np.exp((0.48 + 1j * p2) * taus))
-        samples = IndicatorSamples(
-            omega=Direction(1.0, 0.0),
-            taus=taus,
-            k=k,
-            t_ref=0.0,
-            log_magnitudes=np.log(np.abs(j)),
-            phases=np.angle(j),
-            usable=np.ones(len(taus), dtype=bool),
-            log_noise_floors=np.full(len(taus), -np.inf),
-        )
-        est = estimate_support(samples)
+        est = estimate_support(beat_samples(grid, p2))
         assert est.usable
+        assert est.fit_path == "two_term"
         assert est.h_hat == pytest.approx(0.5, abs=1e-6)
 
     def test_end_to_end_square(self, square_trace, taus):
@@ -207,6 +215,147 @@ class TestFit:
         om = Direction.from_angle((j + 0.5) * 2 * np.pi / 64)
         est = estimate_support(compute_samples(square_trace, om, np.geomspace(4.0, 40.0, 64)))
         assert abs(est.h_hat - support_function([SQUARE], om)) <= 0.01
+
+
+def lstsq_two_exponential_refine(t, L, phase, s, wt):
+    """Reference refine: one np.linalg.lstsq per start and per residual, and
+    least_squares' built-in 2-point Jacobian."""
+    a0 = float(np.polyfit(t, L, 1)[0])
+    p0 = float(np.polyfit(t, np.unwrap(phase), 1)[0])
+    J0 = np.exp(L - a0 * t + 1j * (np.unwrap(phase) - p0 * t))
+    scale = float(np.mean(np.abs(J0)))
+
+    def projected(params):
+        dh1, p1, dh2, p2, b = params
+        basis = np.column_stack([
+            np.exp((dh1 + 1j * p1) * t),
+            np.exp((dh2 + 1j * p2) * t),
+        ]) * (s**b)[:, None]
+        c, *_ = np.linalg.lstsq(basis, J0, rcond=None)
+        return basis @ c - J0, c
+
+    def resid(params):
+        r, _ = projected(params)
+        return np.concatenate([r.real * wt, r.imag * wt]) / scale
+
+    starts = [[0.0, 0.0, ddh, dp, -0.75] for dp in np.linspace(-1.2, 1.2, 13) for ddh in (0.0, -0.15)]
+    x0 = min(starts, key=lambda x: float(np.sum(resid(x) ** 2)))
+    best = least_squares(resid, x0, bounds=(indicator._LOWER, indicator._UPPER), max_nfev=200)
+    dh1, p1, dh2, p2, b = best.x
+    r, c = projected(best.x)
+    mag = np.abs(J0 - r)
+    log_rms = indicator._weighted_rms(np.log(np.maximum(mag, 1e-300)) - np.log(np.abs(J0)), wt)
+    amps = np.abs(c)
+    heights = [a0 + dh for dh, amp in ((dh1, amps[0]), (dh2, amps[1])) if amp > 1e-3 * amps.max()]
+    return max(heights), float(b), log_rms
+
+
+def refine_inputs(samples):
+    """(t, J0, s) as the refine sees them: J0 is the data with its mean growth removed."""
+    t, L, s = samples.taus, samples.log_magnitudes, samples.s
+    phase = np.unwrap(samples.phases)
+    a0, p0 = np.polyfit(t, L, 1)[0], np.polyfit(t, phase, 1)[0]
+    return t, np.exp(L - a0 * t + 1j * (phase - p0 * t)), s
+
+
+STARTS = np.array([[0.0, 0.0, ddh, dp, -0.75] for dp in np.linspace(-1.2, 1.2, 13) for ddh in (0.0, -0.15)])
+
+
+def lstsq_residual(row, t, s, j0):
+    basis = indicator._two_term_basis(row[None], t, s)[0].T
+    c, _, _, sv = np.linalg.lstsq(basis, j0, rcond=None)
+    return basis @ c - j0, sv
+
+
+class TestTwoTermRefine:
+    @pytest.mark.parametrize("grid, p2", BEAT_GRIDS, ids=BEAT_IDS)
+    def test_projection_matches_lstsq_on_the_starts(self, grid, p2):
+        # the 26 starts hold the identical-column one, [0, 0, 0, 0, -0.75],
+        # where both must fall back to rank 1
+        t, j0, s = refine_inputs(beat_samples(grid, p2))
+        assert [0.0, 0.0, 0.0, 0.0, -0.75] in STARTS.tolist()
+        rows = indicator._projected_residuals(STARTS, t, s, j0)
+        for start, row in zip(STARTS, rows):
+            ref, _ = lstsq_residual(start, t, s, j0)
+            assert np.linalg.norm(row - ref) <= 1e-12 * np.linalg.norm(j0)
+
+    @pytest.mark.parametrize("grid, p2", BEAT_GRIDS, ids=BEAT_IDS)
+    def test_near_collinear_pair_keeps_rank_two(self, grid, p2):
+        # exponents 1e-9 apart: both columns stay.  No two stable solvers
+        # agree here beyond eps sigma_1 / sigma_2 (~1e-7 |J0|), so each is
+        # held against the exact projection of the same float columns; the
+        # re-orthogonalised QR must be at least as close to it as lstsq
+        mp = pytest.importorskip("mpmath")
+        t, j0, s = refine_inputs(beat_samples(grid, p2))
+        near = np.array([[0.0, 0.3, 0.0, 0.3 + 1e-9, -0.9], [-0.1, 0.5, -0.1, 0.5 + 1e-9, -0.5]])
+        rows = indicator._projected_residuals(near, t, s, j0)
+        for params, row in zip(near, rows):
+            ref, sv = lstsq_residual(params, t, s, j0)
+            assert sv[1] > len(t) * np.finfo(float).eps * sv[0]
+            assert np.linalg.norm(row - ref) <= np.finfo(float).eps * sv[0] / sv[1] * np.linalg.norm(j0)
+            basis = indicator._two_term_basis(params[None], t, s)[0].T
+            with mp.workdps(50):
+                a, y = mp.matrix(basis.tolist()), mp.matrix(j0.tolist())
+                exact = a * mp.lu_solve(a.H * a, a.H * y) - y
+                exact = np.array([complex(v) for v in exact])
+            assert np.linalg.norm(row - exact) <= np.linalg.norm(ref - exact)
+
+    @pytest.mark.parametrize("x", [
+        [0.5, 3.0, -1.0, -3.0, B_MAX],  # dh1, p1 at their upper and dh2, p2 at their lower bound
+        [-1.0, -3.0, 0.5, 3.0, B_MIN],
+        [0.1, -0.4, -0.2, 1.3, -0.7],
+    ], ids=["b-max", "b-min", "interior"])
+    def test_jacobian_takes_scipy_forward_difference_points(self, x):
+        # at a bound the 2-point step flips inward; the batched Jacobian
+        # must evaluate exactly the points least_squares' own finite
+        # differences would, and agree with them up to round-off / step
+        t, j0, s = refine_inputs(beat_samples(*BEAT_GRIDS[0]))
+        x = np.array(x)
+
+        def rows_fun(rows):
+            r = indicator._projected_residuals(rows, t, s, j0)
+            return np.concatenate([r.real, r.imag], axis=1)
+
+        seen, ref_seen = [], []
+        f_x = rows_fun(x[None])[0]
+        jac = indicator._forward_jacobian(lambda rows: seen.extend(rows) or rows_fun(rows), x, f_x)
+        ref = approx_derivative(lambda y: ref_seen.append(y.copy()) or rows_fun(y[None])[0], x,
+                                method="2-point", f0=f_x, bounds=(indicator._LOWER, indicator._UPPER))
+        np.testing.assert_array_equal(np.array(seen), np.array(ref_seen))
+        assert np.all((np.array(seen) >= indicator._LOWER) & (np.array(seen) <= indicator._UPPER))
+        np.testing.assert_allclose(jac, ref, rtol=0, atol=1e-6 * np.max(np.abs(ref)))
+
+    @pytest.mark.parametrize("case", [*BEAT_IDS, 3, 12], ids=[*BEAT_IDS, "square-dir3", "square-dir12"])
+    def test_matches_lstsq_reference(self, case, square_trace, monkeypatch):
+        # test_two_term_beat's grids, and the square's offset directions 3
+        # and 12 of test_b_at_window_edge_runs_refine
+        if case in BEAT_IDS:
+            samples = beat_samples(*BEAT_GRIDS[BEAT_IDS.index(case)])
+        else:
+            om = Direction.from_angle((case + 0.5) * 2 * np.pi / 64)
+            samples = compute_samples(square_trace, om, np.geomspace(4.0, 40.0, 64))
+        est = estimate_support(samples)
+        monkeypatch.setattr(indicator, "_two_exponential_refine", lstsq_two_exponential_refine)
+        ref = estimate_support(samples)
+        assert est.fit_path == ref.fit_path == "two_term"
+        assert est.h_hat == pytest.approx(ref.h_hat, abs=1e-6)
+        assert est.log_s_coefficient == pytest.approx(ref.log_s_coefficient, abs=1e-6)
+
+    @pytest.mark.parametrize("grid, p2", BEAT_GRIDS, ids=BEAT_IDS)
+    def test_one_projection_per_ranking_residual_and_jacobian(self, grid, p2, monkeypatch):
+        # a work count, not a clock: the starts are ranked in one call and
+        # each Jacobian is one call, so a per-start or per-column loop fails
+        calls, solves = [], []
+        project, solve = indicator._projected_residuals, indicator.least_squares
+        monkeypatch.setattr(indicator, "_projected_residuals",
+                            lambda rows, *args: calls.append(len(rows)) or project(rows, *args))
+        monkeypatch.setattr(indicator, "least_squares",
+                            lambda *args, **kw: solves.append(solve(*args, **kw)) or solves[-1])
+        assert estimate_support(beat_samples(grid, p2)).fit_path == "two_term"
+        (result,) = solves
+        assert len(calls) == 1 + result.nfev + result.njev
+        assert calls[0] == len(STARTS)
+        assert sorted(set(calls[1:])) == [1, 5]
 
 
 class TestThreshold:
