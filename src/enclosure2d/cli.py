@@ -164,8 +164,8 @@ def cmd_hull(args) -> int:
     hull, estimates = reconstruct_hull(trace, directions, taus)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    rows = [[repr(d.angle), repr(est.h_hat), repr(est.residual_rms), repr(est.log_s_coefficient), est.n_used,
-             est.fit_path, "usable" if est.usable else "unusable"]
+    rows = [[repr(float(v)) for v in (d.angle, est.h_hat, est.residual_rms, est.log_s_coefficient)]
+            + [est.n_used, est.fit_path, "usable" if est.usable else "unusable"]
             for d, est in zip(directions, estimates)]
     _write_csv(out / "supports.csv", args, ["angle", "h_hat", "residual_rms", "b", "n_used", "fit", "status"], rows)
     _write_json(out / "hull.json", args, {"vertices": hull.tolist()})
@@ -199,7 +199,7 @@ def cmd_farfield(args) -> int:
     op = _far_field_operator(scene, args)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    rows = [[i, j, repr(op.matrix[i, j].real), repr(op.matrix[i, j].imag)]
+    rows = [[i, j, repr(float(op.matrix[i, j].real)), repr(float(op.matrix[i, j].imag))]
             for i in range(op.matrix.shape[0]) for j in range(op.matrix.shape[1])]
     _write_csv(out / "operator.csv", args, ["obs_index", "inc_index", "re", "im"], rows)
     report = unsolvability_diagnostic(op, np.asarray(args.sample_point), alphas)
@@ -226,7 +226,7 @@ def cmd_lsm(args) -> int:
     values = lsm_indicator_map(op, grid)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    rows = [[repr(p[0]), repr(p[1]), repr(v)] for p, v in zip(grid, values)]
+    rows = [[repr(float(x)), repr(float(y)), repr(float(v))] for (x, y), v in zip(grid, values)]
     _write_csv(out / "heatmap.csv", args, ["x", "y", "inv_norm"], rows)
     return EXIT_OK
 
@@ -240,14 +240,18 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--out", required=True, help="output directory")
         p.add_argument("--mesh-nodes", type=_count, default=64, dest="mesh_nodes")
         p.add_argument("--grade", type=_finite_float, default=4.0)
+
+    def trace_flag(p):
         p.add_argument("--trace-n", type=_count, default=512, dest="trace_n")
 
     p = sub.add_parser("solve", help="forward solve + trace export")
     common(p)
+    trace_flag(p)
     p.set_defaults(func=cmd_solve)
 
     p = sub.add_parser("hull", help="support sweep + convex hull reconstruction")
     common(p)
+    trace_flag(p)
     p.add_argument("--tau-min", type=_finite_float, default=8.0, dest="tau_min")
     p.add_argument("--tau-max", type=_finite_float, default=40.0, dest="tau_max")
     p.add_argument("--tau-count", type=_count, default=16, dest="tau_count")

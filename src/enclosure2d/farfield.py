@@ -127,11 +127,15 @@ def assemble_far_field_operator(
 
 
 def disc_far_field_operator(radius: float, k: float, n_obs: int, n_inc: int) -> FarFieldOperator:
-    """Far-field operator of a sound-hard disc at the origin, via the series."""
+    """Far-field operator of a sound-hard disc at the origin, via the series.
+
+    The disc is rotation invariant, so F(phi, d) = F_0(phi - d) with F_0
+    the pattern of the one series at incidence angle 0.
+    """
     obs_angles = 2 * np.pi * np.arange(n_obs) / n_obs
     inc_angles = 2 * np.pi * np.arange(n_inc) / n_inc
-    matrix = np.column_stack([DiscSeriesSolution((0.0, 0.0), radius, k, PlaneWave(Direction.from_angle(ang)))
-                              .far_field(obs_angles) for ang in inc_angles])
+    series = DiscSeriesSolution((0.0, 0.0), radius, k, PlaneWave(Direction.from_angle(0.0)))
+    matrix = series.far_field(obs_angles[:, None] - inc_angles[None, :])
     return FarFieldOperator(matrix=matrix, obs_angles=obs_angles, inc_angles=inc_angles, k=k)
 
 

@@ -278,6 +278,14 @@ class DiscSeriesSolution:
     source by the disc |x - center| < a.  Used as an independent oracle
     against the Nystrom solver; the incident part is evaluated in closed
     form and only the scattered part uses the series.
+
+    Both fields are expanded in polar coordinates (r, theta) about the
+    disc centre c.  The incident field is
+    sum_m a_|m| J_|m|(k r) e^{i m (theta - theta0)}, with a_n = i^n e^{ik c.d}
+    and theta0 the angle of d for a plane wave, and a_n = (i/4) H_n(k rho)
+    and theta0 the angle of y - c for a point source at |y - c| = rho.
+    The scattered field is w = sum_m b_m H_|m|(k r) e^{i m theta} with
+    b_m = -J'_|m|(ka) / H'_|m|(ka) * a_|m| * e^{-i m theta0}.
     """
 
     TAIL_TOL = 1e-12
@@ -288,64 +296,43 @@ class DiscSeriesSolution:
         self.a, self.k = float(a), float(k)
         self.incident = incident
         if isinstance(incident, PointSource):
-            rho = np.linalg.norm(incident.y - self.center)
+            rel = incident.y - self.center
+            rho = np.linalg.norm(rel)
             if rho <= a:
                 raise DomainError("point source must lie outside the disc")
-        elif not isinstance(incident, PlaneWave):
+            theta0 = np.arctan2(rel[1], rel[0])
+            amplitude = lambda n: 0.25j * hankel1(n, self.k * rho)
+        elif isinstance(incident, PlaneWave):
+            theta0 = incident.d.angle
+            shift = np.exp(1j * self.k * (self.center @ incident.d.vec))
+            amplitude = lambda n: (1j**n) * shift
+        else:
             raise DomainError("disc series supports PlaneWave and PointSource only")
-        self._coeffs = self._scattered_coefficients()
-
-    def _reflection(self, n: int) -> complex:
-        return -bessel_j_prime(n, self.k * self.a) / hankel1_prime(n, self.k * self.a)
-
-    def _scattered_coefficients(self):
-        """b_n (n = -N..N) with w = sum b_n H_{|n|}(k r) e^{i n theta}.
-
-        In the absolute-order convention the sign factors from
-        H_{-n} = (-1)^n H_n cancel, so b_{-n} is b_n with the source/plane
-        angle phase conjugated.
-        """
-        k, a = self.k, self.a
-        coeffs = {}
+        ka = self.k * self.a
+        coeffs = []  # b_n for n = 0..N, before the angular phase
         for n in range(self.MAX_MODES + 1):
-            refl = self._reflection(n)
-            if isinstance(self.incident, PlaneWave):
-                theta_d = np.arctan2(self.incident.d.y, self.incident.d.x)
-                base = (1j ** n) * refl * np.exp(-1j * n * theta_d)
-                base_neg = (1j ** n) * refl * np.exp(1j * n * theta_d)
-            else:
-                rel = self.incident.y - self.center
-                rho, theta_y = np.linalg.norm(rel), np.arctan2(rel[1], rel[0])
-                h = hankel1(n, k * rho)
-                base = 0.25j * refl * h * np.exp(-1j * n * theta_y)
-                base_neg = 0.25j * refl * h * np.exp(1j * n * theta_y)
-            coeffs[n] = base
-            if n > 0:
-                coeffs[-n] = base_neg
+            coeffs.append(-bessel_j_prime(n, ka) / hankel1_prime(n, ka) * amplitude(n))
             # worst-case term magnitude on the boundary r = a
-            if n > k * a + 8 and abs(base) * abs(hankel1(n, k * a)) < self.TAIL_TOL:
+            if n > ka + 8 and abs(coeffs[-1]) * abs(hankel1(n, ka)) < self.TAIL_TOL:
                 break
         else:
             raise SolverError("disc series did not reach the tail tolerance")
-        return coeffs
+        self._orders = np.arange(-n, n + 1)
+        self._coeffs = np.array(coeffs[:0:-1] + coeffs) * np.exp(-1j * self._orders * theta0)
 
-    def _polar(self, x):
+    def _series(self, radial, x):
+        """sum_m b_m Z_|m|(k r) e^{i m theta} at x for the radial function Z."""
         rel = np.atleast_2d(np.asarray(x, dtype=float)) - self.center
-        return np.linalg.norm(rel, axis=-1), np.arctan2(rel[:, 1], rel[:, 0])
+        r, theta = np.linalg.norm(rel, axis=-1), np.arctan2(rel[:, 1], rel[:, 0])
+        z = np.array([radial(n, self.k * r) for n in range(self._orders[-1] + 1)])
+        out = (np.exp(1j * theta[:, None] * self._orders) * z[np.abs(self._orders)].T) @ self._coeffs
+        return out[0] if np.asarray(x).ndim == 1 else out
 
     def eval_scattered(self, x):
-        r, theta = self._polar(np.atleast_2d(x))
-        out = np.zeros(len(r), dtype=complex)
-        for n, c in self._coeffs.items():
-            out += c * hankel1(abs(n), self.k * r) * np.exp(1j * n * theta)
-        return out[0] if np.asarray(x).ndim == 1 else out
+        return self._series(hankel1, x)
 
     def eval_scattered_radial_derivative(self, x):
-        r, theta = self._polar(np.atleast_2d(x))
-        out = np.zeros(len(r), dtype=complex)
-        for n, c in self._coeffs.items():
-            out += c * self.k * hankel1_prime(abs(n), self.k * r) * np.exp(1j * n * theta)
-        return out[0] if np.asarray(x).ndim == 1 else out
+        return self.k * self._series(hankel1_prime, x)
 
     def eval_total(self, x):
         return self.incident.value(self.k, x) + self.eval_scattered(x)
@@ -360,12 +347,10 @@ class DiscSeriesSolution:
         return float(np.max(np.abs(inc + self.eval_scattered_radial_derivative(pts))))
 
     def far_field(self, angles):
-        """Far-field pattern of the scattered series at observation angles."""
+        """Far-field pattern of the scattered series at observation angles of any shape."""
         angles = np.atleast_1d(np.asarray(angles, dtype=float))
         const = np.sqrt(2.0 / (np.pi * self.k)) * np.exp(-0.25j * np.pi)
-        out = np.zeros(len(angles), dtype=complex)
-        for n, c in self._coeffs.items():
-            out += c * (-1j) ** abs(n) * np.exp(1j * n * angles)
+        out = np.exp(1j * angles[..., None] * self._orders) @ (self._coeffs * (-1j) ** np.abs(self._orders))
         # center offset shifts the far-field phase by e^{-ik phi.c}
         phase = np.exp(-1j * self.k * (np.cos(angles) * self.center[0] + np.sin(angles) * self.center[1]))
         return const * out * phase

@@ -8,7 +8,7 @@ same system dozens of times.
 import numpy as np
 import pytest
 
-from enclosure2d.fields import PlaneWave, PointSource
+from enclosure2d.fields import PlaneWave, PointSource, ProbeParams, eval_probe
 from enclosure2d.forward import build_mesh, solve_scattering
 from enclosure2d.geometry import Direction, Polygon, Scene
 from enclosure2d.trace import trace_direct
@@ -32,6 +32,25 @@ def make_scene(verts):
         source_y=(6.0, 0.0),
         wavenumber_k=2.0,
     )
+
+
+def reference_log_magnitudes(sol, trace, omega, taus, t_ref=None):
+    """Floor-free reference log|J| of ``compute_samples(trace, omega, taus, t_ref)``.
+
+    The Nystrom scattered field is a sum of point sources and the incident
+    field is regular in the measurement disc, so Green's second identity
+    gives J(tau) = -sum_z phi_z w_z v_tau(z) (density, mesh weights, probe)
+    up to the circle's trapezoid error.  Every term is at most the size of
+    J, so the sum has no cancellation floor.  It reads the density, which
+    is forward-model ground truth: a check for tests, never an inversion.
+    The probe is referenced to t0 = max(x.omega) on the circle and shifted
+    to t_ref (default: the circle radius) as compute_samples does.
+    """
+    taus = np.asarray(taus, dtype=float)
+    t0 = float(np.max(trace.points @ omega.vec))
+    v = eval_probe(ProbeParams(omega, taus, trace.k, t_ref=t0), sol.mesh.nodes)
+    j = -v @ (sol.density * sol.mesh.weights)
+    return np.log(np.abs(j)) + taus * (t0 - (trace.radius if t_ref is None else t_ref))
 
 
 @pytest.fixture(scope="session")

@@ -134,6 +134,14 @@ class TestConfigErrors:
         assert exc.value.code == 2
         assert f"argument {argv[1]}" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", ["farfield", "lsm"])
+    def test_trace_n_is_not_a_far_field_flag(self, scene_file, tmp_path, capsys, command):
+        # neither command reads a trace, so the flag is refused, not ignored
+        with pytest.raises(SystemExit) as exc:
+            main([command, "--trace-n", "512", "--scene", str(scene_file), "--out", str(tmp_path / "o")])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --trace-n 512" in capsys.readouterr().err
+
 
 class TestExitCodes:
     def test_near_field_is_solver_error(self, tmp_path, capsys):
@@ -199,6 +207,18 @@ class TestHull:
         # directions between them are single-corner envelopes
         assert [r.split(",")[5] for r in rows[1:]] == ["two_term", "envelope"] * 4
 
+    def test_plane_wave_mode(self, scene_file, tmp_path):
+        out = tmp_path / "hull"
+        code = main(["hull", "--scene", str(scene_file), "--out", str(out),
+                     "--mode", "planewave", "--plane-angle", "0"])
+        assert code == 0
+        hull = np.array(json.loads((out / "hull.json").read_text())["vertices"])
+        assert hausdorff_distance(hull, SQUARE_VERTS) < 0.05 * np.sqrt(2)
+        rows = [l for l in (out / "supports.csv").read_text().splitlines() if not l.startswith("#")]
+        # every number column is a plain float literal on both fit paths
+        assert {r.split(",")[5] for r in rows[1:]} == {"envelope", "two_term"}
+        assert np.all(np.isfinite([[float(v) for v in r.split(",")[:5]] for r in rows[1:]]))
+
 
 class TestFarfieldAndLsm:
     def test_farfield_sweep(self, scene_file, tmp_path):
@@ -224,3 +244,16 @@ class TestFarfieldAndLsm:
         rows = [l for l in (out / "heatmap.csv").read_text().splitlines()
                 if not l.startswith("#")]
         assert len(rows) == 1 + 25
+
+    def test_polygon_operator_without_disc_radius(self, scene_file, tmp_path):
+        ff, lsm = tmp_path / "ff", tmp_path / "lsm"
+        assert main(["farfield", "--scene", str(scene_file), "--out", str(ff), "--directions", "8"]) == 0
+        assert main(["lsm", "--scene", str(scene_file), "--out", str(lsm),
+                     "--directions", "8", "--grid-n", "5"]) == 0
+        rows = [l for l in (ff / "operator.csv").read_text().splitlines() if not l.startswith("#")]
+        assert len(rows) == 1 + 8 * 8
+        sweep = json.loads((ff / "sweep.json").read_text())
+        assert len(sweep["singular_values"]) == 8 and sweep["singular_values"][0] > 0
+        rows = [l for l in (lsm / "heatmap.csv").read_text().splitlines() if not l.startswith("#")]
+        values = np.array([float(r.split(",")[2]) for r in rows[1:]])
+        assert len(values) == 25 and np.all(np.isfinite(values) & (values > 0))

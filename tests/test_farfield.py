@@ -102,6 +102,13 @@ class TestOperator:
         with pytest.raises(DomainError):
             op.reciprocity_defect()
 
+    def test_disc_operator_columns_are_per_incidence_series(self, disc_op):
+        # the reference builds one series per incidence direction
+        for j in (0, 5, 41):
+            inc = PlaneWave(Direction.from_angle(disc_op.inc_angles[j]))
+            ref = DiscSeriesSolution((0.0, 0.0), DISC_R, K, inc).far_field(disc_op.obs_angles)
+            assert np.max(np.abs(disc_op.matrix[:, j] - ref)) < 1e-13 * np.max(np.abs(ref))
+
     def test_disc_operator_is_circulant(self, disc_op):
         # rotation invariance makes Fourier modes eigenvectors
         for n in (0, 3):

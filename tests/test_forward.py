@@ -18,6 +18,9 @@ from enclosure2d.geometry import Direction, Polygon, Scene
 from conftest import SQUARE_VERTS, TRIANGLE_VERTS, make_scene
 
 
+OFF_CENTRE = np.array([0.1, -0.2])
+
+
 def regular_polygon_scene(n_sides, radius=0.5):
     t = np.linspace(0, 2 * np.pi, n_sides, endpoint=False)
     verts = radius * np.stack([np.cos(t), np.sin(t)], axis=1)
@@ -111,6 +114,19 @@ class TestSolve:
         err = np.max(np.abs(num - ref)) / np.max(np.abs(ref))
         assert err < 1e-2
 
+    def test_off_centre_polygon_matches_disc_series(self):
+        n = 128
+        ang = 2 * np.pi * np.arange(n) / n + np.pi / n
+        gon = Polygon(OFF_CENTRE + np.column_stack([np.cos(ang), np.sin(ang)]))
+        scene = Scene(obstacles=(gon,), radius_R=2.0, radius_R1=6.0, source_y=(6.0, 0.0), wavenumber_k=2.0)
+        inc = PlaneWave(Direction.from_angle(0.7))
+        sol = solve_scattering(scene, inc, build_mesh(scene, nodes_per_edge=16))
+        oracle = DiscSeriesSolution(center=OFF_CENTRE, a=1.0, k=2.0, incident=inc)
+        t = np.linspace(0, 2 * np.pi, 20, endpoint=False)
+        pts = OFF_CENTRE + 1.5 * np.stack([np.cos(t), np.sin(t)], axis=1)
+        ref = oracle.eval_total(pts)
+        assert np.max(np.abs(eval_total(sol, pts) - ref)) < 1e-2 * np.max(np.abs(ref))
+
     def test_radiation_condition(self, square_sol):
         # r^{3/2} |d_r w - i k w| stays bounded with distance
         k = square_sol.scene.wavenumber_k
@@ -161,12 +177,14 @@ class TestSolve:
 
 
 class TestDiscSeries:
-    def test_boundary_condition_residual(self):
+    @pytest.mark.parametrize("center", [np.zeros(2), OFF_CENTRE], ids=["centred", "off-centre"])
+    def test_boundary_condition_residual(self, center):
+        # the plane wave is expanded about the disc centre, not the origin
         oracle = DiscSeriesSolution(
-            center=np.zeros(2),
+            center=center,
             a=1.0,
-            k=1.0,
-            incident=PlaneWave(Direction(1.0, 0.0)),
+            k=2.0,
+            incident=PlaneWave(Direction.from_angle(0.7)),
         )
         assert oracle.boundary_neumann_residual(n_angles=64) < 1e-10
 

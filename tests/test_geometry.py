@@ -182,6 +182,27 @@ class TestScene:
             )
 
 
+def _box(x0, y0, x1, y1):
+    return Polygon(np.array([[x0, y0], [x1, y0], [x1, y1], [x0, y1]]))
+
+
+class TestMultiObstacleScene:
+    def test_disjoint_pair_accepted(self):
+        scene = make_scene(None)
+        pair = (_box(-0.6, -0.25, -0.1, 0.25), _box(0.1, -0.25, 0.6, 0.25))
+        assert Scene(pair, scene.radius_R, scene.radius_R1, scene.source_y, scene.wavenumber_k).obstacles == pair
+
+    @pytest.mark.parametrize("pair", [
+        (_box(-0.5, -0.5, 0.1, 0.1), _box(-0.1, -0.1, 0.5, 0.5)),    # edges cross
+        (_box(-0.5, -0.25, 0.0, 0.25), _box(0.0, -0.25, 0.5, 0.25)),  # one shared edge
+        (_box(-0.5, -0.5, 0.5, 0.5), _box(-0.1, -0.1, 0.1, 0.1)),    # one inside the other
+    ], ids=["overlapping", "edge-touching", "nested"])
+    def test_pair_that_is_not_disjoint_rejected(self, pair):
+        scene = make_scene(None)
+        with pytest.raises(GeometryError, match="pairwise disjoint"):
+            Scene(pair, scene.radius_R, scene.radius_R1, scene.source_y, scene.wavenumber_k)
+
+
 def test_hausdorff_symmetry_and_zero():
     a = SQUARE_VERTS
     b = TRIANGLE_VERTS
