@@ -12,6 +12,8 @@ norm blows up with no plateau as the regularization parameter decreases.
 One SVD U diag(s) V^H of B = sqrt(w_o) w_i F serves every alpha and every
 sample point: g = V diag(s / (s^2 + alpha w_i)) U^H c with c = sqrt(w_o) b,
 and s with the Picard coefficients |U^H c| is the discrete Picard evidence.
+Each operator is built from one phase product over all its incidences and
+keeps its SVD once computed, so every sweep and map on it reuses both.
 The disc series operator, probed at its center, is the solvable contrast
 case that does not depend on the polygon solver.
 """
@@ -20,12 +22,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
 from .errors import DomainError
 from .fields import PlaneWave, PointSource
-from .forward import DiscSeriesSolution, ScatterSolution, build_mesh, eval_total, factorize
+from .forward import BoundaryMesh, DiscSeriesSolution, ScatterSolution, build_mesh, eval_total, factorize
 from .geometry import Direction, Scene
 
 __all__ = [
@@ -46,13 +49,17 @@ def far_field_constant(k: float) -> complex:
     return np.exp(0.25j * np.pi) / math.sqrt(8 * math.pi * k)
 
 
+def _far_fields(mesh: BoundaryMesh, k: float, densities: np.ndarray, angles) -> np.ndarray:
+    """Far-fields of the (N, m) density columns at the observation angles, (n_angles, m)."""
+    angles = np.atleast_1d(np.asarray(angles, dtype=float))
+    phi_hat = np.column_stack([np.cos(angles), np.sin(angles)])
+    phases = np.exp(-1j * k * (phi_hat @ mesh.nodes.T))
+    return far_field_constant(k) * phases @ (densities * mesh.weights[:, None])
+
+
 def far_field_pattern(sol: ScatterSolution, angles) -> np.ndarray:
     """Far-field of the scattered field at the given observation angles."""
-    angles = np.atleast_1d(np.asarray(angles, dtype=float))
-    k = sol.scene.wavenumber_k
-    phi_hat = np.column_stack([np.cos(angles), np.sin(angles)])
-    phases = np.exp(-1j * k * (phi_hat @ sol.mesh.nodes.T))
-    return far_field_constant(k) * phases @ (sol.density * sol.mesh.weights)
+    return _far_fields(sol.mesh, sol.scene.wavenumber_k, sol.density[:, None], angles)[:, 0]
 
 
 def point_source_far_field_check(scene: Scene, d_angles, nodes_per_edge: int = 64, p_grade: float = 4.0) -> float:
@@ -96,6 +103,11 @@ class FarFieldOperator:
     def obs_weight(self) -> float:
         return 2 * np.pi / len(self.obs_angles)
 
+    @cached_property
+    def svd(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(U, s, V^H) of sqrt(w_o) w_i F, computed on first use and kept."""
+        return np.linalg.svd(math.sqrt(self.obs_weight) * self.inc_weight * self.matrix, full_matrices=False)
+
     def reciprocity_defect(self) -> float:
         """max |F(phi, d) - F(-d, -phi)| when both grids close under negation."""
         n_obs, n_inc = self.matrix.shape
@@ -115,14 +127,14 @@ def assemble_far_field_operator(
     p_grade: float = 4.0,
 ) -> FarFieldOperator:
     """One plane-wave solution per incidence column, all from one LU solve."""
+    if n_obs < 1 or n_inc < 1:
+        raise DomainError("need at least one observation and one incidence direction")
     obs_angles = 2 * np.pi * np.arange(n_obs) / n_obs
     inc_angles = 2 * np.pi * np.arange(n_inc) / n_inc
-    matrix = np.zeros((n_obs, n_inc), dtype=complex)
-    if scene.obstacles:
-        mesh = build_mesh(scene, nodes_per_edge=nodes_per_edge, p_grade=p_grade)
-        sols = factorize(scene, mesh).solve(PlaneWave(Direction.from_angle(ang)) for ang in inc_angles)
-        for j, sol in enumerate(sols):
-            matrix[:, j] = far_field_pattern(sol, obs_angles)
+    mesh = build_mesh(scene, nodes_per_edge=nodes_per_edge, p_grade=p_grade)
+    sols = factorize(scene, mesh).solve(PlaneWave(Direction.from_angle(ang)) for ang in inc_angles)
+    densities = np.column_stack([sol.density for sol in sols])
+    matrix = _far_fields(mesh, scene.wavenumber_k, densities, obs_angles)
     return FarFieldOperator(matrix=matrix, obs_angles=obs_angles, inc_angles=inc_angles, k=scene.wavenumber_k)
 
 
@@ -150,7 +162,7 @@ def _weighted_rhs(op: FarFieldOperator, points) -> np.ndarray:
 
 
 def _tikhonov(op: FarFieldOperator, alphas, points):
-    """Norms and relative residuals, shaped (alphas, points), and the SVD.
+    """Norms and relative residuals, shaped (alphas, points), from the operator's SVD.
 
     ||g|| is the norm of the filtered coefficients s / (s^2 + alpha w_i)
     U^H c; the residual is their filtered-out part plus c outside range(U).
@@ -161,7 +173,7 @@ def _tikhonov(op: FarFieldOperator, alphas, points):
         raise DomainError("regularization parameters must be finite and positive")
     if not np.all(np.isfinite(points)):
         raise DomainError("sample points must be finite")
-    u, s, vh = np.linalg.svd(math.sqrt(op.obs_weight) * op.inc_weight * op.matrix, full_matrices=False)
+    u, s, _ = op.svd
     damping = op.inc_weight * alphas[:, None]
     filtered, missed = s / (s**2 + damping), damping / (s**2 + damping)
     norms, resids = np.empty((2, len(alphas), len(points)))
@@ -173,7 +185,7 @@ def _tikhonov(op: FarFieldOperator, alphas, points):
         outside = np.sum(np.abs(c - u @ coeffs) ** 2, axis=0)
         norms[:, block] = np.sqrt(op.inc_weight * (filtered**2 @ power))
         resids[:, block] = np.sqrt((missed**2 @ power + outside) / np.sum(np.abs(c) ** 2, axis=0))
-    return norms, resids, (u, s, vh)
+    return norms, resids
 
 
 def solve_far_field_equation(op: FarFieldOperator, y, alpha: float):
@@ -182,7 +194,8 @@ def solve_far_field_equation(op: FarFieldOperator, y, alpha: float):
     Returns ``(g, norm, residual)`` with the L2(S1) quadrature-weighted
     density norm and the relative far-field residual.
     """
-    norms, resids, (u, s, vh) = _tikhonov(op, alpha, y)
+    norms, resids = _tikhonov(op, alpha, y)
+    u, s, vh = op.svd
     g = vh.conj().T @ (s / (s**2 + alpha * op.inc_weight) * (u.conj().T @ _weighted_rhs(op, y)[:, 0]))
     return g, float(norms[0, 0]), float(resids[0, 0])
 
@@ -206,7 +219,8 @@ def unsolvability_diagnostic(op: FarFieldOperator, y, alphas) -> GrowthReport:
     the desk-scale observable of the rhs lying outside the operator range.
     """
     alphas = np.asarray(alphas, dtype=float)
-    norms, resids, (u, s, _) = _tikhonov(op, alphas, y)
+    norms, resids = _tikhonov(op, alphas, y)
+    u, s, _ = op.svd
     if len(alphas) < 5 or np.any(np.diff(alphas) >= 0):
         raise DomainError("need >= 5 strictly decreasing alpha values")
     if math.log10(alphas[0] / alphas[-1]) < 4:

@@ -188,7 +188,7 @@ class SupportEstimate:
     residual_rms: float
     n_used: int
     usable: bool
-    fit_path: str  # "envelope" or "two_term": the fit whose h_hat is reported
+    fit_path: str  # "envelope" or "two_term": the fit whose h_hat is reported; "none" below 8 usable samples
 
 
 def _fit_weights(samples: IndicatorSamples, mask: np.ndarray) -> np.ndarray:
@@ -353,7 +353,9 @@ def estimate_support(samples: IndicatorSamples) -> SupportEstimate:
     window, and a two-exponential complex fit takes over when
     interference between equal-height boundary points leaves the trimmed
     residual large or holds b at B_MIN; it is kept only when its log
-    rms is lower.
+    rms is lower.  With fewer than 8 usable samples nothing is fitted:
+    the estimate is unusable, with NaN h_hat, b and rms and fit_path
+    "none", so the hull drops that direction alone.
     """
     taus = samples.taus
     if taus[-1] / taus[0] < 3.0:
@@ -361,8 +363,14 @@ def estimate_support(samples: IndicatorSamples) -> SupportEstimate:
     mask = samples.usable & np.isfinite(samples.log_magnitudes)
     n_used = int(np.count_nonzero(mask))
     if n_used < 8:
-        raise ReconstructionError(
-            f"only {n_used} usable indicator samples (need 8)"
+        return SupportEstimate(
+            omega=samples.omega,
+            h_hat=math.nan,
+            log_s_coefficient=math.nan,
+            residual_rms=math.nan,
+            n_used=n_used,
+            usable=False,
+            fit_path="none",
         )
     t, L, s = taus[mask], samples.log_magnitudes[mask], samples.s[mask]
     wt = _fit_weights(samples, mask)

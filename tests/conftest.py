@@ -21,6 +21,12 @@ TRIANGLE_VERTS = np.array(
 L_VERTS = np.array(
     [[-0.5, -0.5], [0.5, -0.5], [0.5, 0.0], [0.0, 0.0], [0.0, 0.5], [-0.5, 0.5]]
 )
+# two boxes 0.2 apart: a multi-obstacle mesh, and a scene where the CLI's
+# default hull has a direction with only 7 usable indicator samples
+TWO_BOXES = (
+    np.array([[-0.7, -0.3], [-0.1, -0.3], [-0.1, 0.3], [-0.7, 0.3]]),
+    np.array([[0.1, -0.3], [0.7, -0.3], [0.7, 0.3], [0.1, 0.3]]),
+)
 
 
 def make_scene(verts):

@@ -12,7 +12,7 @@ from enclosure2d.cli import build_parser, main
 from enclosure2d.geometry import hausdorff_distance
 from enclosure2d.indicator import B_MAX, B_MIN
 
-from conftest import SQUARE_VERTS
+from conftest import SQUARE_VERTS, TWO_BOXES
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -206,6 +206,17 @@ class TestHull:
         # the side normals are ties the envelope cannot fit; the corner
         # directions between them are single-corner envelopes
         assert [r.split(",")[5] for r in rows[1:]] == ["two_term", "envelope"] * 4
+
+    def test_sparse_direction_is_dropped_not_fatal(self, tmp_path):
+        # one direction of the default grid keeps only 7 usable samples on
+        # the two boxes; it is left out of the hull, not fatal to the command
+        path = tmp_path / "scene.json"
+        path.write_text(json.dumps(scene_dict(obstacles=[box.tolist() for box in TWO_BOXES])))
+        out = tmp_path / "hull"
+        assert main(["hull", "--scene", str(path), "--out", str(out)]) == 0
+        rows = [l.split(",") for l in (out / "supports.csv").read_text().splitlines()
+                if not l.startswith("#")]
+        assert ["none", "unusable"] in [r[5:] for r in rows[1:]]
 
     def test_plane_wave_mode(self, scene_file, tmp_path):
         out = tmp_path / "hull"

@@ -1,5 +1,7 @@
 """Far-field patterns, operator structure, and the unsolvability diagnostic."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 from scipy.linalg import cho_factor, cho_solve
@@ -16,10 +18,10 @@ from enclosure2d.farfield import (
     unsolvability_diagnostic,
 )
 from enclosure2d.fields import PlaneWave
-from enclosure2d.forward import DiscSeriesSolution, build_mesh, solve_scattering
+from enclosure2d.forward import DiscSeriesSolution, build_mesh, factorize, solve_scattering
 from enclosure2d.geometry import Direction, Polygon, Scene
 
-from conftest import make_scene, SQUARE_VERTS
+from conftest import make_scene, SQUARE_VERTS, TWO_BOXES
 
 DISC_R = 0.8
 K = 2.0
@@ -92,6 +94,21 @@ class TestOperator:
     def test_empty_scene_zero_operator(self, empty_scene):
         op = assemble_far_field_operator(empty_scene, 16, 16)
         assert np.all(op.matrix == 0)
+
+    @pytest.mark.parametrize("boxes", [(SQUARE_VERTS,), TWO_BOXES], ids=["square", "two-boxes"])
+    def test_columns_are_per_incidence_patterns(self, boxes):
+        # the reference builds one phase matrix per incidence column
+        scene = dataclasses.replace(make_scene(None), obstacles=tuple(Polygon(box) for box in boxes))
+        op = assemble_far_field_operator(scene, 32, 16, nodes_per_edge=32)
+        mesh = build_mesh(scene, nodes_per_edge=32)
+        sols = factorize(scene, mesh).solve(PlaneWave(Direction.from_angle(ang)) for ang in op.inc_angles)
+        ref = np.column_stack([far_field_pattern(sol, op.obs_angles) for sol in sols])
+        assert np.max(np.abs(op.matrix - ref)) < 1e-13 * np.max(np.abs(ref))
+
+    @pytest.mark.parametrize("verts", [None, SQUARE_VERTS], ids=["empty", "square"])
+    def test_no_incidence_is_domain_error(self, verts):
+        with pytest.raises(DomainError):
+            assemble_far_field_operator(make_scene(verts), 8, 0, nodes_per_edge=16)
 
     def test_reciprocity(self, square_op):
         scale = float(np.max(np.abs(square_op.matrix)))
@@ -178,6 +195,20 @@ class TestSvdPath:
         values = lsm_indicator_map(square_op, points, alpha)
         ref = [1.0 / solve_far_field_equation(square_op, y, alpha)[1] for y in points]
         np.testing.assert_allclose(values, ref, rtol=1e-12)
+
+    def test_one_svd_per_operator(self, square_op, monkeypatch):
+        op = dataclasses.replace(square_op)  # a copy that has not computed its SVD yet
+        svd, calls = np.linalg.svd, []
+
+        def counting_svd(*args, **kwargs):
+            calls.append(args)
+            return svd(*args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "svd", counting_svd)
+        for y in [(0.0, 0.0), (0.2, 0.1), (1.5, 0.5)]:
+            unsolvability_diagnostic(op, y, np.logspace(-2, -8, 7))
+        lsm_indicator_map(op, np.random.default_rng(0).uniform(-2.0, 2.0, size=(300, 2)))
+        assert len(calls) == 1
 
     def test_report_carries_singular_values_and_picard(self, square_op):
         rep = unsolvability_diagnostic(square_op, (0.2, 0.1), np.logspace(-2, -8, 7))

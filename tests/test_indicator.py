@@ -210,8 +210,11 @@ class TestFit:
             usable=np.arange(len(samples.taus)) < 5,
             log_noise_floors=samples.log_noise_floors,
         )
-        with pytest.raises(ReconstructionError):
-            estimate_support(bad)
+        est = estimate_support(bad)
+        assert not est.usable
+        assert est.fit_path == "none"
+        assert est.n_used == 5
+        assert np.isnan([est.h_hat, est.log_s_coefficient, est.residual_rms]).all()
 
     @pytest.mark.parametrize("grid, p2", BEAT_GRIDS, ids=BEAT_IDS)
     def test_two_term_beat(self, grid, p2):
