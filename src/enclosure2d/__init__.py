@@ -23,7 +23,7 @@ from .geometry import Direction, Polygon, Scene, support_function
 from .fields import PlaneWave, PointSource, ModulatedPlane, ProbeParams
 from .forward import build_mesh, factorize, solve_scattering, DiscSeriesSolution
 from .trace import TraceData, trace_direct, recover_neumann
-from .indicator import compute_samples, estimate_support, classify_threshold, reconstruct_hull
+from .indicator import compute_samples, estimate_support, estimate_supports, classify_threshold, reconstruct_hull
 from .farfield import (
     assemble_far_field_operator,
     disc_far_field_operator,

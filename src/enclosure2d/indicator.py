@@ -27,13 +27,18 @@ instead.  The variable-projection solve runs once, from the best of a
 fixed grid of starting exponents.  The linear coefficients are projected
 out in closed form (a two-column QR), batched over parameter rows: all
 starts are ranked in one call, and each forward-difference Jacobian
-evaluates its five perturbed points in one call.
+evaluates its five perturbed points in one call.  ``estimate_supports``
+fits many directions and runs all their refines as one batched
+trust-region-reflective solve (``lsq.solve_bounded``), which takes the
+steps scipy's ``least_squares`` would take for each alone;
+``estimate_support`` is the batch of one.
 
-The hull is built from the fitted data alone: every direction is fitted,
-and those whose fit stays poor are left out of the half-plane
-intersection.  Side normals, where a whole edge attains the support
-value, are fitted like any other direction: their two end corners beat
-against each other, which is the case the two-exponential fit models.
+The hull is built from the fitted data alone: every direction is fitted
+in one ``estimate_supports`` call, and those whose fit stays poor are
+left out of the half-plane intersection.  Side normals, where a whole
+edge attains the support value, are fitted like any other direction:
+their two end corners beat against each other, which is the case the
+two-exponential fit models.
 
 ``compute_samples`` is the one sampling entry point: one probe carries
 the whole tau grid of a direction, so each direction is one vectorised
@@ -51,14 +56,14 @@ carries an error of order e^{floor - log|J|}, cannot steer the slope.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.optimize import least_squares
 
 from .errors import DomainError, ReconstructionError, ResolutionError
 from .fields import ProbeParams, eval_probe
 from .geometry import Direction, convex_hull_from_supports
+from .lsq import solve_bounded
 from .trace import TraceData
 
 __all__ = [
@@ -66,6 +71,7 @@ __all__ = [
     "SupportEstimate",
     "compute_samples",
     "estimate_support",
+    "estimate_supports",
     "classify_threshold",
     "reconstruct_hull",
     "required_trace_size",
@@ -92,6 +98,8 @@ SIGMA0 = 3e-3
 # bounds of the two-term refine's (dh1, p1, dh2, p2, b)
 _LOWER = np.array([-1.0, -3.0, -1.0, -3.0, B_MIN])
 _UPPER = np.array([0.5, 3.0, 0.5, 3.0, B_MAX])
+_EPS = float(np.finfo(float).eps)
+_DIAGONAL = np.eye(5, dtype=bool)
 
 
 def required_trace_size(tau: float, k: float, radius: float) -> int:
@@ -245,117 +253,138 @@ def _trimmed_envelope_fit(t: np.ndarray, L: np.ndarray, s: np.ndarray, wt: np.nd
 
 
 def _two_term_basis(rows: np.ndarray, t: np.ndarray, s: np.ndarray) -> np.ndarray:
-    """(m, 2, n) columns s^b e^{(dh_j + i p_j) tau} of each (dh1, p1, dh2, p2, b) row."""
-    z = rows[:, 0:4:2] + 1j * rows[:, 1:4:2]
-    return np.exp(z[:, :, None] * t) * s ** rows[:, 4, None, None]
+    """(..., 2, n) columns s^b e^{(dh_j + i p_j) tau} of each (dh1, p1, dh2, p2, b) row.
+
+    ``t`` and ``s`` are one grid (n,) or one grid per row, broadcast
+    against the rows' leading axes.
+    """
+    z = rows[..., :4].view(complex)  # each (dh_j, p_j) pair read as dh_j + i p_j
+    return np.exp(z[..., None] * t[..., None, :]) * s[..., None, :] ** rows[..., 4, None, None]
 
 
 def _projected_residuals(rows: np.ndarray, t: np.ndarray, s: np.ndarray, j0: np.ndarray) -> np.ndarray:
-    """(m, n) residuals basis c - J0, with c the least-squares amplitudes, one per row.
+    """(..., n) residuals basis c - J0, with c the least-squares amplitudes, one per row.
 
-    Each row of ``rows`` is (dh1, p1, dh2, p2, b).  J0 is projected off
-    span{s^b e^{z1 tau}, s^b e^{z2 tau}} by a closed-form two-column
-    Gram-Schmidt QR with one re-orthogonalisation, vectorised over rows.
-    A second column left with norm at most n eps max(|b1|, |b2|) is
-    dropped (rank 1), as ``np.linalg.lstsq``'s default rcond does for
-    identical columns.
+    Each row of ``rows`` is (dh1, p1, dh2, p2, b); ``t``, ``s`` and ``j0``
+    broadcast against the rows' leading axes as in ``_two_term_basis``.
+    J0 is projected off span{s^b e^{z1 tau}, s^b e^{z2 tau}} by a
+    closed-form two-column Gram-Schmidt QR with one re-orthogonalisation,
+    vectorised over rows.  A second column left with norm at most
+    n eps max(|b1|, |b2|) is dropped (rank 1), as ``np.linalg.lstsq``'s
+    default rcond does for identical columns.
     """
     basis = _two_term_basis(rows, t, s)
-    b1, b2 = basis[:, 0], basis[:, 1]
+    b1, b2 = basis[..., 0, :], basis[..., 1, :]
     norms = np.sqrt(np.vecdot(basis, basis).real)
-    q1 = b1 / norms[:, :1]
-    v = b2 - q1 * np.vecdot(q1, b2)[:, None]
-    v -= q1 * np.vecdot(q1, v)[:, None]
+    q1 = b1 / norms[..., :1]
+    v = b2 - q1 * np.vecdot(q1, b2)[..., None]
+    v -= q1 * np.vecdot(q1, v)[..., None]
     v_norm = np.sqrt(np.vecdot(v, v).real)
-    rank2 = v_norm > len(t) * np.finfo(float).eps * norms.max(axis=1)
-    q2 = v / np.where(rank2, v_norm, np.inf)[:, None]
-    return q1 * np.vecdot(q1, j0)[:, None] + q2 * np.vecdot(q2, j0)[:, None] - j0
+    rank2 = v_norm > t.shape[-1] * _EPS * np.maximum(norms[..., 0], norms[..., 1])
+    q2 = v / np.where(rank2, v_norm, np.inf)[..., None]
+    return q1 * np.vecdot(q1, j0)[..., None] + q2 * np.vecdot(q2, j0)[..., None] - j0
 
 
 def _forward_jacobian(rows_fun, x: np.ndarray, f_x: np.ndarray) -> np.ndarray:
-    """Forward-difference Jacobian of a batched residual map at x.
+    """Forward-difference Jacobians (..., M, 5) of a batched residual map at x (..., 5).
 
-    ``rows_fun`` maps (m, 5) parameter rows to (m, M) residual rows; all
-    five perturbed points go through it in one call.  The steps follow
-    ``scipy.optimize.least_squares``' own 2-point rule, sqrt(eps) sign(x)
-    max(1, |x|), flipped when x + h would leave [_LOWER, _UPPER] and
-    clipped to the far bound when neither side has room, so the solve takes
-    the iterates the built-in finite differences would give.
+    ``rows_fun`` maps parameter rows (..., 5, 5), the five perturbed points
+    of each x, to residual rows (..., 5, M); all of them go through it in
+    one call.  The steps follow ``scipy.optimize.least_squares``' own
+    2-point rule, sqrt(eps) sign(x) max(1, |x|), flipped when x + h would
+    leave [_LOWER, _UPPER], so the solve takes the iterates the built-in
+    finite differences would give.  Every such step (below 1e-7) fits on
+    the far side of a box at least 0.65 wide, so scipy's clip to the far
+    bound never applies.
     """
-    h = math.sqrt(np.finfo(float).eps) * np.where(x >= 0, 1.0, -1.0) * np.maximum(1.0, np.abs(x))
-    lower_dist, upper_dist = x - _LOWER, _UPPER - x
-    fits = np.abs(h) <= np.maximum(lower_dist, upper_dist)
-    h = np.where(((x + h < _LOWER) | (x + h > _UPPER)) & fits, -h, h)
-    h = np.where(fits, h, np.where(upper_dist >= lower_dist, upper_dist, -lower_dist))
-    dx = (x + h) - x
-    return ((rows_fun(x + np.diag(h)) - f_x) / dx[:, None]).T
+    h = math.sqrt(_EPS) * np.where(x >= 0, 1.0, -1.0) * np.maximum(1.0, np.abs(x))
+    x_h = x + h
+    h = np.where((x_h < _LOWER) | (x_h > _UPPER), -h, h)
+    x_h = x + h
+    points = np.where(_DIAGONAL, x_h[..., None, :], x[..., None, :])
+    return np.swapaxes((rows_fun(points) - f_x[..., None, :]) / (x_h - x)[..., :, None], -1, -2)
+
+
+_STARTS = np.array([[0.0, 0.0, ddh, dp, -0.75] for dp in np.linspace(-1.2, 1.2, 13) for ddh in (0.0, -0.15)])
+
+
+def _two_exponential_refines(problems):
+    """Variable-projection fits of J = s^b (c1 e^{z1 tau} + c2 e^{z2 tau}), one per problem.
+
+    Each problem is (t, L, phase, s, wt) of one direction.  Used when two
+    boundary points of nearly equal height beat against each other; the
+    heights are the real parts of the exponents and the estimate is the
+    larger one among components with non-negligible amplitude.  Each
+    problem's 26 starting exponents are ranked by their projected misfit,
+    and one bounded solve runs from the best: all problems in one batched
+    trust-region-reflective solve (``lsq.solve_bounded``).  The ranking of
+    every problem's starts, each round's residuals and each round's
+    forward-difference Jacobians are one call each of the batched
+    projection ``_projected_residuals``.  Shorter problems are padded to
+    the longest with s = inf (which zeroes the basis there, as b < 0) and
+    J0 = wt = 0, so padding adds exact zeros.  Each sample's residual
+    carries its weight ``wt``; the final amplitudes come from one
+    least-squares solve at each solution.  Returns one (h, b, log_rms) per
+    problem, with h on the same scale as the envelope's a, or None where
+    the solve failed.
+    """
+    n_max = max(len(t) for t, *_ in problems)
+    T, S = np.zeros((len(problems), n_max)), np.full((len(problems), n_max), np.inf)
+    J0, W = np.zeros((len(problems), n_max), dtype=complex), np.zeros((len(problems), n_max))
+    a0, scale = np.zeros(len(problems)), np.zeros((len(problems), 1))
+    for i, (t, L, phase, s, wt) in enumerate(problems):
+        # remove the dominant growth so the data is O(1)
+        phase = np.unwrap(phase)
+        a0[i] = np.polyfit(t, L, 1)[0]
+        p0 = float(np.polyfit(t, phase, 1)[0])
+        j0 = np.exp(L - a0[i] * t + 1j * (phase - p0 * t))
+        scale[i] = np.mean(np.abs(j0))
+        n = len(t)
+        T[i, :n], S[i, :n], J0[i, :n], W[i, :n] = t, s, j0, wt
+
+    def residuals(x, rows):
+        # x: (k, 5) parameter rows, or (k, j, 5) with j rows per problem
+        sel = (rows, None) if x.ndim == 3 else rows
+        # real and imaginary parts interleaved: (r * w).real is r.real * w exactly
+        return (_projected_residuals(x, T[sel], S[sel], J0[sel]) * W[sel]).view(float) / scale[sel]
+
+    def jacobians(x, f, rows):
+        return _forward_jacobian(lambda points: residuals(points, rows), x, f)
+
+    ranked = residuals(np.broadcast_to(_STARTS, (len(problems), *_STARTS.shape)), slice(None))
+    best = np.argmin(np.sum(ranked**2, axis=-1), axis=1)
+    solutions, ok = solve_bounded(residuals, jacobians, _STARTS[best], ranked[np.arange(len(problems)), best],
+                                  _LOWER, _UPPER)
+    refined = []
+    for x, solved, (t, L, phase, s, wt), a, j0 in zip(solutions, ok, problems, a0, J0):
+        if not solved:
+            refined.append(None)
+            continue
+        j0 = j0[: len(t)]
+        basis = _two_term_basis(x, t, s).T
+        c = np.linalg.lstsq(basis, j0, rcond=None)[0]
+        mag = np.abs(basis @ c)
+        log_rms = _weighted_rms(np.log(np.maximum(mag, 1e-300)) - np.log(np.abs(j0)), wt)
+        amps = np.abs(c)
+        heights = [a + dh for dh, amp in ((x[0], amps[0]), (x[2], amps[1])) if amp > 1e-3 * amps.max()]
+        refined.append((max(heights), float(x[4]), log_rms))
+    return refined
 
 
 def _two_exponential_refine(t: np.ndarray, L: np.ndarray, phase: np.ndarray, s: np.ndarray, wt: np.ndarray):
-    """Variable-projection fit of J = s^b (c1 e^{z1 tau} + c2 e^{z2 tau}).
+    """The two-term refine of one direction: ``_two_exponential_refines`` as a batch of one.
 
-    Used when two boundary points of nearly equal height beat against
-    each other; the heights are the real parts of the exponents and the
-    estimate is the larger one among components with non-negligible
-    amplitude.  The 26 starting exponents are ranked by their projected
-    misfit and one bounded solve runs from the best.  The ranking, each
-    residual and each Jacobian (all five forward-difference points) are
-    one call of the batched closed-form projection
-    ``_projected_residuals``; the final coefficients come from one
-    least-squares solve at the solution.  Each sample's residual carries
-    its weight ``wt``.  Returns (h, b, log_rms), with h on the same scale
-    as the envelope's a, or None if the solve fails.
+    Returns (h, b, log_rms), or None if the solve fails.
     """
-    # remove the dominant growth so the data is O(1)
-    a0 = float(np.polyfit(t, L, 1)[0])
-    p0 = float(np.polyfit(t, np.unwrap(phase), 1)[0])
-    J0 = np.exp(L - a0 * t + 1j * (np.unwrap(phase) - p0 * t))
-    scale = float(np.mean(np.abs(J0)))
-
-    def resid_rows(rows):
-        r = _projected_residuals(rows, t, s, J0)
-        return np.concatenate([r.real * wt, r.imag * wt], axis=1) / scale
-
-    # least_squares evaluates the residual at x right before it asks for
-    # the Jacobian there, so f(x) is reused rather than recomputed
-    last = {}
-
-    def resid(x):
-        last["x"], last["f"] = x.copy(), resid_rows(x[None])[0]
-        return last["f"]
-
-    def jac(x):
-        f_x = last["f"] if np.array_equal(x, last["x"]) else resid(x)
-        return _forward_jacobian(resid_rows, x, f_x)
-
-    starts = np.array([[0.0, 0.0, ddh, dp, -0.75] for dp in np.linspace(-1.2, 1.2, 13) for ddh in (0.0, -0.15)])
-    try:
-        x0 = starts[np.argmin(np.sum(resid_rows(starts) ** 2, axis=1))]
-        best = least_squares(resid, x0, jac=jac, bounds=(_LOWER, _UPPER), max_nfev=200)
-    except (ValueError, np.linalg.LinAlgError):
-        return None
-    dh1, p1, dh2, p2, b = best.x
-    basis = _two_term_basis(best.x[None], t, s)[0].T
-    c = np.linalg.lstsq(basis, J0, rcond=None)[0]
-    mag = np.abs(basis @ c)
-    log_rms = _weighted_rms(np.log(np.maximum(mag, 1e-300)) - np.log(np.abs(J0)), wt)
-    amps = np.abs(c)
-    heights = [a0 + dh for dh, amp in ((dh1, amps[0]), (dh2, amps[1])) if amp > 1e-3 * amps.max()]
-    return max(heights), float(b), log_rms
+    return _two_exponential_refines([(t, L, phase, s, wt)])[0]
 
 
-def estimate_support(samples: IndicatorSamples) -> SupportEstimate:
-    """Robust fit of log|J_hat| = a tau + b log s + c; h_hat = a + t_ref.
+def _envelope_estimate(samples: IndicatorSamples):
+    """The envelope fit of one direction, and the refine's inputs when it must run.
 
-    The b log s term absorbs the leading s^{-lambda} decay of the
-    indicator.  One fit with asymmetric trimming estimates all three
-    parameters, with b clamped to the physically admissible exponent
-    window, and a two-exponential complex fit takes over when
-    interference between equal-height boundary points leaves the trimmed
-    residual large or holds b at B_MIN; it is kept only when its log
-    rms is lower.  With fewer than 8 usable samples nothing is fitted:
-    the estimate is unusable, with NaN h_hat, b and rms and fit_path
-    "none", so the hull drops that direction alone.
+    Returns (estimate, problem): ``problem`` is (t, L, phase, s, wt) for
+    ``_two_exponential_refines`` when the trimmed residual exceeds the
+    trigger or b sits at B_MIN, else None.
     """
     taus = samples.taus
     if taus[-1] / taus[0] < 3.0:
@@ -371,27 +400,71 @@ def estimate_support(samples: IndicatorSamples) -> SupportEstimate:
             n_used=n_used,
             usable=False,
             fit_path="none",
-        )
+        ), None
     t, L, s = taus[mask], samples.log_magnitudes[mask], samples.s[mask]
     wt = _fit_weights(samples, mask)
     far = s >= S_SINGLE_MIN
     if np.count_nonzero(far) < 8:
         far = np.ones(len(t), dtype=bool)
     a, b, rms = _trimmed_envelope_fit(t[far], L[far], s[far], wt[far])
-    fit_path = "envelope"
-    if rms > TWO_TERM_TRIGGER or b <= B_MIN:
-        refined = _two_exponential_refine(t, L, samples.phases[mask], s, wt)
-        if refined is not None and refined[2] < rms:
-            (a, b, rms), fit_path = refined, "two_term"
-    return SupportEstimate(
+    estimate = SupportEstimate(
         omega=samples.omega,
         h_hat=a + samples.t_ref,
         log_s_coefficient=b,
         residual_rms=rms,
         n_used=n_used,
         usable=rms < RMS_USABLE_THRESHOLD,
-        fit_path=fit_path,
+        fit_path="envelope",
     )
+    if rms > TWO_TERM_TRIGGER or b <= B_MIN:
+        return estimate, (t, L, samples.phases[mask], s, wt)
+    return estimate, None
+
+
+def _keep_better(samples: IndicatorSamples, estimate: SupportEstimate, refined) -> SupportEstimate:
+    """The two-term fit in place of the envelope's when it exists and its log rms is lower."""
+    if refined is not None and refined[2] < estimate.residual_rms:
+        h, b, rms = refined
+        return replace(estimate, h_hat=h + samples.t_ref, log_s_coefficient=b, residual_rms=rms,
+                       usable=rms < RMS_USABLE_THRESHOLD, fit_path="two_term")
+    return estimate
+
+
+def estimate_support(samples: IndicatorSamples) -> SupportEstimate:
+    """Robust fit of log|J_hat| = a tau + b log s + c; h_hat = a + t_ref.
+
+    The b log s term absorbs the leading s^{-lambda} decay of the
+    indicator.  One fit with asymmetric trimming estimates all three
+    parameters, with b clamped to the physically admissible exponent
+    window, and a two-exponential complex fit takes over when
+    interference between equal-height boundary points leaves the trimmed
+    residual large or holds b at B_MIN; it is kept only when its log
+    rms is lower.  With fewer than 8 usable samples nothing is fitted:
+    the estimate is unusable, with NaN h_hat, b and rms and fit_path
+    "none", so the hull drops that direction alone.  This is
+    ``estimate_supports`` for one direction.
+    """
+    estimate, problem = _envelope_estimate(samples)
+    if problem is None:
+        return estimate
+    return _keep_better(samples, estimate, _two_exponential_refine(*problem))
+
+
+def estimate_supports(samples_seq) -> list[SupportEstimate]:
+    """``estimate_support`` of every direction, with all their two-term refines in one solve.
+
+    The refines run as one batch, so a failed refine (a non-finite
+    residual, say) leaves its own direction on its envelope fit and the
+    others unchanged.  Batching rounds differently from one direction at
+    a time, so an ``h_hat`` can differ from ``estimate_support``'s in the
+    last digits, more where the fit's valley is flat.
+    """
+    samples_seq = list(samples_seq)
+    staged = [_envelope_estimate(samples) for samples in samples_seq]
+    problems = [problem for _, problem in staged if problem is not None]
+    refined = iter(_two_exponential_refines(problems) if problems else [])
+    return [estimate if problem is None else _keep_better(samples, estimate, next(refined))
+            for samples, (estimate, problem) in zip(samples_seq, staged)]
 
 
 def classify_threshold(samples: IndicatorSamples, t: float) -> str:
@@ -425,7 +498,7 @@ def reconstruct_hull(trace: TraceData, directions, taus):
     ReconstructionError when fewer than 3 directions are usable or their
     half-planes do not intersect.
     """
-    estimates = [estimate_support(compute_samples(trace, omega, taus)) for omega in directions]
+    estimates = estimate_supports([compute_samples(trace, omega, taus) for omega in directions])
     used = [(est.omega, est.h_hat) for est in estimates if est.usable]
     if len(used) < 3:
         raise ReconstructionError(f"only {len(used)} usable directions (need 3)")

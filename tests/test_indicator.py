@@ -25,9 +25,11 @@ from enclosure2d.indicator import (
     classify_threshold,
     compute_samples,
     estimate_support,
+    estimate_supports,
     reconstruct_hull,
     required_trace_size,
 )
+from enclosure2d.lsq import MAX_NFEV
 from enclosure2d.trace import trace_direct
 from conftest import L_VERTS, SQUARE_VERTS, TRIANGLE_VERTS, make_scene, reference_log_magnitudes
 from test_acceptance import SUPPORT_ANGLES, SUPPORT_TOL
@@ -377,21 +379,62 @@ class TestTwoTermRefine:
         assert est.h_hat == pytest.approx(ref.h_hat, abs=1e-6)
         assert est.log_s_coefficient == pytest.approx(ref.log_s_coefficient, abs=1e-6)
 
-    @pytest.mark.parametrize("grid, p2", BEAT_GRIDS, ids=BEAT_IDS)
-    def test_one_projection_per_ranking_residual_and_jacobian(self, grid, p2, monkeypatch):
-        # a work count, not a clock: the starts are ranked in one call and
-        # each Jacobian is one call, so a per-start or per-column loop fails
-        calls, solves = [], []
-        project, solve = indicator._projected_residuals, indicator.least_squares
+    def test_one_projection_per_ranking_residual_and_jacobian(self, monkeypatch):
+        # a work count, not a clock: the three grids' refines run as one
+        # batch; all their starts are ranked in one call, and each solver
+        # round is one residual call over the live problems and at most one
+        # Jacobian call (five points for each problem that moved), so a
+        # per-start, per-problem or per-column loop fails
+        calls = []
+        project = indicator._projected_residuals
         monkeypatch.setattr(indicator, "_projected_residuals",
-                            lambda rows, *args: calls.append(len(rows)) or project(rows, *args))
-        monkeypatch.setattr(indicator, "least_squares",
-                            lambda *args, **kw: solves.append(solve(*args, **kw)) or solves[-1])
-        assert estimate_support(beat_samples(grid, p2)).fit_path == "two_term"
-        (result,) = solves
-        assert len(calls) == 1 + result.nfev + result.njev
-        assert calls[0] == len(STARTS)
-        assert sorted(set(calls[1:])) == [1, 5]
+                            lambda rows, *args: calls.append(rows.shape) or project(rows, *args))
+        samples = [beat_samples(grid, p2) for grid, p2 in BEAT_GRIDS]
+        assert [e.fit_path for e in estimate_supports(samples)] == ["two_term"] * 3
+        ranking, first_jacobian, *rounds = calls
+        assert ranking == (3, len(STARTS), 5)
+        assert first_jacobian == (3, 5, 5)
+        residual_calls = [shape for shape in rounds if len(shape) == 2]
+        assert 0 < len(residual_calls) < MAX_NFEV
+        for before, shape in zip(rounds, rounds[1:]):
+            if len(shape) == 3:  # a Jacobian follows its round's residual call, over no more problems
+                assert len(before) == 2 and shape[0] <= before[0] and shape[1:] == (5, 5)
+        assert residual_calls[0] == (3, 5)
+
+
+class TestBatchedRefine:
+    def test_failed_refine_stays_with_its_row(self):
+        # a NaN phase makes one problem's start residual non-finite: that
+        # direction alone falls back to its envelope fit
+        good = beat_samples(*BEAT_GRIDS[0])
+        phases = good.phases.copy()
+        phases[3] = np.nan
+        bad = dataclasses.replace(good, phases=phases)
+        alone = estimate_support(bad)
+        assert alone.fit_path == "envelope" and not alone.usable
+        assert alone.h_hat == pytest.approx(0.48020509, abs=1e-8)
+        batch_good, batch_bad = estimate_supports([good, bad])
+        assert batch_bad == alone
+        assert batch_good == estimate_support(good)
+
+    def test_grid_matches_scipy_reference_and_single_directions(self, square_trace, monkeypatch):
+        # the square's criterion-8 grid: every two-term direction of the
+        # batch agrees with the scipy reference refine, and the batch with
+        # one-direction fits (batching rounds differently, so not bitwise)
+        samples = [compute_samples(square_trace, om, CRITERION_8_TAUS) for om in CRITERION_8_DIRECTIONS]
+        batch = estimate_supports(samples)
+        single = [estimate_support(s) for s in samples]
+        monkeypatch.setattr(indicator, "_two_exponential_refine", lstsq_two_exponential_refine)
+        reference = [estimate_support(s) for s in samples]
+        assert sum(e.fit_path == "two_term" for e in batch) >= 10
+        for est, one, ref in zip(batch, single, reference):
+            assert est.fit_path == one.fit_path == ref.fit_path
+            assert est.usable == one.usable == ref.usable
+            assert est.h_hat == pytest.approx(one.h_hat, abs=1e-6)
+            assert est.log_s_coefficient == pytest.approx(one.log_s_coefficient, abs=1e-6)
+            if est.fit_path == "two_term":
+                assert est.h_hat == pytest.approx(ref.h_hat, abs=1e-6)
+                assert est.log_s_coefficient == pytest.approx(ref.log_s_coefficient, abs=1e-6)
 
 
 class TestThreshold:
@@ -490,10 +533,10 @@ class TestHull:
 
     def test_empty_intersection_raises(self, square_trace, taus, monkeypatch):
         # three usable supports h = -1 at 0, 120 and 240 degrees bound no point
-        def fake(samples):
-            return dataclasses.replace(estimate_support(samples), h_hat=-1.0, usable=True)
+        def fake(samples_seq):
+            return [dataclasses.replace(e, h_hat=-1.0, usable=True) for e in estimate_supports(samples_seq)]
 
-        monkeypatch.setattr(indicator, "estimate_support", fake)
+        monkeypatch.setattr(indicator, "estimate_supports", fake)
         dirs = [Direction.from_angle(np.radians(deg)) for deg in (0, 120, 240)]
         with pytest.raises(ReconstructionError):
             reconstruct_hull(square_trace, dirs, taus)

@@ -46,25 +46,35 @@ def test_no_unused_imports():
     assert not offenders, f"imported but never used: {offenders}"
 
 
-def _imports_scipy_special(node) -> bool:
+def _imports_scipy(node, submodule: str) -> bool:
     if isinstance(node, ast.ImportFrom):
         module = node.module or ""
-        return module.startswith("scipy.special") or (
-            module == "scipy" and any(alias.name == "special" for alias in node.names)
+        return module.startswith(f"scipy.{submodule}") or (
+            module == "scipy" and any(alias.name == submodule for alias in node.names)
         )
     if isinstance(node, ast.Import):
-        return any(alias.name.startswith("scipy.special") for alias in node.names)
-    return isinstance(node, ast.Attribute) and node.attr == "special" and getattr(node.value, "id", None) == "scipy"
+        return any(alias.name.startswith(f"scipy.{submodule}") for alias in node.names)
+    return isinstance(node, ast.Attribute) and node.attr == submodule and getattr(node.value, "id", None) == "scipy"
+
+
+def _modules_importing_scipy(submodule: str) -> list[str]:
+    return [
+        path.name
+        for path in sorted(PACKAGE.glob("*.py"))
+        if any(_imports_scipy(node, submodule) for node in ast.walk(ast.parse(path.read_text())))
+    ]
 
 
 def test_bessel_kernels_come_from_specialfun_only():
     # one definition of H0/H1: every other module goes through specialfun
-    offenders = [
-        path.name
-        for path in sorted(PACKAGE.glob("*.py"))
-        if path.name != "specialfun.py" and any(map(_imports_scipy_special, ast.walk(ast.parse(path.read_text()))))
-    ]
+    offenders = [name for name in _modules_importing_scipy("special") if name != "specialfun.py"]
     assert not offenders, f"scipy.special used outside specialfun.py: {offenders}"
+
+
+def test_no_module_imports_scipy_optimize():
+    # the batched solve in lsq.py is the package's one least-squares solver
+    offenders = _modules_importing_scipy("optimize")
+    assert not offenders, f"scipy.optimize imported by: {offenders}"
 
 
 def test_inversion_does_not_import_the_solver():
