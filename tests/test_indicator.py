@@ -379,7 +379,28 @@ class TestTwoTermRefine:
         assert est.h_hat == pytest.approx(ref.h_hat, abs=1e-6)
         assert est.log_s_coefficient == pytest.approx(ref.log_s_coefficient, abs=1e-6)
 
-    def test_one_projection_per_ranking_residual_and_jacobian(self, monkeypatch):
+    @pytest.mark.parametrize("grid, p2", BEAT_GRIDS, ids=BEAT_IDS)
+    def test_one_projection_per_ranking_residual_and_jacobian(self, grid, p2, monkeypatch):
+        # a work count, not a clock: one direction's starts are ranked in one
+        # call, each solver round is one residual call and at most one
+        # Jacobian call (five points at once), so a per-start or per-column
+        # loop fails
+        calls = []
+        project = indicator._projected_residuals
+        monkeypatch.setattr(indicator, "_projected_residuals",
+                            lambda rows, *args: calls.append(rows.shape) or project(rows, *args))
+        assert estimate_support(beat_samples(grid, p2)).fit_path == "two_term"
+        ranking, first_jacobian, *rounds = calls
+        assert ranking == (1, len(STARTS), 5)
+        assert first_jacobian == (1, 5, 5)
+        assert set(rounds) <= {(1, 5), (1, 5, 5)}
+        residual_calls = rounds.count((1, 5))
+        assert 0 < residual_calls < MAX_NFEV
+        for before, shape in zip(rounds, rounds[1:]):
+            if shape == (1, 5, 5):  # a Jacobian follows its round's residual call
+                assert before == (1, 5)
+
+    def test_one_projection_per_batch_ranking_residual_and_jacobian(self, monkeypatch):
         # a work count, not a clock: the three grids' refines run as one
         # batch; all their starts are ranked in one call, and each solver
         # round is one residual call over the live problems and at most one
