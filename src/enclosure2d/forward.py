@@ -13,9 +13,17 @@ remaining entries are smooth away from shared corners and controlled by
 geometric panel grading toward every corner.
 
 The known defect of the single-layer ansatz (spurious resonances at
-interior Dirichlet eigenvalues of the obstacle) is watched through a
-condition-number estimate; near-resonant systems raise SolverError with
-advice to perturb k.
+interior Dirichlet eigenvalues of the obstacle) is watched through the
+system's 1-norm condition number; near-resonant systems raise SolverError
+with advice to perturb k.
+
+Systems of at most INVERSE_MAX_NODES nodes are inverted with numpy, so
+their condition number is exact and every BLAS call of a small pipeline
+goes to numpy's OpenBLAS.  scipy loads its own OpenBLAS copy, and after a
+call to it that pool's threads keep spinning next to numpy's: at 2 BLAS
+threads on 2 cores every later numpy stage ran about 1.4x slower.  Larger
+systems keep scipy's LU and its condition estimate, where the inverse's
+extra flops would cost more than that contention.
 """
 
 from __future__ import annotations
@@ -49,6 +57,7 @@ NODES_PER_PANEL = 4
 MAX_GRADING_LEVELS = 6
 CONDITION_LIMIT = 1e10
 RESIDUAL_TOL = 1e-8
+INVERSE_MAX_NODES = 512
 
 
 @dataclass(frozen=True)
@@ -142,23 +151,25 @@ class ScatterSolution:
 
 @dataclass(frozen=True)
 class Factorization:
-    """LU-factorised Nystrom system of one scene and mesh.
+    """Inverted or LU-factorised Nystrom system of one scene and mesh.
 
-    Built by ``factorize``; ``solve`` reuses the factors for any number of
-    incident fields.
+    Built by ``factorize``, which sets ``inverse`` up to INVERSE_MAX_NODES
+    nodes and ``lu`` above; ``solve`` reuses it for any number of incident
+    fields.
     """
 
     scene: Scene
     mesh: BoundaryMesh
     matrix: np.ndarray
+    inverse: np.ndarray | None
     lu: tuple | None
     condition: float
 
     def solve(self, incidents) -> list[ScatterSolution]:
         """One scattering solution per incident field, in order.
 
-        All right-hand sides go through one LU solve; the discrete residual
-        is checked per incident field.
+        All right-hand sides go through one product with the inverse or
+        one LU solve; the discrete residual is checked per incident field.
         """
         incidents = list(incidents)
         for incident in incidents:
@@ -175,7 +186,7 @@ class Factorization:
             rhs = np.column_stack([
                 -np.einsum("ic,ic->i", inc.gradient(k, self.mesh.nodes), normals) for inc in incidents
             ])
-            densities = lu_solve(self.lu, rhs)
+            densities = self.inverse @ rhs if self.lu is None else lu_solve(self.lu, rhs)
             residuals = np.linalg.norm(self.matrix @ densities - rhs, np.inf, axis=0)
             scale = np.maximum(np.linalg.norm(rhs, np.inf, axis=0), 1e-300)
             if np.any(residuals > RESIDUAL_TOL * scale):
@@ -194,25 +205,39 @@ class Factorization:
 
 
 def factorize(scene: Scene, mesh: BoundaryMesh) -> Factorization:
-    """Assemble, LU-factorise and condition-check the Nystrom system.
+    """Assemble, invert or LU-factorise, and condition-check the Nystrom system.
 
-    Raises SolverError when the condition estimate marks k as near a
-    spurious interior resonance of the single-layer ansatz.
+    Up to INVERSE_MAX_NODES nodes the matrix is inverted with numpy and the
+    condition is the exact ||A||_1 ||A^-1||_1, of which LAPACK's estimate
+    (Hager-Higham, as in zgecon) is a lower bound; larger systems take
+    scipy's LU and zgecon's estimate.  Keeping small systems off scipy
+    leaves one OpenBLAS thread pool in the process (see the module
+    docstring).  Raises SolverError when the condition is not finite (a
+    singular or NaN matrix) or marks k as near a spurious interior
+    resonance of the single-layer ansatz.
     """
     if mesh.n_nodes == 0:
-        return Factorization(scene, mesh, np.zeros((0, 0), dtype=complex), None, 1.0)
+        return Factorization(scene, mesh, np.zeros((0, 0), dtype=complex), None, None, 1.0)
     matrix = _assemble(mesh, scene.wavenumber_k)
     anorm = np.linalg.norm(matrix, 1)
-    lu = lu_factor(matrix)
-    rcond, info = zgecon(lu[0], anorm)
-    condition = np.inf if rcond == 0 or info != 0 else 1.0 / rcond
-    if condition > CONDITION_LIMIT:
+    inverse = lu = None
+    if mesh.n_nodes <= INVERSE_MAX_NODES:
+        try:
+            inverse = np.linalg.inv(matrix)
+            condition = anorm * np.linalg.norm(inverse, 1)
+        except np.linalg.LinAlgError:  # exactly singular
+            condition = np.inf
+    else:
+        lu = lu_factor(matrix, check_finite=False)  # a NaN reaches the guard below
+        rcond, info = zgecon(lu[0], anorm)
+        condition = np.inf if rcond == 0 or info != 0 else 1.0 / rcond
+    if not condition <= CONDITION_LIMIT:  # also catches a NaN condition
         raise SolverError(
             f"near-resonant boundary system (condition ~ {condition:.2e}); "
             "k is close to a spurious interior Dirichlet eigenvalue of the "
             "single-layer ansatz -- perturb k slightly"
         )
-    return Factorization(scene, mesh, matrix, lu, condition)
+    return Factorization(scene, mesh, matrix, inverse, lu, condition)
 
 
 def solve_scattering(scene: Scene, incident, mesh: BoundaryMesh) -> ScatterSolution:

@@ -1,12 +1,20 @@
+import dataclasses
+
 import numpy as np
 import pytest
+from scipy.linalg import lu_factor
+from scipy.linalg.lapack import zgecon
 
-from enclosure2d.errors import DomainError, NearFieldError
+from enclosure2d import forward
+from enclosure2d.errors import DomainError, NearFieldError, SolverError
+from enclosure2d.farfield import assemble_far_field_operator, far_field_pattern
 from enclosure2d.fields import PlaneWave, PointSource
 from enclosure2d.forward import (
+    INVERSE_MAX_NODES,
     MAX_GRADING_LEVELS,
     NODES_PER_PANEL,
     DiscSeriesSolution,
+    Factorization,
     build_mesh,
     eval_total,
     factorize,
@@ -15,7 +23,7 @@ from enclosure2d.forward import (
     solve_scattering,
 )
 from enclosure2d.geometry import Direction, Polygon, Scene
-from conftest import SQUARE_VERTS, TRIANGLE_VERTS, make_scene
+from conftest import L_VERTS, SQUARE_VERTS, TRIANGLE_VERTS, make_scene
 
 
 OFF_CENTRE = np.array([0.1, -0.2])
@@ -174,6 +182,99 @@ class TestSolve:
     def test_near_field_clearance_guard(self, square_sol):
         with pytest.raises(NearFieldError):
             scattered_field(square_sol, np.array([[0.5001, 0.0]]))
+
+
+# the square at 64 nodes/edge (256 nodes) takes numpy's inverse, at 136
+# nodes/edge (544 nodes) scipy's LU
+SOLVER_PATHS = pytest.mark.parametrize("nodes_per_edge", [64, 136], ids=["inverse", "lu"])
+# the square's lowest interior Dirichlet eigenvalue, pi*sqrt(2): the
+# single-layer system reads condition 6.6e8 (inverse) and 7.8e9 (LU) here,
+# against 6.9e3 and 2.3e3 at k = 2
+RESONANT_K = np.pi * np.sqrt(2.0)
+LOWERED_CONDITION_LIMIT = 1e6
+
+
+class TestFactorization:
+    @SOLVER_PATHS
+    @pytest.mark.parametrize("defect", ["singular", "nan"])
+    @pytest.mark.filterwarnings("ignore::scipy.linalg.LinAlgWarning")
+    def test_singular_or_nan_system_raises(self, square_scene, monkeypatch, nodes_per_edge, defect):
+        assemble = forward._assemble
+
+        def broken(mesh, k):
+            matrix = assemble(mesh, k)
+            if defect == "singular":
+                matrix[:, 3] = 0.0
+            else:
+                matrix[5, 7] = np.nan
+            return matrix
+
+        monkeypatch.setattr(forward, "_assemble", broken)
+        mesh = build_mesh(square_scene, nodes_per_edge=nodes_per_edge)
+        with pytest.raises(SolverError):
+            factorize(square_scene, mesh)
+
+    @SOLVER_PATHS
+    def test_resonance_guard(self, square_scene, monkeypatch, nodes_per_edge):
+        monkeypatch.setattr(forward, "CONDITION_LIMIT", LOWERED_CONDITION_LIMIT)
+        mesh = build_mesh(square_scene, nodes_per_edge=nodes_per_edge)
+        fac = factorize(square_scene, mesh)
+        assert (fac.inverse is not None) == (nodes_per_edge == 64)
+        assert fac.condition < LOWERED_CONDITION_LIMIT
+        resonant = dataclasses.replace(square_scene, wavenumber_k=RESONANT_K)
+        with pytest.raises(SolverError, match="near-resonant"):
+            factorize(resonant, mesh)
+
+    def test_inverse_condition_is_exact(self, square_scene):
+        fac = factorize(square_scene, build_mesh(square_scene, nodes_per_edge=64))
+        assert fac.inverse is not None
+        assert fac.condition == pytest.approx(np.linalg.cond(fac.matrix, 1), rel=1e-8)
+
+    @pytest.mark.parametrize("verts", [SQUARE_VERTS, TRIANGLE_VERTS, L_VERTS], ids=["square", "triangle", "L"])
+    def test_inverse_condition_bounds_lapack_estimate(self, verts):
+        # zgecon's estimate of ||A^-1||_1 is a lower bound; the slack is round-off
+        scene = make_scene(verts)
+        fac = factorize(scene, build_mesh(scene, nodes_per_edge=64))
+        rcond, info = zgecon(lu_factor(fac.matrix)[0], np.linalg.norm(fac.matrix, 1))
+        assert info == 0
+        assert fac.condition >= (1.0 - 1e-12) / rcond
+
+    def test_small_systems_use_numpy_only(self, square_scene, monkeypatch):
+        mesh = build_mesh(square_scene, nodes_per_edge=64)
+        angles = 2 * np.pi * np.arange(16) / 16
+        # the same system on scipy's LU path
+        matrix = forward._assemble(mesh, square_scene.wavenumber_k)
+        reference = Factorization(square_scene, mesh, matrix, None, lu_factor(matrix), 0.0)
+        ref_point, *ref_waves = reference.solve(
+            [PointSource(square_scene.source_y)] + [PlaneWave(Direction.from_angle(a)) for a in angles]
+        )
+        ref_op = np.column_stack([far_field_pattern(sol, angles) for sol in ref_waves])
+
+        def raise_if_called(*args, **kwargs):
+            raise AssertionError("scipy's LAPACK called on a system that numpy inverts")
+
+        for name in ("lu_factor", "lu_solve", "zgecon"):
+            monkeypatch.setattr(forward, name, raise_if_called)
+        point = solve_scattering(square_scene, PointSource(square_scene.source_y), mesh).density
+        assert np.max(np.abs(point - ref_point.density)) <= 1e-12 * np.max(np.abs(ref_point.density))
+        op = assemble_far_field_operator(square_scene, 16, 16, nodes_per_edge=64)
+        assert np.max(np.abs(op.matrix - ref_op)) <= 1e-12 * np.max(np.abs(ref_op))
+
+    def test_large_systems_use_scipy_lu(self, square_scene, monkeypatch):
+        called = set()
+        for name in ("lu_factor", "lu_solve", "zgecon"):
+            original = getattr(forward, name)
+
+            def counted(*args, _name=name, _original=original, **kwargs):
+                called.add(_name)
+                return _original(*args, **kwargs)
+
+            monkeypatch.setattr(forward, name, counted)
+        mesh = build_mesh(square_scene, nodes_per_edge=136)
+        assert mesh.n_nodes > INVERSE_MAX_NODES
+        sol = solve_scattering(square_scene, PointSource(square_scene.source_y), mesh)
+        assert called == {"lu_factor", "lu_solve", "zgecon"}
+        assert sol.residual_norm < 1e-8
 
 
 class TestDiscSeries:
