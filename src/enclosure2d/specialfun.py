@@ -7,13 +7,15 @@ kind are exposed as helpers because the solver and the circle-harmonic
 extension both need them.
 
 H^(1)_0 and H^(1)_1 are the kernels of the Nystrom matrix, the
-single-layer field and the point source, so nearly all solver time is
-spent in them.  They are built as J + iY from scipy's real-argument
-Cephes routines j0/y0/j1/y1, which agree with the general complex-argument
-routine special.hankel1 to about 1e-14 relative and are several times
-faster; higher orders, used only by the disc series, go through
-special.hankel1.  This module is the one place that calls scipy's Bessel
-and Hankel routines.
+single-layer field and the point source.  At 256 nodes H_1 takes 1.9 ms
+of the 3-4 ms assembly, next to 6 ms for numpy's inverse; at 2048 nodes
+0.13 s, next to 0.32-0.35 s of LU and 0.06-0.08 s of zgecon (2-core Xeon
+VM, 2 OpenBLAS threads).  They are built as J + iY from scipy's
+real-argument Cephes routines j0/y0/j1/y1, which agree with the general
+complex-argument routine special.hankel1 to about 1e-14 relative and are
+several times faster; higher orders, used only by the disc series, go
+through special.hankel1.  This module is the one place that calls scipy's
+Bessel and Hankel routines.
 """
 
 from __future__ import annotations

@@ -1,4 +1,5 @@
 import dataclasses
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -23,7 +24,8 @@ from enclosure2d.forward import (
     solve_scattering,
 )
 from enclosure2d.geometry import Direction, Polygon, Scene
-from conftest import L_VERTS, SQUARE_VERTS, TRIANGLE_VERTS, make_scene
+from enclosure2d.specialfun import hankel1, hankel1_prime
+from conftest import L_VERTS, SQUARE_VERTS, TRIANGLE_VERTS, TWO_BOXES, make_scene
 
 
 OFF_CENTRE = np.array([0.1, -0.2])
@@ -33,6 +35,45 @@ def regular_polygon_scene(n_sides, radius=0.5):
     t = np.linspace(0, 2 * np.pi, n_sides, endpoint=False)
     verts = radius * np.stack([np.cos(t), np.sin(t)], axis=1)
     return make_scene(verts)
+
+
+def boundary_neumann_residual(oracle, n_angles=64):
+    """max |d(u_inc + w)/dr| on the disc boundary, the series' defining property."""
+    ang = np.linspace(0, 2 * np.pi, n_angles, endpoint=False)
+    nu = np.column_stack([np.cos(ang), np.sin(ang)])
+    pts = oracle.center + oracle.a * nu
+    inc = np.einsum("ic,ic->i", oracle.incident.gradient(oracle.k, pts), nu.astype(complex))
+    return float(np.max(np.abs(inc + oracle.eval_scattered_radial_derivative(pts))))
+
+
+def reference_assemble(mesh, k):
+    """The Nystrom matrix built from one (N, N, 2) difference array."""
+    x = mesh.nodes
+    diff = x[:, None, :] - x[None, :, :]
+    r = np.linalg.norm(diff, axis=-1)
+    same_edge = mesh.edge_ids[:, None] == mesh.edge_ids[None, :]
+    np.fill_diagonal(r, 1.0)
+    dot = np.einsum("ijc,ic->ij", diff, mesh.normals)
+    kernel = -0.25j * k * hankel1(1, k * r) * dot / r
+    kernel[same_edge] = 0.0
+    return -0.5 * np.eye(mesh.n_nodes) + kernel * mesh.weights[None, :]
+
+
+def reference_scattered_field(sol, x):
+    """scattered_field from one (M, N, 2) difference array."""
+    x = np.atleast_2d(np.asarray(x, dtype=float))
+    mesh = sol.mesh
+    diff = x[:, None, :] - mesh.nodes[None, :, :]
+    r = np.linalg.norm(diff, axis=-1)
+    nearest = np.argmin(r, axis=1)
+    if np.any(r[np.arange(len(x)), nearest] < 3.0 * mesh.panel_sizes[nearest]):
+        raise NearFieldError("evaluation point within 3 panel lengths of the boundary")
+    k = sol.scene.wavenumber_k
+    dw = sol.density * mesh.weights
+    w = (0.25j * hankel1(0, k * r)) @ dw
+    radial = 0.25j * k * hankel1_prime(0, k * r) / r
+    grad = np.einsum("ij,ijc->ic", radial * dw[None, :], diff)
+    return (w[0], grad[0]) if len(x) == 1 else (w, grad)
 
 
 class TestMesh:
@@ -184,6 +225,82 @@ class TestSolve:
             scattered_field(square_sol, np.array([[0.5001, 0.0]]))
 
 
+def two_boxes_scene():
+    return Scene(
+        obstacles=tuple(Polygon(box) for box in TWO_BOXES),
+        radius_R=2.0,
+        radius_R1=6.0,
+        source_y=(6.0, 0.0),
+        wavenumber_k=2.0,
+    )
+
+
+# the 64-gon at 16 nodes/edge has 1024 nodes and takes scipy's LU path
+KERNEL_SCENES = {
+    "square": (lambda: make_scene(SQUARE_VERTS), 64),
+    "L": (lambda: make_scene(L_VERTS), 64),
+    "two-boxes": (two_boxes_scene, 32),
+    "64-gon": (lambda: regular_polygon_scene(64), 16),
+}
+
+
+@pytest.fixture(scope="module", params=list(KERNEL_SCENES))
+def kernel_scene(request):
+    make, nodes_per_edge = KERNEL_SCENES[request.param]
+    scene = make()
+    mesh = build_mesh(scene, nodes_per_edge=nodes_per_edge)
+    return scene, mesh, solve_scattering(scene, PointSource(scene.source_y), mesh)
+
+
+class TestInPlaceKernels:
+    """The in-place kernels give the (N, N, 2)-difference answers bit for bit."""
+
+    def test_matrix(self, kernel_scene):
+        scene, mesh, _ = kernel_scene
+        k = scene.wavenumber_k
+        assert np.array_equal(forward._assemble(mesh, k), reference_assemble(mesh, k))
+
+    def test_trace(self, kernel_scene):
+        scene, _, sol = kernel_scene
+        ang = 2 * np.pi * np.arange(512) / 512
+        pts = scene.center + scene.radius_R * np.column_stack([np.cos(ang), np.sin(ang)])
+        w, grad = scattered_field(sol, pts)
+        ref_w, ref_grad = reference_scattered_field(sol, pts)
+        assert w.shape == (512,) and grad.shape == (512, 2)
+        assert np.array_equal(w, ref_w) and np.array_equal(grad, ref_grad)
+
+    def test_one_point(self, kernel_scene):
+        _, _, sol = kernel_scene
+        x = np.array([1.3, -0.6])
+        w, grad = scattered_field(sol, x)
+        ref_w, ref_grad = reference_scattered_field(sol, x)
+        assert np.ndim(w) == 0 and grad.shape == (2,)
+        assert w == ref_w and np.array_equal(grad, ref_grad)
+
+    def test_near_field_guard_on_one_of_several_rows(self, kernel_scene):
+        _, mesh, sol = kernel_scene
+        # one point a tenth of a panel off the first node, among far ones
+        near = mesh.nodes[0] + 0.1 * mesh.panel_sizes[0] * mesh.normals[0]
+        pts = np.array([[3.0, 0.0], near, [0.0, -3.0]])
+        for field in (scattered_field, reference_scattered_field):
+            with pytest.raises(NearFieldError):
+                field(sol, pts)
+        scattered_field(sol, pts[[0, 2]])
+
+    def test_assembly_peak_memory(self):
+        # the (N, N, 2) build peaked at 4.6 complex N x N arrays, this one at 2.5
+        mesh = build_mesh(regular_polygon_scene(64), nodes_per_edge=16)
+        n = mesh.n_nodes
+        assert n == 1024
+        tracemalloc.start()
+        try:
+            forward._assemble(mesh, 2.0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 3 * 16 * n * n
+
+
 # the square at 64 nodes/edge (256 nodes) takes numpy's inverse, at 136
 # nodes/edge (544 nodes) scipy's LU
 SOLVER_PATHS = pytest.mark.parametrize("nodes_per_edge", [64, 136], ids=["inverse", "lu"])
@@ -287,7 +404,7 @@ class TestDiscSeries:
             k=2.0,
             incident=PlaneWave(Direction.from_angle(0.7)),
         )
-        assert oracle.boundary_neumann_residual(n_angles=64) < 1e-10
+        assert boundary_neumann_residual(oracle, n_angles=64) < 1e-10
 
     def test_point_source_residual(self):
         oracle = DiscSeriesSolution(
@@ -296,7 +413,7 @@ class TestDiscSeries:
             k=2.0,
             incident=PointSource(np.array([6.0, 0.0])),
         )
-        assert oracle.boundary_neumann_residual(n_angles=64) < 1e-10
+        assert boundary_neumann_residual(oracle, n_angles=64) < 1e-10
 
     def test_small_k_quadratic_scaling(self):
         # sound-hard disc: scattered amplitude ~ k^2 at leading order;
