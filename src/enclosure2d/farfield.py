@@ -27,18 +27,15 @@ from functools import cached_property
 import numpy as np
 
 from .errors import DomainError
-from .fields import PlaneWave, PointSource
-from .forward import BoundaryMesh, DiscSeriesSolution, ScatterSolution, build_mesh, eval_total, factorize
+from .fields import PlaneWave
+from .forward import DiscSeriesSolution, build_mesh, solve_incidents
 from .geometry import Direction, Scene
 
 __all__ = [
     "FarFieldOperator",
     "far_field_constant",
-    "far_field_pattern",
-    "point_source_far_field_check",
     "assemble_far_field_operator",
     "disc_far_field_operator",
-    "solve_far_field_equation",
     "unsolvability_diagnostic",
     "lsm_indicator_map",
 ]
@@ -47,43 +44,6 @@ __all__ = [
 def far_field_constant(k: float) -> complex:
     """e^{i pi/4} / sqrt(8 pi k), the free-space far-field normalization."""
     return np.exp(0.25j * np.pi) / math.sqrt(8 * math.pi * k)
-
-
-def _far_fields(mesh: BoundaryMesh, k: float, densities: np.ndarray, angles) -> np.ndarray:
-    """Far-fields of the (N, m) density columns at the observation angles, (n_angles, m)."""
-    angles = np.atleast_1d(np.asarray(angles, dtype=float))
-    phi_hat = np.column_stack([np.cos(angles), np.sin(angles)])
-    phases = np.exp(-1j * k * (phi_hat @ mesh.nodes.T))
-    return far_field_constant(k) * phases @ (densities * mesh.weights[:, None])
-
-
-def far_field_pattern(sol: ScatterSolution, angles) -> np.ndarray:
-    """Far-field of the scattered field at the given observation angles."""
-    return _far_fields(sol.mesh, sol.scene.wavenumber_k, sol.density[:, None], angles)[:, 0]
-
-
-def point_source_far_field_check(scene: Scene, d_angles, nodes_per_edge: int = 64, p_grade: float = 4.0) -> float:
-    """Max relative discrepancy of the point-source far-field identity.
-
-    Compares the far-field of the point-source total field against
-    (e^{i pi/4}/sqrt(8 pi k)) u(y; -d, k), where u(y; -d, k) is the total
-    plane-wave field at the source location with incidence -d.  The
-    point-source and all plane-wave right-hand sides go through one LU
-    solve.
-    """
-    d_angles = np.atleast_1d(np.asarray(d_angles, dtype=float))
-    k = scene.wavenumber_k
-    y = scene.source_y
-    mesh = build_mesh(scene, nodes_per_edge=nodes_per_edge, p_grade=p_grade)
-    # incidence -d for every observation direction d
-    plane_waves = [PlaneWave(Direction.from_angle(ang + np.pi)) for ang in d_angles]
-    ps_sol, *pw_sols = factorize(scene, mesh).solve([PointSource(y)] + plane_waves)
-    ff_scattered = far_field_pattern(ps_sol, d_angles)
-    d_hat = np.column_stack([np.cos(d_angles), np.sin(d_angles)])
-    ff_total = ff_scattered + far_field_constant(k) * np.exp(-1j * k * (d_hat @ y))
-    rhs = far_field_constant(k) * np.array([eval_total(sol, y) for sol in pw_sols])
-    scale = float(np.max(np.abs(ff_total)))
-    return float(np.max(np.abs(ff_total - rhs)) / scale)
 
 
 @dataclass(frozen=True)
@@ -126,16 +86,19 @@ def assemble_far_field_operator(
     nodes_per_edge: int = 64,
     p_grade: float = 4.0,
 ) -> FarFieldOperator:
-    """One plane-wave solution per incidence column, all from one LU solve."""
+    """One plane-wave solution per incidence column, all from one ``solve_incidents`` call."""
     if n_obs < 1 or n_inc < 1:
         raise DomainError("need at least one observation and one incidence direction")
     obs_angles = 2 * np.pi * np.arange(n_obs) / n_obs
     inc_angles = 2 * np.pi * np.arange(n_inc) / n_inc
     mesh = build_mesh(scene, nodes_per_edge=nodes_per_edge, p_grade=p_grade)
-    sols = factorize(scene, mesh).solve(PlaneWave(Direction.from_angle(ang)) for ang in inc_angles)
+    k = scene.wavenumber_k
+    sols = solve_incidents(scene, [PlaneWave(Direction.from_angle(ang)) for ang in inc_angles], mesh)
     densities = np.column_stack([sol.density for sol in sols])
-    matrix = _far_fields(mesh, scene.wavenumber_k, densities, obs_angles)
-    return FarFieldOperator(matrix=matrix, obs_angles=obs_angles, inc_angles=inc_angles, k=scene.wavenumber_k)
+    phi_hat = np.column_stack([np.cos(obs_angles), np.sin(obs_angles)])
+    phases = np.exp(-1j * k * (phi_hat @ mesh.nodes.T))
+    matrix = far_field_constant(k) * phases @ (densities * mesh.weights[:, None])
+    return FarFieldOperator(matrix=matrix, obs_angles=obs_angles, inc_angles=inc_angles, k=k)
 
 
 def disc_far_field_operator(radius: float, k: float, n_obs: int, n_inc: int) -> FarFieldOperator:
@@ -186,18 +149,6 @@ def _tikhonov(op: FarFieldOperator, alphas, points):
         norms[:, block] = np.sqrt(op.inc_weight * (filtered**2 @ power))
         resids[:, block] = np.sqrt((missed**2 @ power + outside) / np.sum(np.abs(c) ** 2, axis=0))
     return norms, resids
-
-
-def solve_far_field_equation(op: FarFieldOperator, y, alpha: float):
-    """Tikhonov-regularized far-field equation solve for one sample point.
-
-    Returns ``(g, norm, residual)`` with the L2(S1) quadrature-weighted
-    density norm and the relative far-field residual.
-    """
-    norms, resids = _tikhonov(op, alpha, y)
-    u, s, vh = op.svd
-    g = vh.conj().T @ (s / (s**2 + alpha * op.inc_weight) * (u.conj().T @ _weighted_rhs(op, y)[:, 0]))
-    return g, float(norms[0, 0]), float(resids[0, 0])
 
 
 @dataclass(frozen=True)

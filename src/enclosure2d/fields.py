@@ -107,8 +107,8 @@ class ModulatedPlane:
 class ProbeParams:
     """Probe direction, tau grid and magnitude-scaling shift.
 
-    ``tau`` becomes a 1-D array of positive values at construction (a
-    float is a grid of one).  For T values of tau, ``eval_probe`` returns
+    ``tau`` becomes a 1-D array of finite positive values at construction
+    (a float is a grid of one).  For T values of tau, ``eval_probe`` returns
     (T, N) for N points, ``gradient_factor`` (T, 2) and ``s`` (T,).
     """
 
@@ -120,8 +120,8 @@ class ProbeParams:
     def __post_init__(self):
         tau = np.atleast_1d(np.asarray(self.tau, dtype=float))
         object.__setattr__(self, "tau", tau)
-        if tau.ndim != 1 or np.any(tau <= 0) or self.k <= 0:
-            raise DomainError("tau must be a positive float or 1-D grid, and k positive")
+        if tau.ndim != 1 or not np.all(np.isfinite(tau) & (tau > 0)) or not 0 < self.k < np.inf:
+            raise DomainError("tau must be a finite positive float or 1-D grid, and k finite and positive")
 
     @property
     def s(self) -> np.ndarray:

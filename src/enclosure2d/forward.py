@@ -18,6 +18,10 @@ interior Dirichlet eigenvalues of the obstacle) is watched through the
 system's 1-norm condition number; near-resonant systems raise SolverError
 with advice to perturb k.
 
+``solve_incidents`` is the one solve entry point: one assembly,
+factorisation and condition check per scene and mesh, shared by every
+incident field passed with it.  ``solve_scattering`` is its batch of one.
+
 Systems of at most INVERSE_MAX_NODES nodes are inverted with numpy, so
 their condition number is exact and every BLAS call of a small pipeline
 goes to numpy's OpenBLAS.  scipy loads its own OpenBLAS copy, and after a
@@ -44,9 +48,8 @@ from .specialfun import bessel_j_prime, hankel1, hankel1_prime
 __all__ = [
     "BoundaryMesh",
     "ScatterSolution",
-    "Factorization",
     "build_mesh",
-    "factorize",
+    "solve_incidents",
     "solve_scattering",
     "scattered_field",
     "eval_total",
@@ -154,100 +157,77 @@ class ScatterSolution:
     residual_norm: float
 
 
-@dataclass(frozen=True)
-class Factorization:
-    """Inverted or LU-factorised Nystrom system of one scene and mesh.
+def solve_incidents(scene: Scene, incidents, mesh: BoundaryMesh) -> list[ScatterSolution]:
+    """One sound-hard scattering solution per incident field, in order.
 
-    Built by ``factorize``, which sets ``inverse`` up to INVERSE_MAX_NODES
-    nodes and ``lu`` above; ``solve`` reuses it for any number of incident
-    fields.
+    Assembles the Nystrom system once and inverts it with numpy up to
+    INVERSE_MAX_NODES nodes, where the condition is the exact
+    ||A||_1 ||A^-1||_1 (zgecon's Hager-Higham estimate is a lower bound),
+    or LU-factorises it with scipy above, where the condition is zgecon's
+    estimate.  All right-hand sides go through one product with the
+    inverse or one LU solve.
+
+    Raises DomainError for a point source inside an obstacle, before
+    anything is assembled; then SolverError when the condition is not
+    finite (a singular or NaN matrix) or marks k as near a spurious
+    interior resonance of the single-layer ansatz, or when a discrete
+    residual exceeds RESIDUAL_TOL of its right-hand side.  An empty list
+    assembles nothing and gives [].
     """
-
-    scene: Scene
-    mesh: BoundaryMesh
-    matrix: np.ndarray
-    inverse: np.ndarray | None
-    lu: tuple | None
-    condition: float
-
-    def solve(self, incidents) -> list[ScatterSolution]:
-        """One scattering solution per incident field, in order.
-
-        All right-hand sides go through one product with the inverse or
-        one LU solve; the discrete residual is checked per incident field.
-        """
-        incidents = list(incidents)
-        for incident in incidents:
-            if isinstance(incident, PointSource) and any(
-                poly.contains(incident.y) for poly in self.scene.obstacles
-            ):
-                raise DomainError("point source inside an obstacle")
-        if self.mesh.n_nodes == 0:
-            densities = np.zeros((0, len(incidents)), dtype=complex)
-            residuals = np.zeros(len(incidents))
+    incidents = list(incidents)
+    for incident in incidents:
+        if isinstance(incident, PointSource) and any(poly.contains(incident.y) for poly in scene.obstacles):
+            raise DomainError("point source inside an obstacle")
+    if not incidents:
+        return []
+    condition = 1.0
+    densities = np.zeros((0, len(incidents)), dtype=complex)
+    residuals = np.zeros(len(incidents))
+    if mesh.n_nodes:
+        matrix = _assemble(mesh, scene.wavenumber_k)
+        anorm = np.linalg.norm(matrix, 1)
+        inverse = lu = None
+        if mesh.n_nodes <= INVERSE_MAX_NODES:
+            try:
+                inverse = np.linalg.inv(matrix)
+                condition = anorm * np.linalg.norm(inverse, 1)
+            except np.linalg.LinAlgError:  # exactly singular
+                condition = np.inf
         else:
-            k = self.scene.wavenumber_k
-            normals = self.mesh.normals.astype(complex)
-            rhs = np.column_stack([
-                -np.einsum("ic,ic->i", inc.gradient(k, self.mesh.nodes), normals) for inc in incidents
-            ])
-            densities = self.inverse @ rhs if self.lu is None else lu_solve(self.lu, rhs)
-            residuals = np.linalg.norm(self.matrix @ densities - rhs, np.inf, axis=0)
-            scale = np.maximum(np.linalg.norm(rhs, np.inf, axis=0), 1e-300)
-            if np.any(residuals > RESIDUAL_TOL * scale):
-                raise SolverError(f"discrete residual {np.max(residuals):.2e} exceeds tolerance")
-        return [
-            ScatterSolution(
-                scene=self.scene,
-                incident=incident,
-                mesh=self.mesh,
-                density=densities[:, j],
-                condition_estimate=self.condition,
-                residual_norm=float(residuals[j]),
+            lu = lu_factor(matrix, check_finite=False)  # a NaN reaches the guard below
+            rcond, info = zgecon(lu[0], anorm)
+            condition = np.inf if rcond == 0 or info != 0 else 1.0 / rcond
+        if not condition <= CONDITION_LIMIT:  # also catches a NaN condition
+            raise SolverError(
+                f"near-resonant boundary system (condition ~ {condition:.2e}); "
+                "k is close to a spurious interior Dirichlet eigenvalue of the "
+                "single-layer ansatz -- perturb k slightly"
             )
-            for j, incident in enumerate(incidents)
-        ]
-
-
-def factorize(scene: Scene, mesh: BoundaryMesh) -> Factorization:
-    """Assemble, invert or LU-factorise, and condition-check the Nystrom system.
-
-    Up to INVERSE_MAX_NODES nodes the matrix is inverted with numpy and the
-    condition is the exact ||A||_1 ||A^-1||_1, of which LAPACK's estimate
-    (Hager-Higham, as in zgecon) is a lower bound; larger systems take
-    scipy's LU and zgecon's estimate.  Keeping small systems off scipy
-    leaves one OpenBLAS thread pool in the process (see the module
-    docstring).  Raises SolverError when the condition is not finite (a
-    singular or NaN matrix) or marks k as near a spurious interior
-    resonance of the single-layer ansatz.
-    """
-    if mesh.n_nodes == 0:
-        return Factorization(scene, mesh, np.zeros((0, 0), dtype=complex), None, None, 1.0)
-    matrix = _assemble(mesh, scene.wavenumber_k)
-    anorm = np.linalg.norm(matrix, 1)
-    inverse = lu = None
-    if mesh.n_nodes <= INVERSE_MAX_NODES:
-        try:
-            inverse = np.linalg.inv(matrix)
-            condition = anorm * np.linalg.norm(inverse, 1)
-        except np.linalg.LinAlgError:  # exactly singular
-            condition = np.inf
-    else:
-        lu = lu_factor(matrix, check_finite=False)  # a NaN reaches the guard below
-        rcond, info = zgecon(lu[0], anorm)
-        condition = np.inf if rcond == 0 or info != 0 else 1.0 / rcond
-    if not condition <= CONDITION_LIMIT:  # also catches a NaN condition
-        raise SolverError(
-            f"near-resonant boundary system (condition ~ {condition:.2e}); "
-            "k is close to a spurious interior Dirichlet eigenvalue of the "
-            "single-layer ansatz -- perturb k slightly"
+        normals = mesh.normals.astype(complex)
+        rhs = np.column_stack([
+            -np.einsum("ic,ic->i", inc.gradient(scene.wavenumber_k, mesh.nodes), normals) for inc in incidents
+        ])
+        densities = inverse @ rhs if lu is None else lu_solve(lu, rhs)
+        residuals = np.linalg.norm(matrix @ densities - rhs, np.inf, axis=0)
+        scale = np.maximum(np.linalg.norm(rhs, np.inf, axis=0), 1e-300)
+        if np.any(residuals > RESIDUAL_TOL * scale):
+            raise SolverError(f"discrete residual {np.max(residuals):.2e} exceeds tolerance")
+    return [
+        ScatterSolution(
+            scene=scene,
+            incident=incident,
+            mesh=mesh,
+            density=densities[:, j],
+            condition_estimate=condition,
+            residual_norm=float(residuals[j]),
         )
-    return Factorization(scene, mesh, matrix, inverse, lu, condition)
+        for j, incident in enumerate(incidents)
+    ]
 
 
 def solve_scattering(scene: Scene, incident, mesh: BoundaryMesh) -> ScatterSolution:
     """Solve the sound-hard scattering problem for one incident field."""
-    return factorize(scene, mesh).solve([incident])[0]
+    return solve_incidents(scene, [incident], mesh)[0]
 
 
 def scattered_field(sol: ScatterSolution, x):
@@ -353,19 +333,13 @@ class DiscSeriesSolution:
         self._orders = np.arange(-n, n + 1)
         self._coeffs = np.array(coeffs[:0:-1] + coeffs) * np.exp(-1j * self._orders * theta0)
 
-    def _series(self, radial, x):
-        """sum_m b_m Z_|m|(k r) e^{i m theta} at x for the radial function Z."""
+    def eval_scattered(self, x):
+        """sum_m b_m H_|m|(k r) e^{i m theta} at x."""
         rel = np.atleast_2d(np.asarray(x, dtype=float)) - self.center
         r, theta = np.linalg.norm(rel, axis=-1), np.arctan2(rel[:, 1], rel[:, 0])
-        z = np.array([radial(n, self.k * r) for n in range(self._orders[-1] + 1)])
+        z = np.array([hankel1(n, self.k * r) for n in range(self._orders[-1] + 1)])
         out = (np.exp(1j * theta[:, None] * self._orders) * z[np.abs(self._orders)].T) @ self._coeffs
         return out[0] if np.asarray(x).ndim == 1 else out
-
-    def eval_scattered(self, x):
-        return self._series(hankel1, x)
-
-    def eval_scattered_radial_derivative(self, x):
-        return self.k * self._series(hankel1_prime, x)
 
     def eval_total(self, x):
         return self.incident.value(self.k, x) + self.eval_scattered(x)

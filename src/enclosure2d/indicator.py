@@ -30,8 +30,7 @@ starts are ranked in one call, and each forward-difference Jacobian
 evaluates its five perturbed points in one call.  ``estimate_supports``
 fits many directions and runs all their refines as one batched
 trust-region-reflective solve (``lsq.solve_bounded``), which takes the
-steps scipy's ``least_squares`` would take for each alone;
-``estimate_support`` is the batch of one.
+steps scipy's ``least_squares`` would take for each alone.
 
 The hull is built from the fitted data alone: every direction is fitted
 in one ``estimate_supports`` call, and those whose fit stays poor are
@@ -43,6 +42,8 @@ two-exponential fit models.
 ``compute_samples`` is the one sampling entry point: one probe carries
 the whole tau grid of a direction, so each direction is one vectorised
 pass over the trace, and every fit reads s from that probe's definition.
+``estimate_supports`` is the one fit entry point; ``estimate_support`` is
+its batch of one.
 
 All arithmetic is scaled: the probe carries e^{-tau t0} with t0 the
 maximum of x.omega over the circle, so every integrand term has modulus
@@ -150,6 +151,9 @@ def compute_samples(trace: TraceData, omega: Direction, taus, t_ref: float | Non
     taus = np.asarray(taus, float)
     if len(taus) == 0:
         raise DomainError("need at least one tau sample")
+    t_ref = float(trace.radius if t_ref is None else t_ref)
+    if not math.isfinite(t_ref):
+        raise DomainError("t_ref must be finite")
     pts = trace.points
     t0 = float(np.max(pts @ omega.vec))
     probe = ProbeParams(omega, taus, trace.k, t_ref=t0)
@@ -159,7 +163,6 @@ def compute_samples(trace: TraceData, omega: Direction, taus, t_ref: float | Non
         raise ResolutionError(
             f"trace has {trace.n} nodes but tau={tau_max} needs at least {needed}"
         )
-    t_ref = float(trace.radius if t_ref is None else t_ref)
 
     v = eval_probe(probe, pts)
     # einsum, not gradient_factor @ normals.T: it rounds each tau's zeta.nu
@@ -371,14 +374,6 @@ def _two_exponential_refines(problems):
     return refined
 
 
-def _two_exponential_refine(t: np.ndarray, L: np.ndarray, phase: np.ndarray, s: np.ndarray, wt: np.ndarray):
-    """The two-term refine of one direction: ``_two_exponential_refines`` as a batch of one.
-
-    Returns (h, b, log_rms), or None if the solve fails.
-    """
-    return _two_exponential_refines([(t, L, phase, s, wt)])[0]
-
-
 def _envelope_estimate(samples: IndicatorSamples):
     """The envelope fit of one direction, and the refine's inputs when it must run.
 
@@ -444,20 +439,17 @@ def estimate_support(samples: IndicatorSamples) -> SupportEstimate:
     "none", so the hull drops that direction alone.  This is
     ``estimate_supports`` for one direction.
     """
-    estimate, problem = _envelope_estimate(samples)
-    if problem is None:
-        return estimate
-    return _keep_better(samples, estimate, _two_exponential_refine(*problem))
+    return estimate_supports([samples])[0]
 
 
 def estimate_supports(samples_seq) -> list[SupportEstimate]:
-    """``estimate_support`` of every direction, with all their two-term refines in one solve.
+    """Fit every direction as ``estimate_support`` does, with all their two-term refines in one solve.
 
     The refines run as one batch, so a failed refine (a non-finite
     residual, say) leaves its own direction on its envelope fit and the
     others unchanged.  Batching rounds differently from one direction at
-    a time, so an ``h_hat`` can differ from ``estimate_support``'s in the
-    last digits, more where the fit's valley is flat.
+    a time, so an ``h_hat`` can differ from that direction's fit alone in
+    the last digits, more where the fit's valley is flat.
     """
     samples_seq = list(samples_seq)
     staged = [_envelope_estimate(samples) for samples in samples_seq]

@@ -28,6 +28,12 @@ __all__ = ["TraceData", "trace_direct", "recover_neumann", "trace_to_csv", "trac
 TAIL_TOL = 1e-6
 
 
+def _check_trace_size(n: int) -> None:
+    """A trace has a power-of-two number of nodes, at least 2."""
+    if n < 2 or n & (n - 1):
+        raise DomainError(f"trace size must be a power of two, at least 2 (got {n})")
+
+
 def _circle_nodes(center, radius: float, n: int) -> tuple[np.ndarray, np.ndarray]:
     """Equispaced measurement nodes center + R (cos, sin) and their outward normals."""
     ang = 2 * np.pi * np.arange(n) / n
@@ -46,10 +52,8 @@ class TraceData:
     k: float
 
     def __post_init__(self):
-        n = len(self.u)
-        if n < 2 or n & (n - 1):
-            raise DomainError("trace size must be a power of two")
-        if len(self.dudn) != n:
+        _check_trace_size(len(self.u))
+        if len(self.dudn) != len(self.u):
             raise DomainError("u and dudn must have matching size")
         if not (np.all(np.isfinite(self.u)) and np.all(np.isfinite(self.dudn))):
             raise DomainError("trace values must be finite")
@@ -75,6 +79,7 @@ class TraceData:
 
 def trace_direct(sol: ScatterSolution, radius: float, n: int) -> TraceData:
     """Sample the total field and its radial derivative on the circle about the scene's center."""
+    _check_trace_size(n)
     scene = sol.scene
     center = scene.center
     if isinstance(sol.incident, PointSource):
@@ -99,8 +104,7 @@ def recover_neumann(u_values, k: float, y, radius: float, center=(0.0, 0.0)) -> 
     """
     u_values = np.asarray(u_values, dtype=complex)
     n = len(u_values)
-    if n & (n - 1):
-        raise DomainError("trace size must be a power of two")
+    _check_trace_size(n)
     center = np.asarray(center, dtype=float)
     y = np.asarray(y, dtype=float)
     if np.linalg.norm(y - center) <= radius:

@@ -8,8 +8,9 @@ same system dozens of times.
 import numpy as np
 import pytest
 
+from enclosure2d.farfield import far_field_constant
 from enclosure2d.fields import PlaneWave, PointSource, ProbeParams, eval_probe
-from enclosure2d.forward import build_mesh, solve_scattering
+from enclosure2d.forward import build_mesh, eval_total, solve_incidents, solve_scattering
 from enclosure2d.geometry import Direction, Polygon, Scene
 from enclosure2d.trace import trace_direct
 
@@ -57,6 +58,36 @@ def reference_log_magnitudes(sol, trace, omega, taus, t_ref=None):
     v = eval_probe(ProbeParams(omega, taus, trace.k, t_ref=t0), sol.mesh.nodes)
     j = -v @ (sol.density * sol.mesh.weights)
     return np.log(np.abs(j)) + taus * (t0 - (trace.radius if t_ref is None else t_ref))
+
+
+def far_field_pattern(sol, angles):
+    """Far field of the scattered single-layer field at observation angles, as the operator's columns are built."""
+    angles = np.atleast_1d(np.asarray(angles, dtype=float))
+    k, mesh = sol.scene.wavenumber_k, sol.mesh
+    phi_hat = np.column_stack([np.cos(angles), np.sin(angles)])
+    phases = np.exp(-1j * k * (phi_hat @ mesh.nodes.T))
+    return (far_field_constant(k) * phases @ (sol.density[:, None] * mesh.weights[:, None]))[:, 0]
+
+
+def point_source_far_field_check(scene, d_angles, nodes_per_edge=64, p_grade=4.0):
+    """Max relative discrepancy of the point-source far-field identity.
+
+    Compares the far field of the point-source total field against
+    (e^{i pi/4}/sqrt(8 pi k)) u(y; -d, k), where u(y; -d, k) is the total
+    plane-wave field at the source location with incidence -d.  The
+    point source and all plane waves go through one ``solve_incidents``.
+    """
+    d_angles = np.atleast_1d(np.asarray(d_angles, dtype=float))
+    k = scene.wavenumber_k
+    y = scene.source_y
+    mesh = build_mesh(scene, nodes_per_edge=nodes_per_edge, p_grade=p_grade)
+    # incidence -d for every observation direction d
+    plane_waves = [PlaneWave(Direction.from_angle(ang + np.pi)) for ang in d_angles]
+    ps_sol, *pw_sols = solve_incidents(scene, [PointSource(y)] + plane_waves, mesh)
+    d_hat = np.column_stack([np.cos(d_angles), np.sin(d_angles)])
+    ff_total = far_field_pattern(ps_sol, d_angles) + far_field_constant(k) * np.exp(-1j * k * (d_hat @ y))
+    rhs = far_field_constant(k) * np.array([eval_total(sol, y) for sol in pw_sols])
+    return float(np.max(np.abs(ff_total - rhs)) / np.max(np.abs(ff_total)))
 
 
 @pytest.fixture(scope="session")

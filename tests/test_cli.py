@@ -111,6 +111,8 @@ class TestConfigErrors:
         ["solve", "--mesh-nodes", "12"],
         ["solve", "--trace-n", "500"],  # not a power of two
         ["farfield", "--alpha-max", "1e300", "--alpha-min", "1e-300"],  # ratio overflows
+        ["solve", "--trace-n", "1"],  # one node: a power of two, but no trace
+        ["hull", "--trace-n", "1"],
     ])
     def test_flag_out_of_domain(self, scene_file, tmp_path, capsys, argv):
         code = main(argv + ["--scene", str(scene_file), "--out", str(tmp_path / "o")])

@@ -11,17 +11,14 @@ from enclosure2d.farfield import (
     assemble_far_field_operator,
     disc_far_field_operator,
     far_field_constant,
-    far_field_pattern,
     lsm_indicator_map,
-    point_source_far_field_check,
-    solve_far_field_equation,
     unsolvability_diagnostic,
 )
 from enclosure2d.fields import PlaneWave
-from enclosure2d.forward import DiscSeriesSolution, build_mesh, factorize, solve_scattering
+from enclosure2d.forward import DiscSeriesSolution, build_mesh, solve_incidents, solve_scattering
 from enclosure2d.geometry import Direction, Polygon, Scene
 
-from conftest import make_scene, SQUARE_VERTS, TWO_BOXES
+from conftest import far_field_pattern, make_scene, point_source_far_field_check, SQUARE_VERTS, TWO_BOXES
 
 DISC_R = 0.8
 K = 2.0
@@ -101,7 +98,7 @@ class TestOperator:
         scene = dataclasses.replace(make_scene(None), obstacles=tuple(Polygon(box) for box in boxes))
         op = assemble_far_field_operator(scene, 32, 16, nodes_per_edge=32)
         mesh = build_mesh(scene, nodes_per_edge=32)
-        sols = factorize(scene, mesh).solve(PlaneWave(Direction.from_angle(ang)) for ang in op.inc_angles)
+        sols = solve_incidents(scene, [PlaneWave(Direction.from_angle(ang)) for ang in op.inc_angles], mesh)
         ref = np.column_stack([far_field_pattern(sol, op.obs_angles) for sol in sols])
         assert np.max(np.abs(op.matrix - ref)) < 1e-13 * np.max(np.abs(ref))
 
@@ -134,6 +131,26 @@ class TestOperator:
             lam = out[0] / g[0]
             ref = lam * np.exp(1j * n * disc_op.obs_angles)
             assert np.max(np.abs(out - ref)) < 1e-12 * np.max(np.abs(out))
+
+
+def point_rhs(op, y):
+    """sqrt(w_o) times the far field of the point source at y over the operator's observation grid."""
+    phi_hat = np.column_stack([np.cos(op.obs_angles), np.sin(op.obs_angles)])
+    phases = np.exp(-1j * op.k * (phi_hat @ np.asarray(y, dtype=float)))
+    return np.sqrt(op.obs_weight) * far_field_constant(op.k) * phases
+
+
+def solve_far_field_equation(op, y, alpha):
+    """Tikhonov solution ``(g, norm, residual)`` of the far-field equation at one sample point.
+
+    The norm and relative residual are the package's: the last entries of
+    an ``unsolvability_diagnostic`` sweep that ends at alpha.  g is
+    V diag(s / (s^2 + alpha w_i)) U^H c from the operator's SVD.
+    """
+    report = unsolvability_diagnostic(op, y, alpha * np.geomspace(1e5, 1.0, 6))
+    u, s, vh = op.svd
+    g = vh.conj().T @ (s / (s**2 + alpha * op.inc_weight) * (u.conj().T @ point_rhs(op, y)))
+    return g, float(report.norms[-1]), float(report.residuals[-1])
 
 
 class TestRegularizedSolve:

@@ -8,24 +8,23 @@ from scipy.linalg.lapack import zgecon
 
 from enclosure2d import forward
 from enclosure2d.errors import DomainError, NearFieldError, SolverError
-from enclosure2d.farfield import assemble_far_field_operator, far_field_pattern
+from enclosure2d.farfield import assemble_far_field_operator
 from enclosure2d.fields import PlaneWave, PointSource
 from enclosure2d.forward import (
     INVERSE_MAX_NODES,
     MAX_GRADING_LEVELS,
     NODES_PER_PANEL,
     DiscSeriesSolution,
-    Factorization,
     build_mesh,
     eval_total,
-    factorize,
     modulated_nonvanishing_check,
     scattered_field,
+    solve_incidents,
     solve_scattering,
 )
 from enclosure2d.geometry import Direction, Polygon, Scene
 from enclosure2d.specialfun import hankel1, hankel1_prime
-from conftest import L_VERTS, SQUARE_VERTS, TRIANGLE_VERTS, TWO_BOXES, make_scene
+from conftest import L_VERTS, SQUARE_VERTS, TRIANGLE_VERTS, TWO_BOXES, far_field_pattern, make_scene
 
 
 OFF_CENTRE = np.array([0.1, -0.2])
@@ -38,12 +37,22 @@ def regular_polygon_scene(n_sides, radius=0.5):
 
 
 def boundary_neumann_residual(oracle, n_angles=64):
-    """max |d(u_inc + w)/dr| on the disc boundary, the series' defining property."""
+    """max |d(u_inc + w)/dr| on the disc boundary, the series' defining property.
+
+    dw/dr comes from w on the boundary alone: each circular harmonic of w
+    is c_m H_|m|(k r) e^{i m theta}, so its radial derivative there is
+    c_m k H'_|m|(k a) e^{i m theta}.  This needs fewer than n_angles / 2
+    modes in the series.
+    """
     ang = np.linspace(0, 2 * np.pi, n_angles, endpoint=False)
     nu = np.column_stack([np.cos(ang), np.sin(ang)])
     pts = oracle.center + oracle.a * nu
+    ka = oracle.k * oracle.a
+    orders = np.abs(np.fft.fftfreq(n_angles, 1.0 / n_angles)).astype(int)
+    multipliers = np.array([oracle.k * hankel1_prime(m, ka) / hankel1(m, ka) for m in range(n_angles // 2 + 1)])
+    scattered = np.fft.ifft(np.fft.fft(oracle.eval_scattered(pts)) * multipliers[orders])
     inc = np.einsum("ic,ic->i", oracle.incident.gradient(oracle.k, pts), nu.astype(complex))
-    return float(np.max(np.abs(inc + oracle.eval_scattered_radial_derivative(pts))))
+    return float(np.max(np.abs(inc + scattered)))
 
 
 def reference_assemble(mesh, k):
@@ -211,14 +220,20 @@ class TestSolve:
     def test_shared_factorization(self, square_scene):
         mesh = build_mesh(square_scene, nodes_per_edge=32)
         incs = [PlaneWave(Direction.from_angle(a)) for a in (0.0, 1.0)]
-        sols = factorize(square_scene, mesh).solve(incs)
+        sols = solve_incidents(square_scene, incs, mesh)
         single = solve_scattering(square_scene, incs[1], mesh)
         np.testing.assert_allclose(sols[1].density, single.density, atol=1e-13)
 
-    def test_source_inside_obstacle_rejected(self, square_scene):
-        mesh = build_mesh(square_scene, nodes_per_edge=32)
+    def test_source_inside_obstacle_rejected(self, square_scene, monkeypatch):
+        # before anything is assembled, wherever the source sits in the list
+        monkeypatch.setattr(forward, "_assemble", lambda mesh, k: pytest.fail("assembled"))
+        incidents = [PlaneWave(Direction.from_angle(0.0)), PointSource(np.array([0.1, 0.1]))]
         with pytest.raises(DomainError):
-            solve_scattering(square_scene, PointSource(np.array([0.1, 0.1])), mesh)
+            solve_incidents(square_scene, incidents, build_mesh(square_scene, nodes_per_edge=32))
+
+    def test_no_incident_field_assembles_nothing(self, square_scene, monkeypatch):
+        monkeypatch.setattr(forward, "_assemble", lambda mesh, k: pytest.fail("assembled"))
+        assert solve_incidents(square_scene, [], build_mesh(square_scene, nodes_per_edge=32)) == []
 
     def test_near_field_clearance_guard(self, square_sol):
         with pytest.raises(NearFieldError):
@@ -329,42 +344,48 @@ class TestFactorization:
         monkeypatch.setattr(forward, "_assemble", broken)
         mesh = build_mesh(square_scene, nodes_per_edge=nodes_per_edge)
         with pytest.raises(SolverError):
-            factorize(square_scene, mesh)
+            solve_scattering(square_scene, PointSource(square_scene.source_y), mesh)
 
     @SOLVER_PATHS
     def test_resonance_guard(self, square_scene, monkeypatch, nodes_per_edge):
         monkeypatch.setattr(forward, "CONDITION_LIMIT", LOWERED_CONDITION_LIMIT)
         mesh = build_mesh(square_scene, nodes_per_edge=nodes_per_edge)
-        fac = factorize(square_scene, mesh)
-        assert (fac.inverse is not None) == (nodes_per_edge == 64)
-        assert fac.condition < LOWERED_CONDITION_LIMIT
+        assert (mesh.n_nodes <= INVERSE_MAX_NODES) == (nodes_per_edge == 64)
+        source = PointSource(square_scene.source_y)
+        assert solve_scattering(square_scene, source, mesh).condition_estimate < LOWERED_CONDITION_LIMIT
         resonant = dataclasses.replace(square_scene, wavenumber_k=RESONANT_K)
         with pytest.raises(SolverError, match="near-resonant"):
-            factorize(resonant, mesh)
+            solve_scattering(resonant, source, mesh)
 
     def test_inverse_condition_is_exact(self, square_scene):
-        fac = factorize(square_scene, build_mesh(square_scene, nodes_per_edge=64))
-        assert fac.inverse is not None
-        assert fac.condition == pytest.approx(np.linalg.cond(fac.matrix, 1), rel=1e-8)
+        mesh = build_mesh(square_scene, nodes_per_edge=64)
+        assert mesh.n_nodes <= INVERSE_MAX_NODES
+        sol = solve_scattering(square_scene, PointSource(square_scene.source_y), mesh)
+        matrix = forward._assemble(mesh, square_scene.wavenumber_k)
+        assert sol.condition_estimate == pytest.approx(np.linalg.cond(matrix, 1), rel=1e-8)
 
     @pytest.mark.parametrize("verts", [SQUARE_VERTS, TRIANGLE_VERTS, L_VERTS], ids=["square", "triangle", "L"])
     def test_inverse_condition_bounds_lapack_estimate(self, verts):
         # zgecon's estimate of ||A^-1||_1 is a lower bound; the slack is round-off
         scene = make_scene(verts)
-        fac = factorize(scene, build_mesh(scene, nodes_per_edge=64))
-        rcond, info = zgecon(lu_factor(fac.matrix)[0], np.linalg.norm(fac.matrix, 1))
+        mesh = build_mesh(scene, nodes_per_edge=64)
+        sol = solve_scattering(scene, PointSource(scene.source_y), mesh)
+        matrix = forward._assemble(mesh, scene.wavenumber_k)
+        rcond, info = zgecon(lu_factor(matrix)[0], np.linalg.norm(matrix, 1))
         assert info == 0
-        assert fac.condition >= (1.0 - 1e-12) / rcond
+        assert sol.condition_estimate >= (1.0 - 1e-12) / rcond
 
     def test_small_systems_use_numpy_only(self, square_scene, monkeypatch):
         mesh = build_mesh(square_scene, nodes_per_edge=64)
         angles = 2 * np.pi * np.arange(16) / 16
         # the same system on scipy's LU path
-        matrix = forward._assemble(mesh, square_scene.wavenumber_k)
-        reference = Factorization(square_scene, mesh, matrix, None, lu_factor(matrix), 0.0)
-        ref_point, *ref_waves = reference.solve(
-            [PointSource(square_scene.source_y)] + [PlaneWave(Direction.from_angle(a)) for a in angles]
-        )
+        with monkeypatch.context() as lu_path:
+            lu_path.setattr(forward, "INVERSE_MAX_NODES", 0)
+            ref_point, *ref_waves = solve_incidents(
+                square_scene,
+                [PointSource(square_scene.source_y)] + [PlaneWave(Direction.from_angle(a)) for a in angles],
+                mesh,
+            )
         ref_op = np.column_stack([far_field_pattern(sol, angles) for sol in ref_waves])
 
         def raise_if_called(*args, **kwargs):

@@ -134,6 +134,26 @@ class TestReferenceShift:
         assert estimate_support(shifted).h_hat == pytest.approx(estimate_support(default).h_hat, abs=1e-9)
 
 
+NON_FINITE_GRID = [4.0, 8.0, 16.0, np.nan]
+EIGHT_TAUS = np.geomspace(4.0, 40.0, 8)  # enough samples that only t_ref can fail
+
+
+@pytest.mark.parametrize("call", [
+    pytest.param(lambda trace: ProbeParams(OM30, NON_FINITE_GRID, 2.0), id="probe-nan-tau"),
+    pytest.param(lambda trace: ProbeParams(OM30, np.inf, 2.0), id="probe-inf-tau"),
+    pytest.param(lambda trace: ProbeParams(OM30, 4.0, np.nan), id="probe-nan-k"),
+    pytest.param(lambda trace: ProbeParams(OM30, 4.0, np.inf), id="probe-inf-k"),
+    pytest.param(lambda trace: compute_samples(trace, OM30, NON_FINITE_GRID), id="samples-nan-tau"),
+    pytest.param(lambda trace: compute_samples(trace, OM30, [4.0, np.inf]), id="samples-inf-tau"),
+    pytest.param(lambda trace: compute_samples(trace, OM30, EIGHT_TAUS, t_ref=np.nan), id="samples-nan-t_ref"),
+    pytest.param(lambda trace: compute_samples(trace, OM30, EIGHT_TAUS, t_ref=np.inf), id="samples-inf-t_ref"),
+])
+def test_non_finite_probe_input_is_domain_error(call, square_trace):
+    # nan <= 0 is False, so a bare positivity test lets these through
+    with pytest.raises(DomainError):
+        call(square_trace)
+
+
 class TestOnePass:
     def test_samples_match_per_tau_quadrature(self, square_trace):
         taus = np.geomspace(4.0, 40.0, 64)
@@ -288,6 +308,11 @@ def lstsq_two_exponential_refine(t, L, phase, s, wt):
     return max(heights), float(b), log_rms
 
 
+def lstsq_two_exponential_refines(problems):
+    """The reference refine in place of the batched one: one solve per problem."""
+    return [lstsq_two_exponential_refine(*problem) for problem in problems]
+
+
 def refine_inputs(samples):
     """(t, J0, s) as the refine sees them: J0 is the data with its mean growth removed."""
     t, L, s = samples.taus, samples.log_magnitudes, samples.s
@@ -373,7 +398,7 @@ class TestTwoTermRefine:
             om = Direction.from_angle((case + 0.5) * 2 * np.pi / 64)
             samples = compute_samples(square_trace, om, np.geomspace(4.0, 40.0, 64))
         est = estimate_support(samples)
-        monkeypatch.setattr(indicator, "_two_exponential_refine", lstsq_two_exponential_refine)
+        monkeypatch.setattr(indicator, "_two_exponential_refines", lstsq_two_exponential_refines)
         ref = estimate_support(samples)
         assert est.fit_path == ref.fit_path == "two_term"
         assert est.h_hat == pytest.approx(ref.h_hat, abs=1e-6)
@@ -445,7 +470,7 @@ class TestBatchedRefine:
         samples = [compute_samples(square_trace, om, CRITERION_8_TAUS) for om in CRITERION_8_DIRECTIONS]
         batch = estimate_supports(samples)
         single = [estimate_support(s) for s in samples]
-        monkeypatch.setattr(indicator, "_two_exponential_refine", lstsq_two_exponential_refine)
+        monkeypatch.setattr(indicator, "_two_exponential_refines", lstsq_two_exponential_refines)
         reference = [estimate_support(s) for s in samples]
         assert sum(e.fit_path == "two_term" for e in batch) >= 10
         for est, one, ref in zip(batch, single, reference):

@@ -90,3 +90,63 @@ def test_inversion_does_not_import_the_solver():
                 offenders += names
             offenders += [n for n in names if n in ("support_function", "Scene", "Polygon")]
     assert not offenders, f"indicator.py imports ground-truth or solver names: {sorted(offenders)}"
+
+
+ROOT = PACKAGE.parents[1]
+# public names kept as library API although no command, bench workload or
+# demo calls them yet, each with its reason
+UNCALLED_API = {
+    # the paper's decay/blow-up dichotomy; ROADMAP item 4 makes it check each support interval
+    "classify_threshold",
+    # reads the trace file that `enclosure2d solve` writes; ROADMAP item 3 gives `hull --trace`
+    "trace_from_csv",
+    # the non-vanishing hypothesis (1.3); ROADMAP item 7 gives it a sweep or deletes it
+    "modulated_nonvanishing_check",
+    # the accurate J_n and Y_n that the Hankel kernels are tested against
+    "bessel_j",
+    "bessel_y",
+}
+
+
+def _caller_names() -> set[str]:
+    """Every name and attribute that src/, bench/ and demos/ read, outside tests and re-exports."""
+    names = set()
+    for top in ("src", "bench", "demos"):
+        for path in sorted((ROOT / top).rglob("*.py")):
+            if "tests" in path.relative_to(ROOT).parts or path.name == "__init__.py":
+                continue
+            for node in ast.walk(ast.parse(path.read_text())):
+                if isinstance(node, ast.Name):
+                    names.add(node.id)
+                elif isinstance(node, ast.Attribute):
+                    names.add(node.attr)
+                elif isinstance(node, ast.ImportFrom) and path.parent != PACKAGE:
+                    names.update(alias.name for alias in node.names)
+    return names
+
+
+def _public_api() -> dict[str, str]:
+    """Each module's __all__ names, public functions and classes, and their public methods, by qualified name."""
+    api = {}
+    for path in sorted(PACKAGE.glob("*.py")):
+        if path.name == "__init__.py":  # re-exports only
+            continue
+        tree = ast.parse(path.read_text())
+        api.update({f"{path.stem}.{name}": name for name in _exported_names(tree)})
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and not node.name.startswith("_"):
+                api[f"{path.stem}.{node.name}"] = node.name
+            if isinstance(node, ast.ClassDef) and not node.name.startswith("_"):
+                api.update({f"{path.stem}.{node.name}.{fn.name}": fn.name for fn in node.body
+                            if isinstance(fn, ast.FunctionDef) and not fn.name.startswith("_")})
+    return api
+
+
+def test_public_api_has_callers_outside_tests():
+    # a public name that only tests call is a test helper: it belongs in tests/
+    callers = _caller_names()
+    api = _public_api()
+    offenders = [qual for qual, name in api.items() if name not in callers and name not in UNCALLED_API]
+    assert not offenders, f"public names with no caller in src/, bench/ or demos/: {offenders}"
+    stale = UNCALLED_API - set(api.values())
+    assert not stale, f"allow-listed names that are no longer public: {sorted(stale)}"

@@ -102,6 +102,12 @@ class TestRecoverNeumann:
         expected = inc_dn + mult * np.exp(1j * m * ang)
         assert np.max(np.abs(rec - expected)) < 1e-9 * np.max(np.abs(expected))
 
+    @pytest.mark.parametrize("n", [0, 1])
+    def test_fewer_than_two_values_rejected(self, square_scene, n):
+        # 0 & -1 == 0 and 1 & 0 == 0 pass a bare power-of-two test
+        with pytest.raises(DomainError):
+            recover_neumann(np.ones(n), square_scene.wavenumber_k, square_scene.source_y, square_scene.radius_R)
+
     def test_unresolved_tail_rejected(self, square_scene):
         # white-noise Dirichlet data has no decaying harmonic tail
         rng = np.random.default_rng(5)
