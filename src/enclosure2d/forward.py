@@ -10,13 +10,22 @@ boundary integral equation (-1/2 I + K') phi = -d(u_inc)/dnu, where K'
 carries the kernel d(Phi_0(x, z))/dnu(x).  On a straight edge
 (x - z).nu(x) = 0, so same-edge kernel entries vanish identically; the
 remaining entries are smooth away from shared corners and controlled by
-geometric panel grading toward every corner.  Kernels are built in place on
-one complex Hankel array from real per-axis differences dx, dy.
+geometric panel grading toward every corner.  The matrix is built in place,
+in row blocks, from real per-axis differences dx, dy, with one H_1
+evaluation per symmetric node pair.
 
 The known defect of the single-layer ansatz (spurious resonances at
 interior Dirichlet eigenvalues of the obstacle) is watched through the
 system's 1-norm condition number; near-resonant systems raise SolverError
 with advice to perturb k.
+
+The measurement-circle trace does not sum over node pairs:
+``circle_field`` expands the density in circular harmonics about the
+circle's centre (Graf's addition theorem), which costs O(M N) for M
+orders instead of O(n N) Hankel pairs for n circle nodes.
+``scattered_field`` remains the evaluator at arbitrary exterior points and
+the reference the series is tested against; both share one near-field
+check.
 
 ``solve_incidents`` is the one solve entry point: one assembly,
 factorisation and condition check per scene and mesh, shared by every
@@ -33,6 +42,7 @@ extra flops would cost more than that contention.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -43,7 +53,7 @@ from scipy.linalg.lapack import zgecon
 from .errors import DomainError, GeometryError, NearFieldError, SolverError
 from .fields import ModulatedPlane, PlaneWave, PointSource
 from .geometry import Direction, Scene
-from .specialfun import bessel_j_prime, hankel1, hankel1_prime
+from .specialfun import bessel_j_orders, bessel_j_prime, hankel1, hankel1_orders, hankel1_prime
 
 __all__ = [
     "BoundaryMesh",
@@ -52,6 +62,8 @@ __all__ = [
     "solve_incidents",
     "solve_scattering",
     "scattered_field",
+    "circle_nodes",
+    "circle_field",
     "eval_total",
     "modulated_nonvanishing_check",
     "DiscSeriesSolution",
@@ -131,19 +143,30 @@ def build_mesh(scene: Scene, nodes_per_edge: int = 64, p_grade: float = 4.0) -> 
 
 
 def _assemble(mesh: BoundaryMesh, k: float) -> np.ndarray:
-    """Dense Nystrom matrix -1/2 I + K'."""
-    dx, dy = (mesh.nodes[:, c, None] - mesh.nodes[None, :, c] for c in (0, 1))
-    r = np.sqrt(dx * dx + dy * dy)
-    np.fill_diagonal(r, 1.0)  # dummy; overwritten by the same-edge zero
-    dot = dx * mesh.normals[:, 0, None] + dy * mesh.normals[:, 1, None]
-    del dx, dy  # freed before the Hankel array: the peak stays at ~2.5 complex N x N
-    kernel = hankel1(1, k * r)
-    kernel *= -0.25j * k
-    kernel *= dot
-    kernel /= r
-    kernel[mesh.edge_ids[:, None] == mesh.edge_ids[None, :]] = 0.0
-    kernel *= mesh.weights
-    kernel.flat[:: mesh.n_nodes + 1] -= 0.5
+    """Dense Nystrom matrix -1/2 I + K', built in blocks of 32 rows.
+
+    A block's differences, distances and kernel stay in cache, and no
+    N x N array but the matrix is allocated.  r is exactly symmetric
+    (dx_ji = -dx_ij), so H_1 is evaluated on the block's part of the upper
+    triangle and mirrored, unscaled, into the rows of later blocks.
+    """
+    n = mesh.n_nodes
+    x, y = mesh.nodes[:, 0], mesh.nodes[:, 1]
+    kernel = np.empty((n, n), dtype=complex)
+    for lo in range(0, n, 32):
+        hi = min(lo + 32, n)
+        dx, dy = x[lo:hi, None] - x, y[lo:hi, None] - y
+        r = np.sqrt(dx * dx + dy * dy)
+        r[np.arange(hi - lo), np.arange(lo, hi)] = 1.0  # dummy; overwritten by the same-edge zero
+        block = kernel[lo:hi]
+        block[:, lo:] = hankel1(1, k * r[:, lo:])
+        kernel[hi:, lo:hi] = block[:, hi:].T
+        block *= -0.25j * k
+        block *= dx * mesh.normals[lo:hi, 0, None] + dy * mesh.normals[lo:hi, 1, None]
+        block /= r
+        block[mesh.edge_ids[lo:hi, None] == mesh.edge_ids] = 0.0
+        block *= mesh.weights
+    kernel.flat[:: n + 1] -= 0.5
     return kernel
 
 
@@ -230,6 +253,16 @@ def solve_scattering(scene: Scene, incident, mesh: BoundaryMesh) -> ScatterSolut
     return solve_incidents(scene, [incident], mesh)[0]
 
 
+def _check_far_from_boundary(mesh: BoundaryMesh, r: np.ndarray) -> None:
+    """Raise NearFieldError if a point's nearest node, by the rows of distances r, is within 3 of its panel lengths."""
+    nearest = np.argmin(r, axis=1)
+    if np.any(r[np.arange(len(r)), nearest] < 3.0 * mesh.panel_sizes[nearest]):
+        raise NearFieldError(
+            "evaluation point within 3 panel lengths of the boundary; "
+            "the plain Nystrom quadrature is not valid there"
+        )
+
+
 def scattered_field(sol: ScatterSolution, x):
     """Single-layer potential w of the solved density and its gradient.
 
@@ -243,12 +276,7 @@ def scattered_field(sol: ScatterSolution, x):
     dx, dy = (x[:, c, None] - mesh.nodes[None, :, c] for c in (0, 1))
     r = np.sqrt(dx * dx + dy * dy)
     if mesh.n_nodes:
-        nearest = np.argmin(r, axis=1)
-        if np.any(r[np.arange(len(x)), nearest] < 3.0 * mesh.panel_sizes[nearest]):
-            raise NearFieldError(
-                "evaluation point within 3 panel lengths of the boundary; "
-                "the plain Nystrom quadrature is not valid there"
-            )
+        _check_far_from_boundary(mesh, r)
     k = sol.scene.wavenumber_k
     dw = sol.density * mesh.weights
     w = (0.25j * hankel1(0, k * r)) @ dw
@@ -258,6 +286,68 @@ def scattered_field(sol: ScatterSolution, x):
     radial *= dw
     grad = np.column_stack([np.einsum("ij,ij->i", radial, dx), np.einsum("ij,ij->i", radial, dy)])
     return (w[0], grad[0]) if len(x) == 1 else (w, grad)
+
+
+def circle_nodes(center, radius: float, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Equispaced nodes center + R (cos, sin) of angles 2 pi j / n, and their outward normals."""
+    ang = 2 * np.pi * np.arange(n) / n
+    normals = np.column_stack([np.cos(ang), np.sin(ang)])
+    return center + radius * normals, normals
+
+
+def circle_field(sol: ScatterSolution, radius: float, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """w and its outward radial derivative at the n ``circle_nodes`` of the circle |x - c| = radius.
+
+    Every node y_j = c + r_j (cos t_j, sin t_j) lies inside the circle, so
+    Graf's addition theorem, H_0(k|x - y|) = sum_m H_m(kR) J_m(k r) e^{im(theta - t)},
+    turns the single-layer sum into one circular-harmonic series
+    w = sum_m a_m H_m(kR) e^{im theta}, d_r w = sum_m a_m k H'_m(kR) e^{im theta},
+    with a_m = (i/4) sum_j dw_j J_m(k r_j) e^{-im t_j} and J_{-m} = (-1)^m J_m.
+    Its terms fall off like rho^|m|, rho = max r_j / R, and it stops where
+    the tail drops below double round-off.  The products J_m H_m are formed
+    from the power-of-two scaled values of ``hankel1_orders`` and
+    ``bessel_j_orders``, so no factor overflows.  Modes fold modulo n, and
+    each sum is one inverse FFT.
+
+    Raises NearFieldError where ``scattered_field`` at the same nodes
+    would: only a node with |R - r_j| < 3 panel lengths can trigger it, so
+    the exact check runs only when such a node exists.  Then raises
+    DomainError when an obstacle vertex lies at or beyond the circle, where
+    the series diverges.
+    """
+    mesh = sol.mesh
+    if not mesh.n_nodes:
+        return np.zeros(n, dtype=complex), np.zeros(n, dtype=complex)
+    scene = sol.scene
+    rel = mesh.nodes - scene.center
+    r = np.hypot(rel[:, 0], rel[:, 1])
+    if np.any(np.abs(radius - r) < 3.0 * mesh.panel_sizes):
+        pts = circle_nodes(scene.center, radius, n)[0]
+        dx, dy = (pts[:, c, None] - mesh.nodes[None, :, c] for c in (0, 1))
+        _check_far_from_boundary(mesh, np.sqrt(dx * dx + dy * dy))
+    if np.any(np.linalg.norm(scene.all_vertices - scene.center, axis=1) >= radius):
+        raise DomainError("the measurement circle must enclose every obstacle vertex")
+    k = scene.wavenumber_k
+    x = k * radius
+    rho = np.max(r) / radius
+    # past order x each term is at most rho times the one before, so the tail
+    # past top is below eps / (1 + x) of the order-x term; 1 + x covers the
+    # growth of k H'_m ~ (m / R) H_m
+    top = math.ceil(x) + math.ceil(math.log(np.finfo(float).eps / (1 + x)) / math.log(rho))
+    h, dh, exps = hankel1_orders(top, x)
+    terms = bessel_j_orders(k * r, exps).astype(complex)  # J_m(k r_j) H_m(kR) / h_m
+    phase = np.exp(-1j * np.arctan2(rel[:, 1], rel[:, 0]))
+    terms[1:] *= np.cumprod(np.broadcast_to(phase, (top, mesh.n_nodes)), axis=0)
+    dw = sol.density * mesh.weights
+    sums = terms @ np.column_stack([dw, dw.conj()])  # sum_j dw_j J_m e^{-+im t_j} H_m / h_m, m >= 0
+    sums[:, 1] = sums[:, 1].conj()
+    orders = np.concatenate([np.arange(top + 1), -np.arange(1, top + 1)]) % n
+    coeffs = 0.25j * np.concatenate([sums[:, 0], sums[1:, 1]])
+    spectrum = np.zeros((2, n), dtype=complex)
+    np.add.at(spectrum[0], orders, coeffs * np.concatenate([h, h[1:]]))
+    np.add.at(spectrum[1], orders, coeffs * k * np.concatenate([dh, dh[1:]]))
+    w, dwdr = np.fft.ifft(spectrum, axis=1) * n
+    return w, dwdr
 
 
 def eval_total(sol: ScatterSolution, x):

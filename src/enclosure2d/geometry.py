@@ -117,9 +117,10 @@ class Polygon:
     def contains(self, point) -> bool:
         """Even-odd ray test; points on the boundary count as inside."""
         x, y = float(point[0]), float(point[1])
-        v = self.vertices
+        # plain floats: unpacking numpy scalars from edges() cost ~10x the arithmetic
+        v = self.vertices.tolist()
         inside = False
-        for (ax, ay), (bx, by) in self.edges():
+        for (ax, ay), (bx, by) in zip(v, v[1:] + v[:1]):
             if (ay > y) != (by > y):
                 t = (y - ay) / (by - ay)
                 if x < ax + t * (bx - ax):

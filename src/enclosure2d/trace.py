@@ -1,11 +1,21 @@
 """Cauchy data of the total field on the measurement circle.
 
-Two routes produce the Neumann trace: directly from the solver
-representation, and by expanding the measured Dirichlet data of the
-scattered part in circular harmonics and extending each mode as the
-radiating exterior solution c_n H_n(k r) / H_n(k R) e^{i n theta}.  The
-second route is the realistic processing chain when only Dirichlet data
-are measured, and agreement between the two is a solver cross-check.
+Both routes to the Neumann trace are circular-harmonic expansions about
+the circle's centre.  ``trace_direct`` expands the solved boundary
+density: by Graf's addition theorem the single-layer sum becomes one
+series sum_m a_m H_m(k r) e^{i m theta}, so u and du/dn at every circle
+node come from one set of coefficients (``forward.circle_field``).
+``recover_neumann`` expands the measured Dirichlet data of the scattered
+part and extends each mode as the radiating exterior solution
+c_n H_n(k r) / H_n(k R) e^{i n theta}; it is the realistic processing
+chain when only Dirichlet data are measured.  The two start from
+different data, the density on the mesh against n samples of u, so their
+agreement (acceptance criterion 3) still checks that the samples resolve
+the scattered modes and that the incident part splits off exactly.  Both
+take H_m and H'_m from ``specialfun.hankel1_orders``, so it no longer
+checks those values: the tests pin the density series to the direct
+single-layer sum over every circle-node and boundary-node pair
+(``forward.scattered_field``), and the helper to ``hankel1``.
 """
 
 from __future__ import annotations
@@ -19,8 +29,8 @@ import numpy as np
 
 from .errors import DomainError, ResolutionError
 from .fields import PointSource
-from .forward import ScatterSolution, scattered_field
-from .specialfun import hankel1
+from .forward import ScatterSolution, circle_field, circle_nodes
+from .specialfun import hankel1_orders
 
 __all__ = ["TraceData", "trace_direct", "recover_neumann", "trace_to_csv", "trace_from_csv"]
 
@@ -32,13 +42,6 @@ def _check_trace_size(n: int) -> None:
     """A trace has a power-of-two number of nodes, at least 2."""
     if n < 2 or n & (n - 1):
         raise DomainError(f"trace size must be a power of two, at least 2 (got {n})")
-
-
-def _circle_nodes(center, radius: float, n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Equispaced measurement nodes center + R (cos, sin) and their outward normals."""
-    ang = 2 * np.pi * np.arange(n) / n
-    normals = np.column_stack([np.cos(ang), np.sin(ang)])
-    return center + radius * normals, normals
 
 
 @dataclass(frozen=True)
@@ -70,15 +73,22 @@ class TraceData:
     # built once per trace: every indicator sample reads both
     @cached_property
     def points(self) -> np.ndarray:
-        return _circle_nodes(self.center, self.radius, self.n)[0]
+        return circle_nodes(self.center, self.radius, self.n)[0]
 
     @cached_property
     def normals(self) -> np.ndarray:
-        return _circle_nodes(self.center, self.radius, self.n)[1]
+        return circle_nodes(self.center, self.radius, self.n)[1]
 
 
 def trace_direct(sol: ScatterSolution, radius: float, n: int) -> TraceData:
-    """Sample the total field and its radial derivative on the circle about the scene's center."""
+    """Sample the total field and its radial derivative on the circle about the scene's center.
+
+    Raises DomainError for a trace size that is not a power of two of at
+    least 2 and for a point source on the circle; then what
+    ``forward.circle_field`` raises: NearFieldError for a circle node
+    within 3 panel lengths of the boundary, DomainError for a circle that
+    does not enclose every obstacle vertex.
+    """
     _check_trace_size(n)
     scene = sol.scene
     center = scene.center
@@ -86,11 +96,11 @@ def trace_direct(sol: ScatterSolution, radius: float, n: int) -> TraceData:
         r_y = np.linalg.norm(sol.incident.y - center)
         if abs(r_y - radius) < 1e-9 * radius:
             raise DomainError("source point lies on the measurement circle")
-    pts, nu = _circle_nodes(center, radius, n)
+    w, dwdr = circle_field(sol, radius, n)
+    pts, nu = circle_nodes(center, radius, n)
     k = scene.wavenumber_k
-    w, grad_w = scattered_field(sol, pts)
     u = sol.incident.value(k, pts) + w
-    dudn = np.einsum("ic,ic->i", sol.incident.gradient(k, pts) + grad_w, nu.astype(complex))
+    dudn = np.einsum("ic,ic->i", sol.incident.gradient(k, pts), nu.astype(complex)) + dwdr
     return TraceData(center=center, radius=radius, u=u, dudn=dudn, k=k)
 
 
@@ -110,7 +120,7 @@ def recover_neumann(u_values, k: float, y, radius: float, center=(0.0, 0.0)) -> 
     if np.linalg.norm(y - center) <= radius:
         raise DomainError("source must lie strictly outside the measurement circle")
 
-    pts, nu = _circle_nodes(center, radius, n)
+    pts, nu = circle_nodes(center, radius, n)
     source = PointSource(y)
     phi0 = source.value(k, pts)
     coeffs = np.fft.fft(u_values - phi0) / n
@@ -125,18 +135,9 @@ def recover_neumann(u_values, k: float, y, radius: float, center=(0.0, 0.0)) -> 
                 "of the head; increase the trace resolution"
             )
 
-    # Radiating-mode multiplier k H_m'(kR) / H_m(kR) = k (H_{m-1} / H_m - m / x);
-    # it is even in the order (H_{-m} = (-1)^m H_m).  H_m itself overflows
-    # for large m, so build H_m / H_{m-1} by the upward recursion, which is
-    # stable for the order-dominant Hankel solution; at m = 0 it is
-    # H_0 / H_{-1} = -H_0 / H_1.
-    x = k * radius
-    m = np.arange(np.max(orders) + 1)
-    ratio = np.empty(len(m), dtype=complex)  # ratio[m] = H_m(x) / H_{m-1}(x)
-    ratio[0] = -hankel1(0, x) / hankel1(1, x)
-    for j in range(len(m) - 1):
-        ratio[j + 1] = 2 * j / x - 1.0 / ratio[j]
-    multipliers = k * (1.0 / ratio - m / x)[orders]
+    # radiating-mode multiplier k H_m'(kR) / H_m(kR), even in the order (H_{-m} = (-1)^m H_m)
+    h, dh, _ = hankel1_orders(np.max(orders), k * radius)
+    multipliers = k * (dh / h)[orders]
     de_dn = np.fft.ifft(coeffs * multipliers) * n
 
     grad_phi0 = source.gradient(k, pts)

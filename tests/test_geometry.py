@@ -13,6 +13,20 @@ from enclosure2d.geometry import (
 )
 from conftest import L_VERTS, SQUARE_VERTS, TRIANGLE_VERTS, make_scene
 
+
+
+def reference_contains(poly, point):
+    """Polygon.contains as it was, iterating over numpy-scalar vertex pairs."""
+    x, y = float(point[0]), float(point[1])
+    inside = False
+    for (ax, ay), (bx, by) in poly.edges():
+        if (ay > y) != (by > y):
+            t = (y - ay) / (by - ay)
+            if x < ax + t * (bx - ax):
+                inside = not inside
+    return inside
+
+
 UNIT_SQ = Polygon(np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0]]))
 
 
@@ -48,6 +62,17 @@ class TestPolygon:
 
     def test_diameter(self):
         assert UNIT_SQ.diameter == pytest.approx(np.sqrt(2.0))
+
+    @pytest.mark.parametrize("verts", [SQUARE_VERTS, TRIANGLE_VERTS, L_VERTS], ids=["square", "triangle", "L"])
+    def test_contains_matches_numpy_scalar_reference(self, verts):
+        poly = Polygon(verts)
+        grid = np.linspace(-0.75, 0.75, 61)
+        points = [(x, y) for x in grid for y in grid]
+        # every vertex and 9 points along every edge, the ray test's ties
+        for a, b in poly.edges():
+            points += [tuple(a + t * (b - a)) for t in np.linspace(0.0, 1.0, 10, endpoint=False)]
+        points += [(x, y) for x in (-0.5, 0.0, 0.5) for y in grid]
+        assert [poly.contains(p) for p in points] == [reference_contains(poly, p) for p in points]
 
 
 class TestSupportFunction:

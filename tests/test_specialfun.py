@@ -5,9 +5,11 @@ from scipy import special
 from enclosure2d.errors import DomainError
 from enclosure2d.specialfun import (
     bessel_j,
+    bessel_j_orders,
     bessel_j_prime,
     bessel_y,
     hankel1,
+    hankel1_orders,
     hankel1_prime,
 )
 
@@ -180,3 +182,71 @@ class TestDomainGuards:
     def test_noninteger_order_rejected(self):
         with pytest.raises((DomainError, TypeError)):
             bessel_j(0.5, 1.0)
+
+
+def _scaled(values, exps):
+    """values 2^exps, inf where that overflows."""
+    with np.errstate(over="ignore"):
+        return values * np.ldexp(1.0, exps)
+
+
+class TestOrderHelpers:
+    """The all-orders Hankel and Miller helpers against the one-order routines."""
+
+    @pytest.mark.parametrize("x", [0.1, 1.0, 4.0, 20.0])
+    def test_hankel_orders_match_hankel1(self, x):
+        # scipy's own error passes 1e-14 beyond order ~60, so the check stops there
+        h, dh, exps = hankel1_orders(60, x)
+        for m in range(61):
+            ref, dref = hankel1(m, x), hankel1_prime(m, x)
+            if np.isfinite(ref) and np.isfinite(dref):
+                assert abs(_scaled(h[m], exps[m]) - ref) <= 1e-13 * abs(ref)
+                assert abs(_scaled(dh[m], exps[m]) - dref) <= 1e-13 * abs(dref)
+
+    @pytest.mark.parametrize("x", [0.5, 4.0, 20.0])
+    def test_hankel_orders_past_overflow(self, x):
+        mp = pytest.importorskip("mpmath")
+        h, dh, exps = hankel1_orders(300, x)
+        assert np.all(np.isfinite(h)) and np.all(np.isfinite(dh))
+        for m in (100, 190, 250, 300):
+            ref = mp.hankel1(m, x)
+            got = mp.mpc(h[m]) * mp.mpf(2) ** int(exps[m])
+            assert abs(got - ref) <= 1e-14 * abs(ref)
+
+    def test_domain(self):
+        for x in (0.0, -1.0):
+            with pytest.raises(DomainError):
+                hankel1_orders(4, x)
+        with pytest.raises(DomainError):
+            hankel1_orders(-1, 1.0)
+        for x in ([1.0, -1.0], [1.0, np.nan], [[1.0]]):
+            with pytest.raises(DomainError):
+                bessel_j_orders(np.array(x), np.zeros(3, dtype=int))
+
+    def test_miller_matches_bessel_j(self):
+        x = np.geomspace(0.05, 30.0, 200)
+        got = bessel_j_orders(x, np.zeros(41, dtype=int))
+        assert got.shape == (41, 200)
+        for m in range(41):
+            ref = bessel_j(m, x)
+            # past the turning point J_m has no zeros and decays: relative;
+            # before it, near a zero only the absolute error is meaningful
+            decaying = x <= m
+            assert np.all(np.abs(got[m] - ref)[decaying] <= 1e-13 * np.abs(ref[decaying]))
+            assert np.all(np.abs(got[m] - ref)[~decaying] <= 1e-15)
+
+    def test_miller_at_zero(self):
+        # a node at the centre: J_m(0) = 0 for m >= 1, up to the 1e-100 floor on x
+        got = bessel_j_orders(np.array([0.0, 1.0]), np.zeros(6, dtype=int))
+        assert got[0, 0] == 1.0 and np.all(np.abs(got[1:, 0]) <= 1e-100)
+
+    def test_scaled_products_stay_finite_and_accurate(self):
+        # J_m(k r) H_m(kR) at rho = 0.9: H_m(4) overflows near m = 190 and
+        # J_m(3.6) underflows near m = 200, while the product is ~0.9^m / m
+        mp = pytest.importorskip("mpmath")
+        h, _, exps = hankel1_orders(400, 4.0)
+        scaled = bessel_j_orders(np.array([3.6]), exps)[:, 0]
+        assert np.all(np.isfinite(scaled))
+        for m in (0, 5, 100, 190, 250, 350):
+            ref = mp.besselj(m, 3.6) * mp.hankel1(m, 4.0)
+            assert abs(mp.mpc(scaled[m] * h[m]) - ref) <= 1e-13 * abs(ref)

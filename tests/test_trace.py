@@ -1,10 +1,19 @@
 import numpy as np
 import pytest
 
-from enclosure2d.errors import DomainError, ResolutionError
-from enclosure2d.fields import PointSource
-from enclosure2d.forward import DiscSeriesSolution, build_mesh, solve_scattering
-from enclosure2d.geometry import Direction
+from enclosure2d import forward
+from enclosure2d.errors import DomainError, NearFieldError, ResolutionError
+from enclosure2d.fields import PlaneWave, PointSource
+from enclosure2d.forward import (
+    DiscSeriesSolution,
+    ScatterSolution,
+    build_mesh,
+    circle_nodes,
+    scattered_field,
+    solve_incidents,
+    solve_scattering,
+)
+from enclosure2d.geometry import Direction, Polygon, Scene
 from enclosure2d.indicator import compute_samples
 from enclosure2d.specialfun import hankel1, hankel1_prime
 from enclosure2d.trace import (
@@ -13,7 +22,58 @@ from enclosure2d.trace import (
     trace_from_csv,
     trace_to_csv,
 )
-from conftest import make_scene
+from conftest import L_VERTS, SQUARE_VERTS, TWO_BOXES, make_scene
+
+
+def polygon_verts(n_sides, radius):
+    t = np.linspace(0, 2 * np.pi, n_sides, endpoint=False)
+    return radius * np.stack([np.cos(t), np.sin(t)], axis=1)
+
+
+def scene_at(obstacles, k):
+    return Scene(
+        obstacles=tuple(Polygon(v) for v in obstacles),
+        radius_R=2.0,
+        radius_R1=6.0,
+        source_y=(6.0, 0.0),
+        wavenumber_k=k,
+    )
+
+
+def direct_sum_trace(sol, radius, n):
+    """u and du/dn at the circle nodes from the single-layer sum over every node pair."""
+    pts, nu = circle_nodes(sol.scene.center, radius, n)
+    k = sol.scene.wavenumber_k
+    w, grad_w = scattered_field(sol, pts)
+    u = sol.incident.value(k, pts) + w
+    dudn = np.einsum("ic,ic->i", sol.incident.gradient(k, pts) + grad_w, nu.astype(complex))
+    return u, dudn
+
+
+def assert_matches_direct_sum(sol, radius, n, tol=1e-13):
+    tr = trace_direct(sol, radius, n)
+    u, dudn = direct_sum_trace(sol, radius, n)
+    assert np.max(np.abs(tr.u - u)) <= tol * np.max(np.abs(u))
+    assert np.max(np.abs(tr.dudn - dudn)) <= tol * np.max(np.abs(dudn))
+
+
+# obstacles and nodes per edge; the 128-gon has N = 2048 nodes, as in the bench
+SERIES_SCENES = {
+    "square": ((SQUARE_VERTS,), 64),
+    "L": ((L_VERTS,), 64),
+    "two-boxes": (TWO_BOXES, 64),
+    "128-gon": ((polygon_verts(128, 0.5),), 16),
+}
+
+
+@pytest.fixture(scope="module", params=[(name, k) for name in SERIES_SCENES for k in (0.5, 2.0, 10.0)],
+                ids=lambda p: f"{p[0]}-k{p[1]:g}")
+def series_solutions(request):
+    name, k = request.param
+    obstacles, nodes_per_edge = SERIES_SCENES[name]
+    scene = scene_at(obstacles, k)
+    incidents = [PointSource(scene.source_y), PlaneWave(Direction.from_angle(0.7))]
+    return solve_incidents(scene, incidents, build_mesh(scene, nodes_per_edge=nodes_per_edge))
 
 
 class TestTraceDirect:
@@ -59,6 +119,74 @@ class TestTraceDirect:
         )
         ref = oracle.eval_total(tr.points)
         assert np.max(np.abs(tr.u - ref)) / np.max(np.abs(ref)) < 1e-2
+
+
+class TestSeriesMatchesDirectSum:
+    """The circular-harmonic trace against the single-layer sum at every circle node."""
+
+    # n = 64 is below 2M + 1 modes, so the series folds modulo n
+    @pytest.mark.parametrize("n", [64, 1024])
+    @pytest.mark.parametrize("incident", [0, 1], ids=["point-source", "plane-wave"])
+    def test_scenes(self, series_solutions, incident, n):
+        assert_matches_direct_sum(series_solutions[incident], 2.0, n)
+
+    @pytest.mark.parametrize("k", [0.5, 2.0, 10.0])
+    def test_boundary_near_the_circle(self, k):
+        # a 64-gon at rho = 0.9 needs M in the hundreds: H_m(kR) overflows
+        # long before the series ends.  Any density is a single-layer field,
+        # so a seeded random one excites every mode without a 2048-node solve.
+        scene = scene_at((polygon_verts(64, 1.8),), k)
+        mesh = build_mesh(scene, nodes_per_edge=32)
+        rng = np.random.default_rng(3)
+        density = rng.normal(size=mesh.n_nodes) + 1j * rng.normal(size=mesh.n_nodes)
+        sol = ScatterSolution(scene, PointSource(scene.source_y), mesh, density, 1.0, 0.0)
+        assert_matches_direct_sum(sol, 2.0, 64)
+
+    def test_does_not_evaluate_the_pair_sum(self, square_sol, square_scene, monkeypatch):
+        def pair_sum(*args):
+            raise AssertionError("scattered_field called")
+
+        monkeypatch.setattr(forward, "scattered_field", pair_sum)
+        trace_direct(square_sol, square_scene.radius_R, 64)
+
+
+@pytest.fixture(scope="module")
+def fine_square_sol():
+    # 256 nodes/edge: panels small enough for circles inside the square to pass the near-field rule
+    scene = make_scene(SQUARE_VERTS)
+    return solve_scattering(scene, PointSource(scene.source_y), build_mesh(scene, nodes_per_edge=256))
+
+
+class TestCircleGuards:
+    @pytest.mark.parametrize("radius", [0.05, 0.1, 0.15, 0.2, 0.25, 0.3, 0.35, 0.4])
+    def test_circle_inside_the_obstacle_rejected(self, fine_square_sol, radius):
+        # no node is within 3 panel lengths of these circles, so only the enclosure rule can catch them
+        with pytest.raises(DomainError):
+            trace_direct(fine_square_sol, radius, 256)
+
+    def test_circle_through_the_obstacle_rejected(self, fine_square_sol):
+        # the corners (at 0.7071) lie outside, and the 4 circle nodes are far from every node
+        with pytest.raises(DomainError):
+            trace_direct(fine_square_sol, 0.70, 4)
+
+    # 0.70 crosses the square's corners (at 0.7071), 0.72 just clears them,
+    # and at both a node lies within 3 panel lengths of the circle: with
+    # 512 circle nodes one of them is that close to a node, with 4 none is.
+    @pytest.mark.parametrize("radius, n", [(0.70, 512), (0.72, 512), (0.72, 4), (1.5, 4), (1.5, 512)])
+    def test_near_field_error_where_the_direct_sum_raises_it(self, fine_square_sol, radius, n):
+        mesh = fine_square_sol.mesh
+        r = np.linalg.norm(mesh.nodes, axis=1)
+        assert np.any(np.abs(radius - r) < 3 * mesh.panel_sizes) == (radius < 1)
+        try:
+            expected = direct_sum_trace(fine_square_sol, radius, n)
+        except NearFieldError:
+            with pytest.raises(NearFieldError):
+                trace_direct(fine_square_sol, radius, n)
+            return
+        assert (radius, n) in ((0.72, 4), (1.5, 4), (1.5, 512))
+        tr = trace_direct(fine_square_sol, radius, n)
+        assert np.max(np.abs(tr.u - expected[0])) <= 1e-13 * np.max(np.abs(expected[0]))
+        assert np.max(np.abs(tr.dudn - expected[1])) <= 1e-13 * np.max(np.abs(expected[1]))
 
 
 class TestRecoverNeumann:
