@@ -178,15 +178,13 @@ class TestCircleGuards:
         r = np.linalg.norm(mesh.nodes, axis=1)
         assert np.any(np.abs(radius - r) < 3 * mesh.panel_sizes) == (radius < 1)
         try:
-            expected = direct_sum_trace(fine_square_sol, radius, n)
+            direct_sum_trace(fine_square_sol, radius, n)
         except NearFieldError:
             with pytest.raises(NearFieldError):
                 trace_direct(fine_square_sol, radius, n)
             return
         assert (radius, n) in ((0.72, 4), (1.5, 4), (1.5, 512))
-        tr = trace_direct(fine_square_sol, radius, n)
-        assert np.max(np.abs(tr.u - expected[0])) <= 1e-13 * np.max(np.abs(expected[0]))
-        assert np.max(np.abs(tr.dudn - expected[1])) <= 1e-13 * np.max(np.abs(expected[1]))
+        assert_matches_direct_sum(fine_square_sol, radius, n)
 
 
 class TestRecoverNeumann:
