@@ -4,11 +4,9 @@ Three incident fields drive the forward solver: a plane wave
 e^{ik x.d}, the point source (i/4) H^(1)_0(k|x - y|), and the linearly
 modulated plane field (x0 - x).theta e^{-ik x.d} with theta chosen so
 that theta_perp = d.  The probe is the exponentially growing Helmholtz
-solution e^{x.(tau omega + i sqrt(tau^2 + k^2) omega_perp)}, always
-evaluated in a scaled form e^{-tau t_ref} * probe so that magnitudes stay
-representable for large tau.  The probe always carries a tau grid (a
-single tau is a grid of one), so every probe quantity has a leading tau
-axis.
+solution e^{x.(tau omega + i sqrt(tau^2 + k^2) omega_perp)}, always with a
+tau grid (a single tau is a grid of one); the indicator reads its
+circular-harmonic expansion, never its values (``indicator.compute_samples``).
 """
 
 from __future__ import annotations
@@ -26,7 +24,6 @@ __all__ = [
     "PointSource",
     "ModulatedPlane",
     "ProbeParams",
-    "eval_probe",
 ]
 
 
@@ -105,17 +102,15 @@ class ModulatedPlane:
 
 @dataclass(frozen=True)
 class ProbeParams:
-    """Probe direction, tau grid and magnitude-scaling shift.
+    """Probe direction and tau grid.
 
     ``tau`` becomes a 1-D array of finite positive values at construction
-    (a float is a grid of one).  For T values of tau, ``eval_probe`` returns
-    (T, N) for N points, ``gradient_factor`` (T, 2) and ``s`` (T,).
+    (a float is a grid of one); ``s`` has one value per tau.
     """
 
     omega: Direction
     tau: float | np.ndarray
     k: float
-    t_ref: float = 0.0
 
     def __post_init__(self):
         tau = np.atleast_1d(np.asarray(self.tau, dtype=float))
@@ -127,15 +122,3 @@ class ProbeParams:
     def s(self) -> np.ndarray:
         """Auxiliary parameter sqrt(tau^2 + k^2) + tau."""
         return np.hypot(self.tau, self.k) + self.tau
-
-    @property
-    def gradient_factor(self) -> np.ndarray:
-        """Constant vectors zeta with grad(probe) = zeta * probe, one row per tau."""
-        tau = self.tau[:, None]
-        return tau * self.omega.vec + 1j * np.hypot(tau, self.k) * self.omega.perp
-
-
-def eval_probe(p: ProbeParams, x) -> np.ndarray:
-    """Scaled probe value e^{tau (x.omega - t_ref)} e^{i kappa x.omega_perp}."""
-    x, tau = _points(x), p.tau[:, None]
-    return np.exp(tau * (x @ p.omega.vec - p.t_ref) + 1j * np.hypot(tau, p.k) * (x @ p.omega.perp))

@@ -1,15 +1,23 @@
 """Enclosure-method indicator: growth-rate extraction of the support function.
 
-The indicator pairs the measured Cauchy data on the circle with the
-exponentially growing probe:
+The indicator pairs the total field on the circle with the exponentially
+growing probe v_tau:
 
     J(tau) = int ( du/dnu * v_tau - dv_tau/dnu * u ) dS.
 
-Its magnitude behaves like e^{tau h} / s^{lambda} with s =
-sqrt(tau^2 + k^2) + tau and h the support function value in the probe
-direction, so log |J e^{-tau t_ref}| is fitted with the three-parameter
-model a tau + b log s + c; a + t_ref estimates h and b is a corner-angle
-diagnostic (close to -pi/Theta for the extreme corner).
+It needs only Dirichlet data and the known incident field: by Green's
+identity the incident part, regular in the disc, drops out, and one mode
+at a time the Wronskian of J_n and H_n turns the rest into one sum over
+the modes a_n of u - u_inc (``trace.circle_modes``).  Its magnitude
+behaves like e^{tau h} / s^{lambda} with s = sqrt(tau^2 + k^2) + tau and h
+the support function value in the probe direction, so log |J e^{-tau t_ref}|
+is fitted with the three-parameter model a tau + b log s + c; a + t_ref
+estimates h and b is a corner-angle diagnostic (close to -pi/Theta for
+the extreme corner).  Each sample carries a noise floor, the rms that the
+trace's tail level delta (noise or round-off in every mode) gives J;
+samples near it are unusable, and the fits weight the rest by their
+distance above it, so a sample just above the floor, whose log carries an
+error of order e^{floor - log|J|}, cannot steer the slope.
 
 Two refinements make the fit robust when several boundary points share
 nearly the same height in the probe direction (directions close to a
@@ -39,19 +47,9 @@ edge attains the support value, are fitted like any other direction:
 their two end corners beat against each other, which is the case the
 two-exponential fit models.
 
-``compute_samples`` is the one sampling entry point: one probe carries
-the whole tau grid of a direction, so each direction is one vectorised
-pass over the trace, and every fit reads s from that probe's definition.
-``estimate_supports`` is the one fit entry point; ``estimate_support`` is
+``compute_samples`` is the one sampling entry point and
+``estimate_supports`` the one fit entry point; ``estimate_support`` is
 its batch of one.
-
-All arithmetic is scaled: the probe carries e^{-tau t0} with t0 the
-maximum of x.omega over the circle, so every integrand term has modulus
-at most O(|u| tau).  The quadrature roundoff floor (machine epsilon times
-the L1 mass of the integrand) is tracked per sample; samples below it are
-flagged unusable and excluded from fits, and the fits weight the rest by
-their distance above it, so a sample just above the floor, whose log
-carries an error of order e^{floor - log|J|}, cannot steer the slope.
 """
 
 from __future__ import annotations
@@ -62,7 +60,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import DomainError, ReconstructionError, ResolutionError
-from .fields import ProbeParams, eval_probe
+from .fields import ProbeParams
 from .geometry import Direction, convex_hull_from_supports
 from .lsq import solve_bounded
 from .trace import TraceData
@@ -75,7 +73,6 @@ __all__ = [
     "estimate_supports",
     "classify_threshold",
     "reconstruct_hull",
-    "required_trace_size",
 ]
 
 NOISE_SNR = 30.0
@@ -92,7 +89,7 @@ TRIM_SIGMA = 2.0
 # envelope cannot resolve), the two-exponential refinement takes over
 S_SINGLE_MIN = 16.0
 TWO_TERM_TRIGGER = 0.01
-# log-magnitude error of a sample far above its round-off floor; a sample
+# log-magnitude error of a sample far above its noise floor; a sample
 # near the floor carries the relative error e^{floor - L} on top, and each
 # fit weights its residual by 1 / hypot(SIGMA0, e^{floor - L})
 SIGMA0 = 3e-3
@@ -103,18 +100,14 @@ _EPS = float(np.finfo(float).eps)
 _DIAGONAL = np.eye(5, dtype=bool)
 
 
-def required_trace_size(tau: float, k: float, radius: float) -> int:
-    """Minimum trace nodes resolving the probe oscillation: 4 per wavelength."""
-    return 4 * math.ceil(math.hypot(tau, k) * radius) + 32
-
-
 @dataclass(frozen=True)
 class IndicatorSamples:
     """Scaled indicator values over a strictly increasing tau grid.
 
-    ``log_noise_floors`` holds each sample's quadrature round-off floor
-    on the same scale as ``log_magnitudes``; samples whose floor is -inf
-    (noise-free data) all weigh the same in the fit.
+    ``log_noise_floors`` holds each sample's noise floor, the rms that the
+    trace's tail level gives J, on the same scale as ``log_magnitudes``;
+    samples whose floor is -inf (noise-free data) all weigh the same in the
+    fit.
     """
 
     omega: Direction
@@ -140,13 +133,17 @@ class IndicatorSamples:
 
 
 def compute_samples(trace: TraceData, omega: Direction, taus, t_ref: float | None = None) -> IndicatorSamples:
-    """Scaled indicator values and their round-off floors over a tau grid.
+    """Scaled indicator values and their noise floors over a tau grid, from the trace's modes.
 
-    One pass over the trace per direction.  Internally the probe is
-    referenced to t0 = max(x.omega) on the circle so the quadrature runs
-    on O(1) numbers; the requested t_ref (default: the circle radius)
-    enters as an exact affine shift of the log-magnitude afterwards (this
-    makes h_hat exactly independent of t_ref).
+    With a_n the modes, eta = asinh(tau/k), kappa = sqrt(tau^2 + k^2) and c
+    the circle's centre, J e^{-tau t_ref} is
+    4i e^{tau (c.omega + R - t_ref) + i kappa c.omega_perp} sum_n a_n e^{n eta - tau R} e^{i n beta};
+    each g_n = e^{n eta - tau R} / H_n(kR) is formed in exponent arithmetic.
+    |g_n| peaks near n = kappa R, so a trace of fewer than 2 kappa R nodes at
+    the largest tau raises ResolutionError.  If every w_n carries independent
+    noise of the tail level delta, J has rms 4 delta ||g||_2: that is the
+    floor, and samples less than NOISE_SNR times above it are unusable.
+    ``t_ref`` (default: the circle radius) enters as an exact affine shift.
     """
     taus = np.asarray(taus, float)
     if len(taus) == 0:
@@ -154,40 +151,30 @@ def compute_samples(trace: TraceData, omega: Direction, taus, t_ref: float | Non
     t_ref = float(trace.radius if t_ref is None else t_ref)
     if not math.isfinite(t_ref):
         raise DomainError("t_ref must be finite")
-    pts = trace.points
-    t0 = float(np.max(pts @ omega.vec))
-    probe = ProbeParams(omega, taus, trace.k, t_ref=t0)
-    tau_max = float(np.max(taus))
-    needed = required_trace_size(tau_max, trace.k, trace.radius)
-    if trace.n < needed:
-        raise ResolutionError(
-            f"trace has {trace.n} nodes but tau={tau_max} needs at least {needed}"
-        )
+    kappa = np.hypot(ProbeParams(omega, taus, trace.k).tau, trace.k)  # the probe checks tau and k
+    band = 2 * float(np.max(kappa)) * trace.radius
+    if band > trace.n:
+        raise ResolutionError(f"trace has {trace.n} nodes but tau={np.max(taus)} needs 2 kappa R = {band:.1f}")
 
-    v = eval_probe(probe, pts)
-    # einsum, not gradient_factor @ normals.T: it rounds each tau's zeta.nu
-    # exactly as a one-tau matvec does
-    zeta_dot_nu = np.einsum("nc,tc->tn", trace.normals.astype(complex), probe.gradient_factor)
-    integrand = (trace.dudn - zeta_dot_nu * trace.u) * v
-    ds = 2 * np.pi * trace.radius / trace.n
-    j_scaled = np.sum(integrand, axis=1) * ds
-    l1_mass = np.sum(np.abs(integrand), axis=1) * ds
-
-    log_floor_t0 = np.log(np.maximum(l1_mass, 1e-300)) + math.log(np.finfo(float).eps)
-    mag = np.abs(j_scaled)
+    modes = trace.modes
+    eta = np.arcsinh(taus / trace.k)
+    # e^{n eta - tau R} 2^-exps: times a it is a_n e^{n eta - tau R}, over |h| it is |g_n|
+    scale = np.exp(eta[:, None] * modes.orders - (taus * trace.radius)[:, None] - math.log(2) * modes.exps)
+    series = scale @ (modes.a * np.exp(1j * omega.angle * modes.orders))
+    g_norm = np.sqrt(scale**2 @ np.abs(modes.h) ** -2)
+    shift = taus * (trace.center @ omega.vec + trace.radius - t_ref)
     with np.errstate(divide="ignore"):
-        log_mag_t0 = np.log(mag)
-    shift = taus * (t0 - t_ref)
-    log_mag = log_mag_t0 + shift
+        log_mag = np.log(4 * np.abs(series)) + shift
+        log_floor = np.log(4 * modes.tail * g_norm) + shift
     return IndicatorSamples(
         omega=omega,
         t_ref=t_ref,
         taus=taus,
         log_magnitudes=log_mag,
-        phases=np.angle(j_scaled),
-        usable=np.isfinite(log_mag) & (log_mag_t0 > log_floor_t0 + math.log(NOISE_SNR)),
+        phases=np.angle(1j * series * np.exp(1j * kappa * (trace.center @ omega.perp))),
+        usable=np.isfinite(log_mag) & (log_mag > log_floor + math.log(NOISE_SNR)),
         k=trace.k,
-        log_noise_floors=log_floor_t0 + shift,
+        log_noise_floors=log_floor,
     )
 
 

@@ -1,21 +1,21 @@
-"""Cauchy data of the total field on the measurement circle.
+"""Cauchy data of the total field on the measurement circle, and its modes.
 
-Both routes to the Neumann trace are circular-harmonic expansions about
-the circle's centre.  ``trace_direct`` expands the solved boundary
-density: by Graf's addition theorem the single-layer sum becomes one
-series sum_m a_m H_m(k r) e^{i m theta}, so u and du/dn at every circle
-node come from one set of coefficients (``forward.circle_field``).
-``recover_neumann`` expands the measured Dirichlet data of the scattered
-part and extends each mode as the radiating exterior solution
-c_n H_n(k r) / H_n(k R) e^{i n theta}; it is the realistic processing
-chain when only Dirichlet data are measured.  The two start from
-different data, the density on the mesh against n samples of u, so their
-agreement (acceptance criterion 3) still checks that the samples resolve
-the scattered modes and that the incident part splits off exactly.  Both
-take H_m and H'_m from ``specialfun.hankel1_orders``, so it no longer
-checks those values: the tests pin the density series to the direct
-single-layer sum over every circle-node and boundary-node pair
-(``forward.scattered_field``), and the helper to ``hankel1``.
+``circle_modes`` reads Dirichlet data and the known incident field alone:
+one FFT of w = u - u_inc on the circle gives the radiating field
+sum_n a_n H_n(k r) e^{i n theta}, a_n = w_n / H_n(kR), about its centre.
+Two routes read those modes (``TraceData.modes`` computes them once per
+trace): ``recover_neumann`` returns the Neumann trace a_n k H'_n(kR), and
+``indicator.compute_samples`` pairs them with the probe's expansion.
+
+``trace_direct`` expands the solved boundary density instead: by Graf's
+addition theorem the single-layer sum becomes one series in the same
+harmonics (``forward.circle_field``).  The two start from different data,
+the density on the mesh against n samples of u, so their agreement
+(acceptance criterion 3) checks that the samples resolve the scattered
+modes and that the incident part splits off exactly.  Both take H_m and
+H'_m from ``specialfun.hankel1_orders``, so the tests pin the density
+series to the direct single-layer sum (``forward.scattered_field``) and
+the helper to ``hankel1``.
 """
 
 from __future__ import annotations
@@ -28,13 +28,14 @@ from functools import cached_property
 import numpy as np
 
 from .errors import DomainError, ResolutionError
-from .fields import PointSource
+from .fields import ModulatedPlane, PlaneWave, PointSource
 from .forward import ScatterSolution, circle_field, circle_nodes
 from .specialfun import hankel1_orders
 
-__all__ = ["TraceData", "trace_direct", "recover_neumann", "trace_to_csv", "trace_from_csv"]
+__all__ = ["CircleModes", "TraceData", "circle_modes", "trace_direct", "recover_neumann", "trace_to_csv",
+           "trace_from_csv"]
 
-# recover_neumann's harmonic tail must fall below this fraction of the head
+# the harmonic tail of the scattered part must fall below this fraction of the head
 TAIL_TOL = 1e-6
 
 
@@ -45,14 +46,70 @@ def _check_trace_size(n: int) -> None:
 
 
 @dataclass(frozen=True)
+class CircleModes:
+    """Harmonics w_n = a_n H_n(kR) of u - u_inc on the circle, over the FFT's signed ``orders``.
+
+    With ``specialfun.hankel1_orders``'s power-of-two scales no order
+    overflows: H_n(kR) = h 2^exps, H'_n(kR) = dh 2^exps, a_n = a 2^-exps.
+    ``tail`` is delta, the median |w_n| over |n| >= 3n/8, where the field
+    has decayed below TAIL_TOL of its head: the noise that every mode carries.
+    """
+
+    orders: np.ndarray
+    w: np.ndarray
+    h: np.ndarray
+    dh: np.ndarray
+    exps: np.ndarray
+    tail: float
+
+    @property
+    def a(self) -> np.ndarray:
+        return self.w / self.h
+
+
+def circle_modes(u_values, incident, k: float, center, radius: float) -> CircleModes:
+    """The modes of u - u_inc on the n equispaced ``circle_nodes`` of |x - center| = radius.
+
+    u_inc must be regular in the disc, so a point source must lie strictly
+    outside the circle (DomainError).  Raises ResolutionError when the
+    harmonic tail of u - u_inc has not decayed below TAIL_TOL of its head.
+    """
+    u_values = np.asarray(u_values, dtype=complex)
+    n = len(u_values)
+    _check_trace_size(n)
+    center = np.asarray(center, dtype=float)
+    if isinstance(incident, PointSource) and np.linalg.norm(incident.y - center) <= radius:
+        raise DomainError("source must lie strictly outside the measurement circle")
+
+    pts, _ = circle_nodes(center, radius, n)
+    coeffs = np.fft.fft(u_values - incident.value(k, pts)) / n
+    orders = np.fft.fftfreq(n, 1.0 / n).astype(int)
+    tail = np.abs(coeffs[np.abs(orders) >= (3 * n) // 8])
+    head = np.max(np.abs(coeffs))
+    if head > 0 and np.max(tail) > TAIL_TOL * head:
+        raise ResolutionError(f"harmonic tail {np.max(tail):.2e} has not decayed below {TAIL_TOL:.0e} "
+                              "of the head; increase the trace resolution")
+
+    # H_{-m} = (-1)^m H_m, and the same for H'
+    h, dh, exps = hankel1_orders(n // 2, k * radius)
+    sign = np.where((orders < 0) & (orders % 2 == 1), -1.0, 1.0)
+    h, dh, exps = sign * h[np.abs(orders)], sign * dh[np.abs(orders)], exps[np.abs(orders)]
+    return CircleModes(orders=orders, w=coeffs, h=h, dh=dh, exps=exps, tail=float(np.median(tail)))
+
+
+@dataclass(frozen=True)
 class TraceData:
-    """Total-field Dirichlet and Neumann values on equispaced circle nodes."""
+    """Total-field Dirichlet and Neumann values on equispaced circle nodes, and the incident field.
+
+    The inversion reads ``modes`` (u and ``incident``); ``dudn`` serves the forward checks.
+    """
 
     center: np.ndarray
     radius: float
     u: np.ndarray      # (N,) complex
     dudn: np.ndarray   # (N,) complex, outward radial derivative
     k: float
+    incident: PointSource | PlaneWave | ModulatedPlane
 
     def __post_init__(self):
         _check_trace_size(len(self.u))
@@ -70,14 +127,10 @@ class TraceData:
     def angles(self) -> np.ndarray:
         return 2 * np.pi * np.arange(self.n) / self.n
 
-    # built once per trace: every indicator sample reads both
+    # built once per trace: every direction's indicator samples read it
     @cached_property
-    def points(self) -> np.ndarray:
-        return circle_nodes(self.center, self.radius, self.n)[0]
-
-    @cached_property
-    def normals(self) -> np.ndarray:
-        return circle_nodes(self.center, self.radius, self.n)[1]
+    def modes(self) -> CircleModes:
+        return circle_modes(self.u, self.incident, self.k, self.center, self.radius)
 
 
 def trace_direct(sol: ScatterSolution, radius: float, n: int) -> TraceData:
@@ -101,47 +154,23 @@ def trace_direct(sol: ScatterSolution, radius: float, n: int) -> TraceData:
     k = scene.wavenumber_k
     u = sol.incident.value(k, pts) + w
     dudn = np.einsum("ic,ic->i", sol.incident.gradient(k, pts), nu.astype(complex)) + dwdr
-    return TraceData(center=center, radius=radius, u=u, dudn=dudn, k=k)
+    return TraceData(center=center, radius=radius, u=u, dudn=dudn, k=k, incident=sol.incident)
 
 
 def recover_neumann(u_values, k: float, y, radius: float, center=(0.0, 0.0)) -> np.ndarray:
     """Neumann trace from Dirichlet data via the exterior Dirichlet problem.
 
-    The scattered part E = u - Phi_0(., y) is radiating outside the circle,
-    so each circular harmonic extends in closed form and its radial
-    derivative on the circle is c_n k H_n'(kR) / H_n(kR).  Raises
-    ResolutionError when the harmonic tail of E has not decayed.
+    The scattered part u - Phi_0(., y) is radiating outside the circle, so
+    each mode a_n H_n(k r) e^{i n theta} of ``circle_modes`` has radial
+    derivative a_n k H'_n(kR) on it.  Raises what ``circle_modes`` raises.
     """
-    u_values = np.asarray(u_values, dtype=complex)
-    n = len(u_values)
-    _check_trace_size(n)
-    center = np.asarray(center, dtype=float)
-    y = np.asarray(y, dtype=float)
-    if np.linalg.norm(y - center) <= radius:
-        raise DomainError("source must lie strictly outside the measurement circle")
-
-    pts, nu = circle_nodes(center, radius, n)
     source = PointSource(y)
-    phi0 = source.value(k, pts)
-    coeffs = np.fft.fft(u_values - phi0) / n
-
-    orders = np.abs(np.fft.fftfreq(n, 1.0 / n).astype(int))
-    head = np.max(np.abs(coeffs))
-    if head > 0:
-        tail = np.max(np.abs(coeffs[orders >= (3 * n) // 8]))
-        if tail > TAIL_TOL * head:
-            raise ResolutionError(
-                f"harmonic tail {tail:.2e} has not decayed below {TAIL_TOL:.0e} "
-                "of the head; increase the trace resolution"
-            )
-
-    # radiating-mode multiplier k H_m'(kR) / H_m(kR), even in the order (H_{-m} = (-1)^m H_m)
-    h, dh, _ = hankel1_orders(np.max(orders), k * radius)
-    multipliers = k * (dh / h)[orders]
-    de_dn = np.fft.ifft(coeffs * multipliers) * n
-
-    grad_phi0 = source.gradient(k, pts)
-    dphi0_dn = np.einsum("ic,ic->i", grad_phi0, nu.astype(complex))
+    modes = circle_modes(u_values, source, k, center, radius)
+    n = len(modes.w)
+    # a_n k H'_n = w_n k H'_n / H_n: the power-of-two scales cancel
+    de_dn = np.fft.ifft(modes.w * (k * (modes.dh / modes.h))) * n
+    pts, nu = circle_nodes(np.asarray(center, dtype=float), radius, n)
+    dphi0_dn = np.einsum("ic,ic->i", source.gradient(k, pts), nu.astype(complex))
     return dphi0_dn + de_dn
 
 
@@ -160,9 +189,10 @@ def trace_to_csv(trace: TraceData, header_lines=()) -> str:
     return buf.getvalue()
 
 
-def trace_from_csv(text: str, center, radius: float, k: float) -> TraceData:
+def trace_from_csv(text: str, center, radius: float, k: float, incident) -> TraceData:
+    """The trace that ``trace_to_csv`` wrote, lit by the known ``incident`` field."""
     rows = [r for r in csv.reader(io.StringIO(text)) if r and not r[0].startswith("#")]
     body = rows[1:]  # skip column header
     u = np.array([float(r[1]) + 1j * float(r[2]) for r in body])
     dudn = np.array([float(r[3]) + 1j * float(r[4]) for r in body])
-    return TraceData(center=np.asarray(center, float), radius=radius, u=u, dudn=dudn, k=k)
+    return TraceData(center=np.asarray(center, float), radius=radius, u=u, dudn=dudn, k=k, incident=incident)

@@ -5,13 +5,16 @@ boundary-circle trace so the indicator/fit tests do not re-solve the
 same system dozens of times.
 """
 
+import math
+
 import numpy as np
 import pytest
 
 from enclosure2d.farfield import far_field_constant
-from enclosure2d.fields import PlaneWave, PointSource, ProbeParams, eval_probe
-from enclosure2d.forward import build_mesh, eval_total, solve_incidents, solve_scattering
+from enclosure2d.fields import PlaneWave, PointSource, ProbeParams
+from enclosure2d.forward import build_mesh, circle_nodes, eval_total, solve_incidents, solve_scattering
 from enclosure2d.geometry import Direction, Polygon, Scene
+from enclosure2d.indicator import NOISE_SNR, IndicatorSamples
 from enclosure2d.trace import trace_direct
 
 SQUARE_VERTS = np.array([[-0.5, -0.5], [0.5, -0.5], [0.5, 0.5], [-0.5, 0.5]])
@@ -23,7 +26,7 @@ L_VERTS = np.array(
     [[-0.5, -0.5], [0.5, -0.5], [0.5, 0.0], [0.0, 0.0], [0.0, 0.5], [-0.5, 0.5]]
 )
 # two boxes 0.2 apart: a multi-obstacle mesh, and a scene where the CLI's
-# default hull has a direction with only 7 usable indicator samples
+# hull to tau 60 has directions with fewer than 8 usable indicator samples
 TWO_BOXES = (
     np.array([[-0.7, -0.3], [-0.1, -0.3], [-0.1, 0.3], [-0.7, 0.3]]),
     np.array([[0.1, -0.3], [0.7, -0.3], [0.7, 0.3], [0.1, 0.3]]),
@@ -41,8 +44,62 @@ def make_scene(verts):
     )
 
 
-def reference_log_magnitudes(sol, trace, omega, taus, t_ref=None):
-    """Floor-free reference log|J| of ``compute_samples(trace, omega, taus, t_ref)``.
+def eval_probe(p: ProbeParams, x, t_ref=0.0):
+    """Scaled probe value e^{tau (x.omega - t_ref)} e^{i kappa x.omega_perp}, one row per tau."""
+    x, tau = np.atleast_2d(np.asarray(x, dtype=float)), p.tau[:, None]
+    return np.exp(tau * (x @ p.omega.vec - t_ref) + 1j * np.hypot(tau, p.k) * (x @ p.omega.perp))
+
+
+def probe_gradient_factor(p: ProbeParams):
+    """Constant vectors zeta with grad(probe) = zeta * probe, one row per tau."""
+    tau = p.tau[:, None]
+    return tau * p.omega.vec + 1j * np.hypot(tau, p.k) * p.omega.perp
+
+
+def quadrature_samples(trace, omega, taus, t_ref=None):
+    """The indicator by trapezoid quadrature of the Cauchy data, with its eps*L1 round-off floor.
+
+    J(tau) = int (du/dnu v_tau - dv_tau/dnu u) dS over the circle, with the
+    probe referenced to t0 = max(x.omega) on the circle so that every
+    integrand term has modulus at most O(|u| tau), then shifted to t_ref
+    (default: the circle radius).  The floor is machine epsilon times the
+    L1 mass of the integrand; a sample is usable NOISE_SNR times above it.
+    It reads du/dn, which the package's indicator does not, so it is an
+    independent reference for it.
+    """
+    taus = np.asarray(taus, dtype=float)
+    t_ref = trace.radius if t_ref is None else t_ref
+    pts, normals = circle_nodes(trace.center, trace.radius, trace.n)
+    t0 = float(np.max(pts @ omega.vec))
+    probe = ProbeParams(omega, taus, trace.k)
+    v = eval_probe(probe, pts, t_ref=t0)
+    # einsum, not the factor @ normals.T: it rounds each tau's zeta.nu
+    # exactly as a one-tau matvec does
+    zeta_dot_nu = np.einsum("nc,tc->tn", normals.astype(complex), probe_gradient_factor(probe))
+    integrand = (trace.dudn - zeta_dot_nu * trace.u) * v
+    ds = 2 * np.pi * trace.radius / trace.n
+    j_scaled = np.sum(integrand, axis=1) * ds
+    l1_mass = np.sum(np.abs(integrand), axis=1) * ds
+
+    log_floor_t0 = np.log(np.maximum(l1_mass, 1e-300)) + math.log(np.finfo(float).eps)
+    with np.errstate(divide="ignore"):
+        log_mag_t0 = np.log(np.abs(j_scaled))
+    shift = taus * (t0 - t_ref)
+    log_mag = log_mag_t0 + shift
+    return IndicatorSamples(
+        omega=omega,
+        t_ref=t_ref,
+        taus=taus,
+        log_magnitudes=log_mag,
+        phases=np.angle(j_scaled),
+        usable=np.isfinite(log_mag) & (log_mag_t0 > log_floor_t0 + math.log(NOISE_SNR)),
+        k=trace.k,
+        log_noise_floors=log_floor_t0 + shift,
+    )
+
+
+def reference_samples(sol, trace, omega, taus, t_ref=None):
+    """Floor-free reference log|J| and phase of ``compute_samples(trace, omega, taus, t_ref)``.
 
     The Nystrom scattered field is a sum of point sources and the incident
     field is regular in the measurement disc, so Green's second identity
@@ -54,10 +111,10 @@ def reference_log_magnitudes(sol, trace, omega, taus, t_ref=None):
     to t_ref (default: the circle radius) as compute_samples does.
     """
     taus = np.asarray(taus, dtype=float)
-    t0 = float(np.max(trace.points @ omega.vec))
-    v = eval_probe(ProbeParams(omega, taus, trace.k, t_ref=t0), sol.mesh.nodes)
+    t0 = float(np.max(circle_nodes(trace.center, trace.radius, trace.n)[0] @ omega.vec))
+    v = eval_probe(ProbeParams(omega, taus, trace.k), sol.mesh.nodes, t_ref=t0)
     j = -v @ (sol.density * sol.mesh.weights)
-    return np.log(np.abs(j)) + taus * (t0 - (trace.radius if t_ref is None else t_ref))
+    return np.log(np.abs(j)) + taus * (t0 - (trace.radius if t_ref is None else t_ref)), np.angle(j)
 
 
 def far_field_pattern(sol, angles):

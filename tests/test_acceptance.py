@@ -18,7 +18,7 @@ from enclosure2d.farfield import (
     disc_far_field_operator,
     unsolvability_diagnostic,
 )
-from enclosure2d.fields import PlaneWave, PointSource, ProbeParams, eval_probe
+from enclosure2d.fields import PlaneWave, PointSource, ProbeParams
 from enclosure2d.forward import DiscSeriesSolution, build_mesh, eval_total, solve_scattering
 from enclosure2d.geometry import Direction, Polygon, Scene, hausdorff_distance
 from enclosure2d.indicator import (
@@ -29,7 +29,15 @@ from enclosure2d.indicator import (
 )
 from enclosure2d.trace import recover_neumann, trace_direct
 
-from conftest import L_VERTS, SQUARE_VERTS, TRIANGLE_VERTS, make_scene, point_source_far_field_check
+from conftest import (
+    L_VERTS,
+    SQUARE_VERTS,
+    TRIANGLE_VERTS,
+    eval_probe,
+    make_scene,
+    point_source_far_field_check,
+    quadrature_samples,
+)
 
 N_CRITERIA = 11
 _REPORT_LINES = {}
@@ -129,7 +137,12 @@ def test_criterion_3_neumann_routes(square_sol, square_scene):
 
 
 def test_criterion_4_empty_scene_null(empty_scene, taus):
-    """Without an obstacle the indicator vanishes to quadrature noise."""
+    """Without an obstacle the indicator vanishes to quadrature noise.
+
+    It reads the Cauchy-data quadrature of the tests, whose floor is the
+    integrand's L1 mass; the package's indicator has no quadrature, and on
+    this scene its modes are exact zeros (``TestGreenNull``).
+    """
     mesh = build_mesh(empty_scene)
     sol = solve_scattering(empty_scene, PointSource(empty_scene.source_y), mesh)
     tr = trace_direct(sol, empty_scene.radius_R, 512)
@@ -138,7 +151,7 @@ def test_criterion_4_empty_scene_null(empty_scene, taus):
     margin = np.log(1e-12) - np.log(np.finfo(float).eps)
     worst = -np.inf
     for ang in (0.0, 0.7, 2.1, 4.0):
-        samples = compute_samples(tr, Direction.from_angle(ang), taus)
+        samples = quadrature_samples(tr, Direction.from_angle(ang), taus)
         worst = max(worst, float(np.max(samples.log_magnitudes - (samples.log_noise_floors + margin))))
     ok = worst < 0
     _record(
@@ -354,8 +367,8 @@ def test_criterion_11_invariances(square_trace, square_scene, taus):
 
     # (d) probe magnitude scaling identity, exact in the log
     x = np.array([0.9, -0.4])
-    la = np.log(np.abs(eval_probe(ProbeParams(om, tau, 2.0, t_ref=a), x)))
-    l0 = np.log(np.abs(eval_probe(ProbeParams(om, tau, 2.0, t_ref=0.0), x)))
+    la = np.log(np.abs(eval_probe(ProbeParams(om, tau, 2.0), x, t_ref=a)))
+    l0 = np.log(np.abs(eval_probe(ProbeParams(om, tau, 2.0), x, t_ref=0.0)))
     checks["probe scaling"] = bool(np.all(np.abs(la - (l0 - tau * a)) < 1e-12 * tau * a))
 
     # (e) Tikhonov solution norms are nonincreasing in alpha

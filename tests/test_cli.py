@@ -187,6 +187,12 @@ class TestHull:
         assert code == 3
         assert "error[resolution]" in capsys.readouterr().err
 
+    def test_trace_holding_the_probe_band_runs(self, scene_file, tmp_path):
+        # tau up to 40 needs 2 kappa R = 160.2 nodes, so 256 hold the band
+        code = main(["hull", "--scene", str(scene_file), "--out", str(tmp_path / "o"),
+                     "--trace-n", "256", "--directions", "8"])
+        assert code == 0
+
     def test_small_sweep(self, scene_file, tmp_path):
         out = tmp_path / "hull"
         code = main([
@@ -210,12 +216,13 @@ class TestHull:
         assert [r.split(",")[5] for r in rows[1:]] == ["two_term", "envelope"] * 4
 
     def test_sparse_direction_is_dropped_not_fatal(self, tmp_path):
-        # one direction of the default grid keeps only 7 usable samples on
-        # the two boxes; it is left out of the hull, not fatal to the command
+        # on the two boxes with tau up to 60, some directions keep fewer than
+        # 8 usable samples (on the default grid, to tau 40, each keeps at
+        # least 8); they are left out of the hull, not fatal to the command
         path = tmp_path / "scene.json"
         path.write_text(json.dumps(scene_dict(obstacles=[box.tolist() for box in TWO_BOXES])))
         out = tmp_path / "hull"
-        assert main(["hull", "--scene", str(path), "--out", str(out)]) == 0
+        assert main(["hull", "--scene", str(path), "--out", str(out), "--tau-max", "60"]) == 0
         rows = [l.split(",") for l in (out / "supports.csv").read_text().splitlines()
                 if not l.startswith("#")]
         assert ["none", "unusable"] in [r[5:] for r in rows[1:]]

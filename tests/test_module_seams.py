@@ -92,6 +92,14 @@ def test_inversion_does_not_import_the_solver():
     assert not offenders, f"indicator.py imports ground-truth or solver names: {sorted(offenders)}"
 
 
+def test_inversion_does_not_read_the_neumann_trace():
+    # the paper's data is u on the circle and the known source: the
+    # indicator reads the trace's modes, never its du/dn
+    tree = ast.parse((PACKAGE / "indicator.py").read_text())
+    reads = [node.lineno for node in ast.walk(tree) if isinstance(node, ast.Attribute) and node.attr == "dudn"]
+    assert not reads, f"indicator.py reads dudn at lines {reads}"
+
+
 ROOT = PACKAGE.parents[1]
 # public names kept as library API although no command, bench workload or
 # demo calls them yet, each with its reason

@@ -15,8 +15,9 @@ from enclosure2d.forward import (
 )
 from enclosure2d.geometry import Direction, Polygon, Scene
 from enclosure2d.indicator import compute_samples
-from enclosure2d.specialfun import hankel1, hankel1_prime
+from enclosure2d.specialfun import bessel_j, hankel1, hankel1_prime
 from enclosure2d.trace import (
+    circle_modes,
     recover_neumann,
     trace_direct,
     trace_from_csv,
@@ -83,9 +84,10 @@ class TestTraceDirect:
         sol = solve_scattering(empty_scene, src, mesh)
         tr = trace_direct(sol, empty_scene.radius_R, 128)
         k = empty_scene.wavenumber_k
-        np.testing.assert_array_equal(tr.u, src.value(k, tr.points))
-        grad = src.gradient(k, tr.points)
-        np.testing.assert_array_equal(tr.dudn, np.einsum("ic,ic->i", grad, tr.normals))
+        points, normals = circle_nodes(tr.center, tr.radius, tr.n)
+        np.testing.assert_array_equal(tr.u, src.value(k, points))
+        grad = src.gradient(k, points)
+        np.testing.assert_array_equal(tr.dudn, np.einsum("ic,ic->i", grad, normals))
 
     def test_power_of_two_enforced(self, square_sol):
         with pytest.raises(DomainError):
@@ -97,7 +99,7 @@ class TestTraceDirect:
 
     def test_resolution_self_convergence(self, square_sol, square_scene, square_trace):
         # doubling N leaves the downstream indicator unchanged once resolved;
-        # tau kept small so the integral is far above its cancellation floor
+        # tau kept small so J is far above its noise floor
         fine = trace_direct(square_sol, square_scene.radius_R, 1024)
         om = Direction.from_angle(np.pi / 6)
         taus = np.geomspace(1.0, 8.0, 8)
@@ -117,7 +119,7 @@ class TestTraceDirect:
         oracle = DiscSeriesSolution(
             center=np.zeros(2), a=0.5, k=scene.wavenumber_k, incident=src
         )
-        ref = oracle.eval_total(tr.points)
+        ref = oracle.eval_total(circle_nodes(tr.center, tr.radius, tr.n)[0])
         assert np.max(np.abs(tr.u - ref)) / np.max(np.abs(ref)) < 1e-2
 
 
@@ -148,6 +150,34 @@ class TestSeriesMatchesDirectSum:
 
         monkeypatch.setattr(forward, "scattered_field", pair_sum)
         trace_direct(square_sol, square_scene.radius_R, 64)
+
+
+class TestCircleModes:
+    """The modes of u - u_inc against the coefficients of the density that produced u."""
+
+    @pytest.mark.parametrize("incident", [0, 1], ids=["point-source", "plane-wave"])
+    def test_modes_are_the_density_coefficients(self, series_solutions, incident):
+        # a_m = (i/4) sum_j dw_j J_m(k r_j) e^{-i m t_j}; at 1024 nodes the
+        # folded orders past 512 lie far below round-off
+        sol = series_solutions[incident]
+        k, n, top = sol.scene.wavenumber_k, 1024, 60
+        modes = trace_direct(sol, 2.0, n).modes
+        rel = sol.mesh.nodes - sol.scene.center
+        r, t = np.hypot(rel[:, 0], rel[:, 1]), np.arctan2(rel[:, 1], rel[:, 0])
+        dw = sol.density * sol.mesh.weights
+        w_ref = np.zeros(n, dtype=complex)  # w_m = a_m H_m(kR), in FFT order
+        for m in range(-top, top + 1):
+            sign = (-1) ** m if m < 0 else 1  # J_{-m} = (-1)^m J_m, and H_{-m} likewise
+            a_m = 0.25j * sign * np.sum(dw * bessel_j(abs(m), k * r) * np.exp(-1j * m * t))
+            w_ref[m] = a_m * sign * hankel1(abs(m), 2.0 * k)
+        # the scaled a_n times the mantissa h of H_n(kR), |h| in [0.5, 1): the scales cancel
+        assert np.max(np.abs(modes.a * modes.h - w_ref)) <= 1e-13 * np.max(np.abs(w_ref))
+        assert modes.tail <= 1e-15 * np.max(np.abs(w_ref))
+
+    def test_point_source_inside_the_circle_rejected(self, square_trace):
+        # its field is singular in the disc, so it does not split off
+        with pytest.raises(DomainError):
+            circle_modes(square_trace.u, PointSource((1.0, 0.5)), 2.0, (0.0, 0.0), 2.0)
 
 
 @pytest.fixture(scope="module")
@@ -256,6 +286,7 @@ class TestCsvRoundTrip:
             square_scene.center,
             square_scene.radius_R,
             square_scene.wavenumber_k,
+            square_trace.incident,
         )
         np.testing.assert_array_equal(again.u, square_trace.u)
         np.testing.assert_array_equal(again.dudn, square_trace.dudn)
