@@ -164,9 +164,10 @@ def cmd_hull(args) -> int:
     hull, estimates = reconstruct_hull(trace, directions, taus)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    rows = [[repr(float(v)) for v in (d.angle, est.h_hat, est.residual_rms, est.log_s_coefficient)]
-            + [est.n_used, est.fit_path, "usable" if est.usable else "unusable"]
-            for d, est in zip(directions, estimates)]
+    values = np.array([(d.angle, est.h_hat, est.residual_rms, est.log_s_coefficient)
+                       for d, est in zip(directions, estimates)]).tolist()
+    rows = [[repr(v) for v in row] + [est.n_used, est.fit_path, "usable" if est.usable else "unusable"]
+            for row, est in zip(values, estimates)]
     _write_csv(out / "supports.csv", args, ["angle", "h_hat", "residual_rms", "b", "n_used", "fit", "status"], rows)
     _write_json(out / "hull.json", args, {"vertices": hull.tolist()})
     _write_json(out / "diagnostics.json", args, {
@@ -199,8 +200,9 @@ def cmd_farfield(args) -> int:
     op = _far_field_operator(scene, args)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    rows = [[i, j, repr(float(op.matrix[i, j].real)), repr(float(op.matrix[i, j].imag))]
-            for i in range(op.matrix.shape[0]) for j in range(op.matrix.shape[1])]
+    re, im = op.matrix.real.tolist(), op.matrix.imag.tolist()
+    rows = [[i, j, repr(v), repr(w)] for i, (re_i, im_i) in enumerate(zip(re, im))
+            for j, (v, w) in enumerate(zip(re_i, im_i))]
     _write_csv(out / "operator.csv", args, ["obs_index", "inc_index", "re", "im"], rows)
     report = unsolvability_diagnostic(op, np.asarray(args.sample_point), alphas)
     _write_json(out / "sweep.json", args, {
@@ -226,7 +228,7 @@ def cmd_lsm(args) -> int:
     values = lsm_indicator_map(op, grid)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    rows = [[repr(float(x)), repr(float(y)), repr(float(v))] for (x, y), v in zip(grid, values)]
+    rows = [[repr(x), repr(y), repr(v)] for (x, y), v in zip(grid.tolist(), values.tolist())]
     _write_csv(out / "heatmap.csv", args, ["x", "y", "inv_norm"], rows)
     return EXIT_OK
 

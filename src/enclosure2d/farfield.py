@@ -12,6 +12,9 @@ norm blows up with no plateau as the regularization parameter decreases.
 One SVD U diag(s) V^H of B = sqrt(w_o) w_i F serves every alpha and every
 sample point: g = V diag(s / (s^2 + alpha w_i)) U^H c with c = sqrt(w_o) b,
 and s with the Picard coefficients |U^H c| is the discrete Picard evidence.
+The sampling map forms only the norms: per block of points one product
+U^H c and its squared moduli.  The relative residual, which needs
+c - U U^H c, is formed only for the sweep's one sample point.
 Each operator is built from one phase product over all its incidences and
 keeps its SVD once computed, so every sweep and map on it reuses both.
 The disc series operator, probed at its center, is the solvable contrast
@@ -124,11 +127,12 @@ def _weighted_rhs(op: FarFieldOperator, points) -> np.ndarray:
     return math.sqrt(op.obs_weight) * far_field_constant(op.k) * np.exp(-1j * op.k * (phi_hat @ points.T))
 
 
-def _tikhonov(op: FarFieldOperator, alphas, points):
-    """Norms and relative residuals, shaped (alphas, points), from the operator's SVD.
+def _tikhonov_norms(op: FarFieldOperator, alphas, points) -> np.ndarray:
+    """||g_alpha(y)||, shaped (alphas, points), from the operator's SVD.
 
     ||g|| is the norm of the filtered coefficients s / (s^2 + alpha w_i)
-    U^H c; the residual is their filtered-out part plus c outside range(U).
+    U^H c, so a block of points costs one product with U^H and the
+    squared moduli |U^H c|^2.
     """
     alphas = np.atleast_1d(np.asarray(alphas, dtype=float))
     points = np.atleast_2d(np.asarray(points, dtype=float))
@@ -137,18 +141,14 @@ def _tikhonov(op: FarFieldOperator, alphas, points):
     if not np.all(np.isfinite(points)):
         raise DomainError("sample points must be finite")
     u, s, _ = op.svd
-    damping = op.inc_weight * alphas[:, None]
-    filtered, missed = s / (s**2 + damping), damping / (s**2 + damping)
-    norms, resids = np.empty((2, len(alphas), len(points)))
+    u_h = u.conj().T
+    filtered = s / (s**2 + op.inc_weight * alphas[:, None])
+    norms = np.empty((len(alphas), len(points)))
     for start in range(0, len(points), _POINT_BLOCK):
         block = slice(start, start + _POINT_BLOCK)
-        c = _weighted_rhs(op, points[block])
-        coeffs = u.conj().T @ c
-        power = np.abs(coeffs) ** 2
-        outside = np.sum(np.abs(c - u @ coeffs) ** 2, axis=0)
+        power = np.abs(u_h @ _weighted_rhs(op, points[block])) ** 2
         norms[:, block] = np.sqrt(op.inc_weight * (filtered**2 @ power))
-        resids[:, block] = np.sqrt((missed**2 @ power + outside) / np.sum(np.abs(c) ** 2, axis=0))
-    return norms, resids
+    return norms
 
 
 @dataclass(frozen=True)
@@ -170,13 +170,19 @@ def unsolvability_diagnostic(op: FarFieldOperator, y, alphas) -> GrowthReport:
     the desk-scale observable of the rhs lying outside the operator range.
     """
     alphas = np.asarray(alphas, dtype=float)
-    norms, resids = _tikhonov(op, alphas, y)
+    norms = _tikhonov_norms(op, alphas, y)[:, 0]
     u, s, _ = op.svd
     if len(alphas) < 5 or np.any(np.diff(alphas) >= 0):
         raise DomainError("need >= 5 strictly decreasing alpha values")
     if math.log10(alphas[0] / alphas[-1]) < 4:
         raise DomainError("alpha sweep must span at least 4 decades")
-    norms, resids = norms[:, 0], resids[:, 0]
+    # the residual is the filtered-out part of the coefficients plus c outside range(U)
+    c = _weighted_rhs(op, y)
+    coeffs = u.conj().T @ c
+    damping = op.inc_weight * alphas[:, None]
+    missed = damping / (s**2 + damping)
+    outside = np.sum(np.abs(c - u @ coeffs) ** 2, axis=0)
+    resids = np.sqrt((missed**2 @ np.abs(coeffs) ** 2 + outside) / np.sum(np.abs(c) ** 2, axis=0))[:, 0]
     slope = float(np.polyfit(np.log10(1.0 / alphas), np.log10(norms), 1)[0])
 
     window = alphas <= alphas[-1] * 1e3  # last three decades
@@ -191,7 +197,7 @@ def unsolvability_diagnostic(op: FarFieldOperator, y, alphas) -> GrowthReport:
         loglog_slope=slope,
         no_plateau=bool(increasing and ratio_per_decade > 2.0),
         singular_values=s,
-        picard=np.abs(u.conj().T @ _weighted_rhs(op, y)[:, 0]),
+        picard=np.abs(coeffs[:, 0]),
     )
 
 
@@ -200,4 +206,4 @@ def lsm_indicator_map(op: FarFieldOperator, points, alpha: float | None = None) 
     if alpha is None:
         alpha = max(1e-6 * float(np.max(np.abs(op.matrix))) ** 2, 1e-300)
     with np.errstate(divide="ignore"):  # a zero operator gives zero norms, an infinite map
-        return 1.0 / _tikhonov(op, alpha, points)[0][0]
+        return 1.0 / _tikhonov_norms(op, alpha, points)[0]

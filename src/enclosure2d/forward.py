@@ -50,7 +50,7 @@ from numpy.polynomial.legendre import leggauss
 from scipy.linalg import lu_factor, lu_solve
 from scipy.linalg.lapack import zgecon
 
-from .errors import DomainError, GeometryError, NearFieldError, SolverError
+from .errors import DomainError, GeometryError, NearFieldError, ResolutionError, SolverError
 from .fields import ModulatedPlane, PlaneWave, PointSource
 from .geometry import Direction, Scene
 from .specialfun import bessel_j_orders, bessel_j_prime, hankel1, hankel1_orders, hankel1_prime
@@ -74,6 +74,12 @@ MAX_GRADING_LEVELS = 6
 CONDITION_LIMIT = 1e10
 RESIDUAL_TOL = 1e-8
 INVERSE_MAX_NODES = 512
+# the most (orders + 1) x N entries circle_field's terms array may hold,
+# 128 MB of complex: 4x the largest series a test, demo or bench run forms
+# (2048 orders over 1024 nodes, a circle 2% outside the fine square's
+# corners), while the order count grows without bound as a vertex nears
+# the circle
+SERIES_MAX_ENTRIES = 2**23
 
 
 @dataclass(frozen=True)
@@ -313,7 +319,9 @@ def circle_field(sol: ScatterSolution, radius: float, n: int) -> tuple[np.ndarra
     would: only a node with |R - r_j| < 3 panel lengths can trigger it, so
     the exact check runs only when such a node exists.  Then raises
     DomainError when an obstacle vertex lies at or beyond the circle, where
-    the series diverges.
+    the series diverges.  Then raises ResolutionError, before any term is
+    formed, when the series needs more than SERIES_MAX_ENTRIES terms
+    (orders + 1) x N: a circle that clears a vertex by a hair.
     """
     mesh = sol.mesh
     if not mesh.n_nodes:
@@ -334,6 +342,10 @@ def circle_field(sol: ScatterSolution, radius: float, n: int) -> tuple[np.ndarra
     # past top is below eps / (1 + x) of the order-x term; 1 + x covers the
     # growth of k H'_m ~ (m / R) H_m
     top = math.ceil(x) + math.ceil(math.log(np.finfo(float).eps / (1 + x)) / math.log(rho))
+    if (top + 1) * mesh.n_nodes > SERIES_MAX_ENTRIES:
+        raise ResolutionError(f"the circle's harmonic series needs {top + 1} orders over {mesh.n_nodes} nodes, "
+                              f"more than {SERIES_MAX_ENTRIES} terms (max |node - centre| / R = {rho:.6f}); "
+                              "enlarge the measurement circle")
     h, dh, exps = hankel1_orders(top, x)
     terms = bessel_j_orders(k * r, exps).astype(complex)  # J_m(k r_j) H_m(kR) / h_m
     phase = np.exp(-1j * np.arctan2(rel[:, 1], rel[:, 0]))

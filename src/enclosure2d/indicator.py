@@ -8,8 +8,12 @@ growing probe v_tau:
 It needs only Dirichlet data and the known incident field: by Green's
 identity the incident part, regular in the disc, drops out, and one mode
 at a time the Wronskian of J_n and H_n turns the rest into one sum over
-the modes a_n of u - u_inc (``trace.circle_modes``).  Its magnitude
-behaves like e^{tau h} / s^{lambda} with s = sqrt(tau^2 + k^2) + tau and h
+the modes a_n of u - u_inc (``trace.circle_modes``).  All of that sum
+but the direction, the (T x N) factor e^{n eta - tau R} / H_n(kR) with
+its norm ||g(tau)||_2, is the trace's ``probe_table``, built once per tau
+grid, so each direction costs one (T x N) product with a_n e^{i n beta}.
+Its magnitude behaves like e^{tau h} / s^{lambda} with
+s = sqrt(tau^2 + k^2) + tau and h
 the support function value in the probe direction, so log |J e^{-tau t_ref}|
 is fitted with the three-parameter model a tau + b log s + c; a + t_ref
 estimates h and b is a corner-angle diagnostic (close to -pi/Theta for
@@ -59,7 +63,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import DomainError, ReconstructionError, ResolutionError
+from .errors import DomainError, ReconstructionError
 from .fields import ProbeParams
 from .geometry import Direction, convex_hull_from_supports
 from .lsq import solve_bounded
@@ -139,11 +143,13 @@ def compute_samples(trace: TraceData, omega: Direction, taus, t_ref: float | Non
     the circle's centre, J e^{-tau t_ref} is
     4i e^{tau (c.omega + R - t_ref) + i kappa c.omega_perp} sum_n a_n e^{n eta - tau R} e^{i n beta};
     each g_n = e^{n eta - tau R} / H_n(kR) is formed in exponent arithmetic.
-    |g_n| peaks near n = kappa R, so a trace of fewer than 2 kappa R nodes at
-    the largest tau raises ResolutionError.  If every w_n carries independent
-    noise of the tail level delta, J has rms 4 delta ||g||_2: that is the
-    floor, and samples less than NOISE_SNR times above it are unusable.
-    ``t_ref`` (default: the circle radius) enters as an exact affine shift.
+    Everything but the direction is the trace's ``probe_table``, built once
+    per tau grid (ResolutionError for a trace of fewer than 2 kappa R nodes
+    at the largest tau), so a direction costs one (T x N) product with
+    a_n e^{i n beta}.  If every w_n carries independent noise of the tail
+    level delta, J has rms 4 delta ||g||_2: that is the floor, and samples
+    less than NOISE_SNR times above it are unusable.  ``t_ref`` (default:
+    the circle radius) enters as an exact affine shift.
     """
     taus = np.asarray(taus, float)
     if len(taus) == 0:
@@ -151,27 +157,21 @@ def compute_samples(trace: TraceData, omega: Direction, taus, t_ref: float | Non
     t_ref = float(trace.radius if t_ref is None else t_ref)
     if not math.isfinite(t_ref):
         raise DomainError("t_ref must be finite")
-    kappa = np.hypot(ProbeParams(omega, taus, trace.k).tau, trace.k)  # the probe checks tau and k
-    band = 2 * float(np.max(kappa)) * trace.radius
-    if band > trace.n:
-        raise ResolutionError(f"trace has {trace.n} nodes but tau={np.max(taus)} needs 2 kappa R = {band:.1f}")
+    ProbeParams(omega, taus, trace.k)  # checks tau and k
+    table = trace.probe_table(taus)
 
     modes = trace.modes
-    eta = np.arcsinh(taus / trace.k)
-    # e^{n eta - tau R} 2^-exps: times a it is a_n e^{n eta - tau R}, over |h| it is |g_n|
-    scale = np.exp(eta[:, None] * modes.orders - (taus * trace.radius)[:, None] - math.log(2) * modes.exps)
-    series = scale @ (modes.a * np.exp(1j * omega.angle * modes.orders))
-    g_norm = np.sqrt(scale**2 @ np.abs(modes.h) ** -2)
+    series = table.scale @ (modes.a * np.exp(1j * omega.angle * modes.orders))
     shift = taus * (trace.center @ omega.vec + trace.radius - t_ref)
     with np.errstate(divide="ignore"):
         log_mag = np.log(4 * np.abs(series)) + shift
-        log_floor = np.log(4 * modes.tail * g_norm) + shift
+        log_floor = np.log(4 * modes.tail * table.g_norm) + shift
     return IndicatorSamples(
         omega=omega,
         t_ref=t_ref,
         taus=taus,
         log_magnitudes=log_mag,
-        phases=np.angle(1j * series * np.exp(1j * kappa * (trace.center @ omega.perp))),
+        phases=np.angle(1j * series * np.exp(1j * table.kappa * (trace.center @ omega.perp))),
         usable=np.isfinite(log_mag) & (log_mag > log_floor + math.log(NOISE_SNR)),
         k=trace.k,
         log_noise_floors=log_floor,

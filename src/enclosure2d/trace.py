@@ -5,7 +5,9 @@ one FFT of w = u - u_inc on the circle gives the radiating field
 sum_n a_n H_n(k r) e^{i n theta}, a_n = w_n / H_n(kR), about its centre.
 Two routes read those modes (``TraceData.modes`` computes them once per
 trace): ``recover_neumann`` returns the Neumann trace a_n k H'_n(kR), and
-``indicator.compute_samples`` pairs them with the probe's expansion.
+``indicator.compute_samples`` pairs them with the probe's expansion, whose
+direction-independent part ``TraceData.probe_table`` keeps for the last
+tau grid.
 
 ``trace_direct`` expands the solved boundary density instead: by Graf's
 addition theorem the single-layer sum becomes one series in the same
@@ -22,6 +24,7 @@ from __future__ import annotations
 
 import csv
 import io
+import math
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -32,8 +35,8 @@ from .fields import ModulatedPlane, PlaneWave, PointSource
 from .forward import ScatterSolution, circle_field, circle_nodes
 from .specialfun import hankel1_orders
 
-__all__ = ["CircleModes", "TraceData", "circle_modes", "trace_direct", "recover_neumann", "trace_to_csv",
-           "trace_from_csv"]
+__all__ = ["CircleModes", "ProbeTable", "TraceData", "circle_modes", "trace_direct", "recover_neumann",
+           "trace_to_csv", "trace_from_csv"]
 
 # the harmonic tail of the scattered part must fall below this fraction of the head
 TAIL_TOL = 1e-6
@@ -98,10 +101,40 @@ def circle_modes(u_values, incident, k: float, center, radius: float) -> CircleM
 
 
 @dataclass(frozen=True)
+class ProbeTable:
+    """The direction-independent part of the indicator over one tau grid, for one trace.
+
+    With eta = asinh(tau/k), ``scale`` is e^{n eta - tau R} 2^-exps over the
+    modes' orders, one row per tau: times a it is a_n e^{n eta - tau R},
+    over |h| it is |g_n| = |e^{n eta - tau R} / H_n(kR)|.  It is stored
+    complex, the type its product with the complex modes promotes it to.
+    ``g_norm`` is ||g(tau)||_2 and ``kappa`` is sqrt(tau^2 + k^2).
+    """
+
+    taus: np.ndarray
+    kappa: np.ndarray
+    scale: np.ndarray
+    g_norm: np.ndarray
+
+
+def _build_probe_table(trace: TraceData, taus: np.ndarray) -> ProbeTable:
+    """Build the trace's ``ProbeTable`` over ``taus``; ResolutionError when the trace cannot hold the band."""
+    kappa = np.hypot(taus, trace.k)
+    band = 2 * float(np.max(kappa)) * trace.radius
+    if band > trace.n:
+        raise ResolutionError(f"trace has {trace.n} nodes but tau={np.max(taus)} needs 2 kappa R = {band:.1f}")
+    modes = trace.modes
+    eta = np.arcsinh(taus / trace.k)
+    scale = np.exp(eta[:, None] * modes.orders - (taus * trace.radius)[:, None] - math.log(2) * modes.exps)
+    return ProbeTable(taus=taus, kappa=kappa, scale=scale.astype(complex),
+                      g_norm=np.sqrt(scale**2 @ np.abs(modes.h) ** -2))
+
+
+@dataclass(frozen=True)
 class TraceData:
     """Total-field Dirichlet and Neumann values on equispaced circle nodes, and the incident field.
 
-    The inversion reads ``modes`` (u and ``incident``); ``dudn`` serves the forward checks.
+    The inversion reads ``modes`` (u and ``incident``) and ``probe_table``; ``dudn`` serves the forward checks.
     """
 
     center: np.ndarray
@@ -132,6 +165,20 @@ class TraceData:
     def modes(self) -> CircleModes:
         return circle_modes(self.u, self.incident, self.k, self.center, self.radius)
 
+    def probe_table(self, taus: np.ndarray) -> ProbeTable:
+        """The indicator's direction-independent factor over the finite positive grid ``taus``.
+
+        The trace keeps the table of the last grid it was asked for, so a
+        sweep of directions over one grid builds it once.  |g_n| peaks near
+        n = kappa R, so a trace of fewer than 2 kappa R nodes at the largest
+        tau raises ResolutionError, on every call, as no such table is kept.
+        """
+        table = self.__dict__.get("_probe_table")
+        if table is None or not np.array_equal(table.taus, taus):
+            table = _build_probe_table(self, np.array(taus, dtype=float))
+            object.__setattr__(self, "_probe_table", table)
+        return table
+
 
 def trace_direct(sol: ScatterSolution, radius: float, n: int) -> TraceData:
     """Sample the total field and its radial derivative on the circle about the scene's center.
@@ -140,7 +187,8 @@ def trace_direct(sol: ScatterSolution, radius: float, n: int) -> TraceData:
     least 2 and for a point source on the circle; then what
     ``forward.circle_field`` raises: NearFieldError for a circle node
     within 3 panel lengths of the boundary, DomainError for a circle that
-    does not enclose every obstacle vertex.
+    does not enclose every obstacle vertex, ResolutionError for one whose
+    series would pass ``forward.SERIES_MAX_ENTRIES`` terms.
     """
     _check_trace_size(n)
     scene = sol.scene
@@ -181,11 +229,8 @@ def trace_to_csv(trace: TraceData, header_lines=()) -> str:
         buf.write(f"# {line}\n")
     writer = csv.writer(buf)
     writer.writerow(["angle", "re_u", "im_u", "re_dudn", "im_dudn"])
-    for a, u, du in zip(trace.angles, trace.u, trace.dudn):
-        writer.writerow(
-            [repr(float(a)), repr(float(u.real)), repr(float(u.imag)),
-             repr(float(du.real)), repr(float(du.imag))]
-        )
+    columns = (trace.angles, trace.u.real, trace.u.imag, trace.dudn.real, trace.dudn.imag)
+    writer.writerows([repr(v) for v in row] for row in zip(*(c.tolist() for c in columns)))
     return buf.getvalue()
 
 

@@ -98,6 +98,30 @@ def quadrature_samples(trace, omega, taus, t_ref=None):
     )
 
 
+def formula_samples(trace, omega, taus, t_ref=None):
+    """(log|J|, phase, usable, floor) of ``compute_samples`` from its formula, every factor formed afresh.
+
+    The probe's expansion e^{n eta - tau R} 2^-exps is rebuilt for this one
+    direction, real, so the product with the modes promotes it to complex
+    on the fly; the package keeps it, complex, in the trace's
+    ``probe_table``.  The two must agree bitwise.
+    """
+    taus = np.asarray(taus, float)
+    t_ref = float(trace.radius if t_ref is None else t_ref)
+    kappa = np.hypot(ProbeParams(omega, taus, trace.k).tau, trace.k)
+    modes = trace.modes
+    eta = np.arcsinh(taus / trace.k)
+    scale = np.exp(eta[:, None] * modes.orders - (taus * trace.radius)[:, None] - math.log(2) * modes.exps)
+    series = scale @ (modes.a * np.exp(1j * omega.angle * modes.orders))
+    g_norm = np.sqrt(scale**2 @ np.abs(modes.h) ** -2)
+    shift = taus * (trace.center @ omega.vec + trace.radius - t_ref)
+    with np.errstate(divide="ignore"):
+        log_mag = np.log(4 * np.abs(series)) + shift
+        log_floor = np.log(4 * modes.tail * g_norm) + shift
+    phases = np.angle(1j * series * np.exp(1j * kappa * (trace.center @ omega.perp)))
+    return log_mag, phases, np.isfinite(log_mag) & (log_mag > log_floor + math.log(NOISE_SNR)), log_floor
+
+
 def reference_samples(sol, trace, omega, taus, t_ref=None):
     """Floor-free reference log|J| and phase of ``compute_samples(trace, omega, taus, t_ref)``.
 
@@ -124,6 +148,37 @@ def far_field_pattern(sol, angles):
     phi_hat = np.column_stack([np.cos(angles), np.sin(angles)])
     phases = np.exp(-1j * k * (phi_hat @ mesh.nodes.T))
     return (far_field_constant(k) * phases @ (sol.density[:, None] * mesh.weights[:, None]))[:, 0]
+
+
+def weighted_rhs_reference(op, points):
+    """sqrt(w_o) times the point-source far fields, one column per point."""
+    points = np.atleast_2d(np.asarray(points, dtype=float))
+    phi_hat = np.column_stack([np.cos(op.obs_angles), np.sin(op.obs_angles)])
+    return math.sqrt(op.obs_weight) * far_field_constant(op.k) * np.exp(-1j * op.k * (phi_hat @ points.T))
+
+
+def tikhonov_reference(op, alphas, points):
+    """Norms and relative residuals, shaped (alphas, points), from the operator's SVD.
+
+    Both for every point, in blocks of 256 points as the package's map
+    takes them; the residuals form c - U U^H c, which the map does not
+    need.  The map's and the sweep's values must agree with these bitwise.
+    """
+    alphas = np.atleast_1d(np.asarray(alphas, dtype=float))
+    points = np.atleast_2d(np.asarray(points, dtype=float))
+    u, s, _ = op.svd
+    damping = op.inc_weight * alphas[:, None]
+    filtered, missed = s / (s**2 + damping), damping / (s**2 + damping)
+    norms, resids = np.empty((2, len(alphas), len(points)))
+    for start in range(0, len(points), 256):
+        block = slice(start, start + 256)
+        c = weighted_rhs_reference(op, points[block])
+        coeffs = u.conj().T @ c
+        power = np.abs(coeffs) ** 2
+        outside = np.sum(np.abs(c - u @ coeffs) ** 2, axis=0)
+        norms[:, block] = np.sqrt(op.inc_weight * (filtered**2 @ power))
+        resids[:, block] = np.sqrt((missed**2 @ power + outside) / np.sum(np.abs(c) ** 2, axis=0))
+    return norms, resids
 
 
 def point_source_far_field_check(scene, d_angles, nodes_per_edge=64, p_grade=4.0):

@@ -18,7 +18,16 @@ from enclosure2d.fields import PlaneWave
 from enclosure2d.forward import DiscSeriesSolution, build_mesh, solve_incidents, solve_scattering
 from enclosure2d.geometry import Direction, Polygon, Scene
 
-from conftest import far_field_pattern, make_scene, point_source_far_field_check, SQUARE_VERTS, TWO_BOXES
+from conftest import (
+    L_VERTS,
+    SQUARE_VERTS,
+    TWO_BOXES,
+    far_field_pattern,
+    make_scene,
+    point_source_far_field_check,
+    tikhonov_reference,
+    weighted_rhs_reference,
+)
 
 DISC_R = 0.8
 K = 2.0
@@ -44,6 +53,11 @@ def disc_op():
 @pytest.fixture(scope="module")
 def square_op():
     return assemble_far_field_operator(make_scene(SQUARE_VERTS), 32, 32, nodes_per_edge=32)
+
+
+@pytest.fixture(scope="module")
+def l_op():
+    return assemble_far_field_operator(make_scene(L_VERTS), 32, 32, nodes_per_edge=32)
 
 
 @pytest.fixture(scope="module")
@@ -265,3 +279,30 @@ class TestLsmMap:
         vals = lsm_indicator_map(disc_op, grid)
         peak = grid[np.argmax(vals)]
         assert np.linalg.norm(peak) < 0.2
+
+
+class TestNormsOnly:
+    """The map forms only |U^H c|^2 and the norms; the sweep adds its one point's residuals."""
+
+    # 3721 points: 15 blocks of the map, the last one partial
+    GRID = np.array([[x, y] for y in np.linspace(-2.0, 2.0, 61) for x in np.linspace(-2.0, 2.0, 61)])
+
+    @pytest.mark.parametrize("which", ["square_op", "l_op", "tall_square_op"])
+    def test_map_is_bitwise_the_reference(self, request, which):
+        op = request.getfixturevalue(which)
+        alpha = 1e-6 * float(np.max(np.abs(op.matrix))) ** 2  # the map's default
+        norms, _ = tikhonov_reference(op, alpha, self.GRID)
+        np.testing.assert_array_equal(lsm_indicator_map(op, self.GRID), 1.0 / norms[0])
+
+    @pytest.mark.parametrize("which", ["square_op", "l_op", "tall_square_op"])
+    def test_sweep_is_bitwise_the_reference(self, request, which):
+        op = request.getfixturevalue(which)
+        alphas = np.geomspace(1e-3, 1e-9, 7)
+        u, s, _ = op.svd
+        for y in [(0.0, 0.0), (0.4, 0.4), (1.5, 0.5)]:
+            report = unsolvability_diagnostic(op, y, alphas)
+            norms, resids = tikhonov_reference(op, alphas, y)
+            np.testing.assert_array_equal(report.norms, norms[:, 0])
+            np.testing.assert_array_equal(report.residuals, resids[:, 0])
+            np.testing.assert_array_equal(report.singular_values, s)
+            np.testing.assert_array_equal(report.picard, np.abs(u.conj().T @ weighted_rhs_reference(op, y)[:, 0]))

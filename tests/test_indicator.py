@@ -6,6 +6,7 @@ from scipy.optimize import least_squares
 from scipy.optimize._numdiff import approx_derivative
 
 from enclosure2d import indicator
+from enclosure2d import trace as trace_module
 from enclosure2d.errors import DomainError, ReconstructionError, ResolutionError
 from enclosure2d.fields import PointSource, ProbeParams
 from enclosure2d.forward import build_mesh, circle_nodes, solve_scattering
@@ -35,6 +36,7 @@ from conftest import (
     SQUARE_VERTS,
     TRIANGLE_VERTS,
     eval_probe,
+    formula_samples,
     make_scene,
     probe_gradient_factor,
     quadrature_samples,
@@ -201,9 +203,73 @@ EIGHT_TAUS = np.geomspace(4.0, 40.0, 8)  # enough samples that only t_ref can fa
     pytest.param(lambda trace: compute_samples(trace, OM30, EIGHT_TAUS, t_ref=np.inf), id="samples-inf-t_ref"),
 ])
 def test_non_finite_probe_input_is_domain_error(call, square_trace):
-    # nan <= 0 is False, so a bare positivity test lets these through
+    # nan <= 0 is False, so a bare positivity test lets these through; the
+    # checks run on every call, also once the trace keeps a table for the grid
+    trace = dataclasses.replace(square_trace)  # a copy that has built no table
     with pytest.raises(DomainError):
-        call(square_trace)
+        call(trace)
+    compute_samples(trace, OM30, EIGHT_TAUS)
+    with pytest.raises(DomainError):
+        call(trace)
+
+
+def assert_matches_formula(trace, omega, taus, t_ref=None):
+    samples = compute_samples(trace, omega, taus, t_ref)
+    log_mag, phases, usable, log_floor = formula_samples(trace, omega, taus, t_ref)
+    np.testing.assert_array_equal(samples.log_magnitudes, log_mag)
+    np.testing.assert_array_equal(samples.phases, phases)
+    np.testing.assert_array_equal(samples.usable, usable)
+    np.testing.assert_array_equal(samples.log_noise_floors, log_floor)
+
+
+class TestProbeTable:
+    DIRECTIONS = CRITERION_8_DIRECTIONS[::8]
+
+    def test_one_table_per_trace_and_grid(self, square_trace, monkeypatch):
+        # a work count, not a clock: a 64-direction hull builds the
+        # direction-independent table once, a later sweep of the same trace
+        # and grid (a copy of it, with another t_ref) builds none, and
+        # another trace builds its own
+        calls = []
+        build = trace_module._build_probe_table
+        monkeypatch.setattr(trace_module, "_build_probe_table",
+                            lambda trace, taus: calls.append((id(trace), len(taus))) or build(trace, taus))
+        trace = dataclasses.replace(square_trace)  # a copy that has built no table
+        reconstruct_hull(trace, CRITERION_8_DIRECTIONS, CRITERION_8_TAUS)
+        assert calls == [(id(trace), 64)]
+        for om in CRITERION_8_DIRECTIONS:
+            compute_samples(trace, om, CRITERION_8_TAUS.copy(), t_ref=1.0)
+        assert len(calls) == 1
+        other = dataclasses.replace(square_trace)
+        for om in CRITERION_8_DIRECTIONS:
+            compute_samples(other, om, CRITERION_8_TAUS)
+        assert calls[1:] == [(id(other), 64)]
+
+    def test_two_grids_on_one_trace(self, square_trace):
+        # the trace keeps the last grid's table: alternating grids rebuild it
+        trace = dataclasses.replace(square_trace)
+        for taus in (CRITERION_8_TAUS, EIGHT_TAUS, CRITERION_8_TAUS, EIGHT_TAUS):
+            for om in self.DIRECTIONS:
+                assert_matches_formula(trace, om, taus)
+
+    @pytest.mark.parametrize("t_ref", [None, 0.0, 40.0])
+    def test_reference_shift(self, square_trace, t_ref):
+        for om in self.DIRECTIONS:
+            assert_matches_formula(square_trace, om, CRITERION_8_TAUS, t_ref)
+
+    def test_off_centre_circle(self, translated_square):
+        _, trace = translated_square
+        for om in self.DIRECTIONS:
+            assert_matches_formula(trace, om, CRITERION_8_TAUS)
+
+    def test_no_table_leaks_between_traces(self, square_trace):
+        # the same k, R and N with different u: the floor comes from each
+        # trace's own tail level, so a shared table would show here
+        noisy = _with_noise(square_trace, 1e-12, 0)
+        assert noisy.modes.tail > 100 * square_trace.modes.tail
+        for om in self.DIRECTIONS:
+            for trace in (square_trace, noisy):
+                assert_matches_formula(trace, om, CRITERION_8_TAUS)
 
 
 class TestOnePass:

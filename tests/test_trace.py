@@ -1,3 +1,5 @@
+import time
+
 import numpy as np
 import pytest
 
@@ -215,6 +217,21 @@ class TestCircleGuards:
             return
         assert (radius, n) in ((0.72, 4), (1.5, 4), (1.5, 512))
         assert_matches_direct_sum(fine_square_sol, radius, n)
+
+    def test_circle_that_clears_the_corners_by_a_hair_raises_before_the_series(self, fine_square_sol,
+                                                                               monkeypatch):
+        # the corners lie 1.3e-4 R inside the circle, and the 4 circle nodes
+        # are far from every node, so both guards above pass; the series
+        # would need 280,111 orders over 1024 nodes (4.6 GB of complex terms)
+        def never(*args):
+            raise AssertionError("the series' terms were formed")
+
+        monkeypatch.setattr(forward, "hankel1_orders", never)
+        monkeypatch.setattr(forward, "bessel_j_orders", never)
+        start = time.monotonic()
+        with pytest.raises(ResolutionError, match="orders over 1024 nodes"):
+            trace_direct(fine_square_sol, 0.7072, 4)
+        assert time.monotonic() - start < 1.0
 
 
 class TestRecoverNeumann:
