@@ -80,6 +80,10 @@ INVERSE_MAX_NODES = 512
 # corners), while the order count grows without bound as a vertex nears
 # the circle
 SERIES_MAX_ENTRIES = 2**23
+# the most entries the dense N x N system may hold, 256 MB of complex (its
+# inverse or LU as much again): 4x the largest a test, demo or bench run
+# forms (forward-large's 2048 nodes); --mesh-nodes has no bound of its own
+SYSTEM_MAX_ENTRIES = 2**24
 
 
 @dataclass(frozen=True)
@@ -196,12 +200,12 @@ def solve_incidents(scene: Scene, incidents, mesh: BoundaryMesh) -> list[Scatter
     estimate.  All right-hand sides go through one product with the
     inverse or one LU solve.
 
-    Raises DomainError for a point source inside an obstacle, before
-    anything is assembled; then SolverError when the condition is not
-    finite (a singular or NaN matrix) or marks k as near a spurious
-    interior resonance of the single-layer ansatz, or when a discrete
-    residual exceeds RESIDUAL_TOL of its right-hand side.  An empty list
-    assembles nothing and gives [].
+    Raises DomainError for a point source inside an obstacle, then
+    ResolutionError past SYSTEM_MAX_ENTRIES, before anything is assembled;
+    then SolverError when the condition is not finite (a singular or NaN
+    matrix) or marks k as near a spurious interior resonance of the
+    single-layer ansatz, or when a discrete residual exceeds RESIDUAL_TOL
+    of its right-hand side.  An empty list assembles nothing and gives [].
     """
     incidents = list(incidents)
     for incident in incidents:
@@ -209,6 +213,9 @@ def solve_incidents(scene: Scene, incidents, mesh: BoundaryMesh) -> list[Scatter
             raise DomainError("point source inside an obstacle")
     if not incidents:
         return []
+    if mesh.n_nodes**2 > SYSTEM_MAX_ENTRIES:
+        raise ResolutionError(f"a mesh of {mesh.n_nodes} nodes needs an N x N system of more than "
+                              f"{SYSTEM_MAX_ENTRIES} entries; use fewer nodes per edge")
     condition = 1.0
     densities = np.zeros((0, len(incidents)), dtype=complex)
     residuals = np.zeros(len(incidents))

@@ -34,15 +34,9 @@ exponent is clamped to its physically admissible window (convex corners
 give -pi/Theta in (-1, -1/2); flat-side endpoint contributions give -1).
 Second, when the trimmed residual stays large, a two-exponential
 complex model is fitted to the full (magnitude and phase) indicator by
-variable projection, and the height of the dominant exponent is used
-instead.  The variable-projection solve runs once, from the best of a
-fixed grid of starting exponents.  The linear coefficients are projected
-out in closed form (a two-column QR), batched over parameter rows: all
-starts are ranked in one call, and each forward-difference Jacobian
-evaluates its five perturbed points in one call.  ``estimate_supports``
-fits many directions and runs all their refines as one batched
-trust-region-reflective solve (``lsq.solve_bounded``), which takes the
-steps scipy's ``least_squares`` would take for each alone.
+variable projection, by one batched projected Levenberg-Marquardt solve
+for all of ``estimate_supports``' directions, and the height of the
+dominant exponent is used instead.
 
 The hull is built from the fitted data alone: every direction is fitted
 in one ``estimate_supports`` call, and those whose fit stays poor are
@@ -66,7 +60,6 @@ import numpy as np
 from .errors import DomainError, ReconstructionError
 from .fields import ProbeParams
 from .geometry import Direction, convex_hull_from_supports
-from .lsq import solve_bounded
 from .trace import TraceData
 
 __all__ = [
@@ -100,8 +93,17 @@ SIGMA0 = 3e-3
 # bounds of the two-term refine's (dh1, p1, dh2, p2, b)
 _LOWER = np.array([-1.0, -3.0, -1.0, -3.0, B_MIN])
 _UPPER = np.array([0.5, 3.0, 0.5, 3.0, B_MAX])
-_EPS = float(np.finfo(float).eps)
-_DIAGONAL = np.eye(5, dtype=bool)
+_EPS, _TINY = float(np.finfo(float).eps), float(np.finfo(float).tiny)
+# the refine's steps are measured in the start grid's spacing, 0.15 in
+# height and 0.2 in phase, and b's in its window, which the grid's one b
+# spans; a refine stops when its next step is under _XTOL of these units
+# (1.5e-7 in a height), or after MAX_ROUNDS evaluations
+_STEP_UNITS = np.array([0.15, 0.2, 0.15, 0.2, B_MAX - B_MIN])
+_XTOL = 1e-6
+MAX_ROUNDS = 200
+# log s of padded samples: s^b = e^{b _PAD_LOG_S} underflows to exactly 0
+# for every b <= B_MAX, and tau = 0 there keeps every Jacobian term finite
+_PAD_LOG_S = 1e4
 
 
 @dataclass(frozen=True)
@@ -242,57 +244,165 @@ def _trimmed_envelope_fit(t: np.ndarray, L: np.ndarray, s: np.ndarray, wt: np.nd
     return float(coeffs[0]), float(coeffs[1]), rms
 
 
-def _two_term_basis(rows: np.ndarray, t: np.ndarray, s: np.ndarray) -> np.ndarray:
-    """(..., 2, n) columns s^b e^{(dh_j + i p_j) tau} of each (dh1, p1, dh2, p2, b) row.
+def _two_term_basis(rows: np.ndarray, t: np.ndarray, log_s: np.ndarray) -> np.ndarray:
+    """(..., 2, n) columns e^{(dh_j + i p_j) tau + b log s} of each (dh1, p1, dh2, p2, b) row.
 
-    ``t`` and ``s`` are one grid (n,) or one grid per row, broadcast
+    ``t`` and ``log_s`` are one grid (n,) or one grid per row, broadcast
     against the rows' leading axes.
     """
     z = rows[..., :4].view(complex)  # each (dh_j, p_j) pair read as dh_j + i p_j
-    return np.exp(z[..., None] * t[..., None, :]) * s[..., None, :] ** rows[..., 4, None, None]
+    return np.exp(z[..., None] * t[..., None, :] + rows[..., 4, None, None] * log_s[..., None, :])
 
 
-def _projected_residuals(rows: np.ndarray, t: np.ndarray, s: np.ndarray, j0: np.ndarray) -> np.ndarray:
-    """(..., n) residuals basis c - J0, with c the least-squares amplitudes, one per row.
+def _two_column_qr(basis: np.ndarray):
+    """Q (..., 2, n) and R's r11, r12, r22 of each two-column ``basis``.
 
-    Each row of ``rows`` is (dh1, p1, dh2, p2, b); ``t``, ``s`` and ``j0``
-    broadcast against the rows' leading axes as in ``_two_term_basis``.
-    J0 is projected off span{s^b e^{z1 tau}, s^b e^{z2 tau}} by a
-    closed-form two-column Gram-Schmidt QR with one re-orthogonalisation,
-    vectorised over rows.  A second column left with norm at most
-    n eps max(|b1|, |b2|) is dropped (rank 1), as ``np.linalg.lstsq``'s
-    default rcond does for identical columns.
+    A closed-form Gram-Schmidt QR with one re-orthogonalisation,
+    vectorised over the leading axes.  A second column left with norm at
+    most n eps max(|b1|, |b2|) is dropped (rank 1), as ``np.linalg.lstsq``'s
+    default rcond does for identical columns: its q2 is zero and r22 inf.
     """
-    basis = _two_term_basis(rows, t, s)
     b1, b2 = basis[..., 0, :], basis[..., 1, :]
     norms = np.sqrt(np.vecdot(basis, basis).real)
-    q1 = b1 / norms[..., :1]
-    v = b2 - q1 * np.vecdot(q1, b2)[..., None]
-    v -= q1 * np.vecdot(q1, v)[..., None]
-    v_norm = np.sqrt(np.vecdot(v, v).real)
-    rank2 = v_norm > t.shape[-1] * _EPS * np.maximum(norms[..., 0], norms[..., 1])
-    q2 = v / np.where(rank2, v_norm, np.inf)[..., None]
-    return q1 * np.vecdot(q1, j0)[..., None] + q2 * np.vecdot(q2, j0)[..., None] - j0
+    q = np.empty_like(basis)
+    q1 = np.divide(b1, norms[..., :1], out=q[..., 0, :])
+    r12 = np.vecdot(q1, b2)
+    v = b2 - q1 * r12[..., None]
+    again = np.vecdot(q1, v)
+    v -= q1 * again[..., None]
+    r22 = np.sqrt(np.vecdot(v, v).real)
+    r22 = np.where(r22 > basis.shape[-1] * _EPS * np.maximum(norms[..., 0], norms[..., 1]), r22, np.inf)
+    np.divide(v, r22[..., None], out=q[..., 1, :])
+    return q, norms[..., 0], r12 + again, r22
 
 
-def _forward_jacobian(rows_fun, x: np.ndarray, f_x: np.ndarray) -> np.ndarray:
-    """Forward-difference Jacobians (..., M, 5) of a batched residual map at x (..., 5).
+def _projected_residuals(rows: np.ndarray, t: np.ndarray, log_s: np.ndarray, j0: np.ndarray) -> np.ndarray:
+    """(..., n) residuals B c - J0 of each (dh1, p1, dh2, p2, b) row, c the least-squares amplitudes.
 
-    ``rows_fun`` maps parameter rows (..., 5, 5), the five perturbed points
-    of each x, to residual rows (..., 5, M); all of them go through it in
-    one call.  The steps follow ``scipy.optimize.least_squares``' own
-    2-point rule, sqrt(eps) sign(x) max(1, |x|), flipped when x + h would
-    leave [_LOWER, _UPPER], so the solve takes the iterates the built-in
-    finite differences would give.  Every such step (below 1e-7) fits on
-    the far side of a box at least 0.65 wide, so scipy's clip to the far
-    bound never applies.
+    ``t``, ``log_s`` and ``j0`` broadcast against the rows' leading axes
+    as in ``_two_term_basis``; J0 is projected by ``_two_column_qr``.
     """
-    h = math.sqrt(_EPS) * np.where(x >= 0, 1.0, -1.0) * np.maximum(1.0, np.abs(x))
-    x_h = x + h
-    h = np.where((x_h < _LOWER) | (x_h > _UPPER), -h, h)
-    x_h = x + h
-    points = np.where(_DIAGONAL, x_h[..., None, :], x[..., None, :])
-    return np.swapaxes((rows_fun(points) - f_x[..., None, :]) / (x_h - x)[..., :, None], -1, -2)
+    q, *_ = _two_column_qr(_two_term_basis(rows, t, log_s))
+    return np.matmul(np.vecdot(q, j0[..., None, :])[..., None, :], q)[..., 0, :] - j0
+
+
+def _residuals_and_jacobians(rows: np.ndarray, t: np.ndarray, log_s: np.ndarray, j0: np.ndarray, w: np.ndarray):
+    """Weighted residuals w rho (k, n) and their Jacobians (k, 5, n) at rows (k, 5), in one pass.
+
+    rho = B c - J0 is ``_projected_residuals``'.  Its Jacobian is Golub and
+    Pereyra's closed form (SIAM J. Numer. Anal. 10(2), 1973): d rho =
+    P_perp (dB c) - U (dB^H rho), U = (B^+)^H = Q R^-H the dual basis.
+    dB is column j times tau for dh_j, i times that for p_j, and both
+    columns times log s for b, so with X_j = P_perp (tau b_j c_j) and
+    Y_j = u_j (tau b_j)^H rho, dh_j's column is X_j - Y_j and p_j's
+    i (X_j + Y_j).  At rank 1 the amplitude sits on the first column, so
+    dh2 and p2 get zero columns.
+    """
+    k, n = rows.shape[0], t.shape[-1]
+    basis = _two_term_basis(rows, t, log_s)
+    q, r11, r12, r22 = _two_column_qr(basis)
+    u = np.empty_like(q)
+    np.divide(q[:, 1], r22[:, None], out=u[:, 1])
+    np.divide(q[:, 0] - u[:, 1] * r12.conj()[:, None], r11[:, None], out=u[:, 0])
+    rho = np.matmul(np.vecdot(q, j0[:, None])[:, None], q)[:, 0] - j0
+    tb = basis * t[:, None]
+    d = np.empty((k, 3, n), dtype=complex)  # dB c of dh1, dh2 and b
+    np.multiply(tb, np.vecdot(u, j0[:, None])[:, :, None], out=d[:, :2])
+    np.multiply(log_s, rho + j0, out=d[:, 2])
+    v = np.zeros((k, 3, 2), dtype=complex)  # dB^H rho of dh1, dh2 and b
+    v[:, [0, 1], [0, 1]] = np.vecdot(tb, rho[:, None])
+    v[:, 2] = np.vecdot(basis, (log_s * rho)[:, None])
+    x = d - np.matmul(np.vecdot(q[:, None], d[:, :, None]), q)
+    y = np.matmul(v, u)
+    jac = np.empty((k, 5, n), dtype=complex)
+    np.subtract(x, y, out=jac[:, ::2])
+    np.multiply(x[:, :2] + y[:, :2], 1j, out=jac[:, 1::2])
+    jac *= w[:, None]
+    return rho * w, jac
+
+
+def _trust_region_steps(A: np.ndarray, g: np.ndarray, radius: np.ndarray) -> np.ndarray:
+    """Steps p of (A + lam I) p = -g held to |p| <= radius, one per row, through A's eigendecomposition.
+
+    lam = 0 when the Gauss-Newton step fits inside 1.1 radius; else one of
+    Hebden's Newton steps on 1 / |p| moves lam from 0 toward the root of
+    |p(lam)| = radius (More, Lect. Notes Math. 630, 1978), and a step
+    still too long is scaled back.  Eigenvalues are floored at 5 eps of
+    the largest, so a rank-deficient A takes the pseudo-inverse's step.
+    """
+    e, V = np.linalg.eigh(A)
+    e = np.maximum(e, 5 * _EPS * e[:, -1:] + _TINY)
+    u = np.matmul(g[:, None], V)[:, 0]
+    p = u / e
+    norm = np.sqrt(np.vecdot(p, p))
+    long = norm > 1.1 * radius
+    if long.any():
+        long = slice(None) if long.all() else long
+        e, u, r, pl, norm = e[long], u[long], radius[long], p[long], norm[long]
+        pl = u / (e + ((norm - r) / r * norm**2 / np.vecdot(pl, pl / e))[:, None])
+        p[long] = pl * np.minimum(1.0, r / np.sqrt(np.vecdot(pl, pl)))[:, None]
+    return -np.matmul(V, p[:, :, None])[:, :, 0]
+
+
+def _levenberg_marquardt(evaluate, x: np.ndarray):
+    """Minimise 0.5 |f_i|^2 over the box [_LOWER, _UPPER] from each start x_i, all problems at once.
+
+    ``evaluate(x, rows)`` gives the weighted residuals (k, n) and Jacobians
+    (k, 5, n) at the rows x (k, 5) of the problems ``rows`` (an index
+    array, or a full slice for all); each round is one such call over the
+    problems still running.  Steps in ``_STEP_UNITS`` are held to a trust
+    radius that starts at 0.5, the ball inscribed in the ranked start's
+    cell of the start grid, and follows More's rule: a quarter of the step
+    after a gain under a quarter of the predicted one, double after a gain
+    over three quarters at the radius.  Components on a bound whose
+    gradient points outward are frozen, the rest of the step is clamped.
+    A step that lowers the cost is accepted; a non-finite trial is not.
+    A problem stops, unevaluated, when its next step, clamped, is under
+    ``_XTOL``, or after ``MAX_ROUNDS`` rounds.  Returns the solutions
+    (P, 5) and a mask (P,), False where the start's residual is not
+    finite: that problem alone is dropped at once.
+    """
+    solution = x.copy()
+    f, J = evaluate(x, slice(None))
+    cost = 0.5 * np.vecdot(f, f).real
+    ok = np.isfinite(cost)
+    rows = np.flatnonzero(ok)
+    if not len(rows):
+        return solution, ok
+    x, f, J, cost = x[rows], f[rows], J[rows], cost[rows]
+    radius = np.full(len(rows), 0.5)
+    for _ in range(MAX_ROUNDS):
+        Js = J * _STEP_UNITS[:, None]
+        A, g = np.matmul(Js.conj(), Js.swapaxes(1, 2)).real, np.vecdot(Js, f[:, None]).real
+        frozen = np.where(g > 0, x <= _LOWER, x >= _UPPER)
+        if frozen.any():
+            A = A * ~(frozen[:, :, None] | frozen[:, None, :]) + np.eye(5) * frozen[:, None, :]
+            g = g * ~frozen
+        x_new = np.minimum(np.maximum(x + _trust_region_steps(A, g, radius) * _STEP_UNITS, _LOWER), _UPPER)
+        step = (x_new - x) / _STEP_UNITS
+        step_norm = np.sqrt(np.vecdot(step, step))
+        done = step_norm <= _XTOL
+        if done.any():
+            solution[rows[done]] = x[done]
+            rows, x, f, J, cost, radius, A, g, step, step_norm, x_new = (
+                a[~done] for a in (rows, x, f, J, cost, radius, A, g, step, step_norm, x_new))
+            if not len(rows):
+                break
+        predicted = -np.vecdot(step, g + 0.5 * np.matmul(A, step[:, :, None])[:, :, 0])
+        f_new, J_new = evaluate(x_new, rows if len(rows) < len(solution) else slice(None))
+        cost_new = 0.5 * np.vecdot(f_new, f_new).real
+        reduction = cost - cost_new  # NaN or -inf for a non-finite trial, which every test below rejects
+        ratio = np.divide(reduction, predicted, out=np.full(len(rows), -1.0), where=predicted > 0)
+        radius = np.where(ratio >= 0.25, np.where((ratio > 0.75) & (step_norm > 0.95 * radius), 2.0 * radius, radius),
+                          0.25 * step_norm)
+        accepted = reduction > 0
+        if accepted.all():
+            x, f, J, cost = x_new, f_new, J_new, cost_new
+        elif accepted.any():
+            x[accepted], f[accepted], J[accepted], cost[accepted] = (
+                x_new[accepted], f_new[accepted], J_new[accepted], cost_new[accepted])
+    solution[rows] = x
+    return solution, ok
 
 
 _STARTS = np.array([[0.0, 0.0, ddh, dp, -0.75] for dp in np.linspace(-1.2, 1.2, 13) for ddh in (0.0, -0.15)])
@@ -304,54 +414,43 @@ def _two_exponential_refines(problems):
     Each problem is (t, L, phase, s, wt) of one direction.  Used when two
     boundary points of nearly equal height beat against each other; the
     heights are the real parts of the exponents and the estimate is the
-    larger one among components with non-negligible amplitude.  Each
-    problem's 26 starting exponents are ranked by their projected misfit,
-    and one bounded solve runs from the best: all problems in one batched
-    trust-region-reflective solve (``lsq.solve_bounded``).  The ranking of
-    every problem's starts, each round's residuals and each round's
-    forward-difference Jacobians are one call each of the batched
-    projection ``_projected_residuals``.  Shorter problems are padded to
-    the longest with s = inf (which zeroes the basis there, as b < 0) and
-    J0 = wt = 0, so padding adds exact zeros.  Each sample's residual
-    carries its weight ``wt``; the final amplitudes come from one
-    least-squares solve at each solution.  Returns one (h, b, log_rms) per
-    problem, with h on the same scale as the envelope's a, or None where
-    the solve failed.
+    larger one among components with non-negligible amplitude.  Every
+    problem's 26 starting exponents are ranked by their projected misfit
+    in one ``_projected_residuals`` call, and one bounded solve runs from
+    each best start: all in one ``_levenberg_marquardt`` loop, whose
+    rounds are one ``_residuals_and_jacobians`` call each.  Shorter
+    problems are padded to the longest with tau = 0, log s = _PAD_LOG_S
+    (which zeroes the basis there, as b < 0) and J0 = wt = 0, so padding
+    adds exact zeros.  Each sample's residual carries its weight ``wt``;
+    the final amplitudes come from one least-squares solve at each
+    solution.  Returns one (h, b, log_rms) per problem, with h on the same
+    scale as the envelope's a, or None where the solve failed.
     """
     n_max = max(len(t) for t, *_ in problems)
-    T, S = np.zeros((len(problems), n_max)), np.full((len(problems), n_max), np.inf)
+    T, LOG_S = np.zeros((len(problems), n_max)), np.full((len(problems), n_max), _PAD_LOG_S)
     J0, W = np.zeros((len(problems), n_max), dtype=complex), np.zeros((len(problems), n_max))
-    a0, scale = np.zeros(len(problems)), np.zeros((len(problems), 1))
+    a0 = np.zeros(len(problems))
     for i, (t, L, phase, s, wt) in enumerate(problems):
         # remove the dominant growth so the data is O(1)
         phase = np.unwrap(phase)
         a0[i] = np.polyfit(t, L, 1)[0]
         p0 = float(np.polyfit(t, phase, 1)[0])
         j0 = np.exp(L - a0[i] * t + 1j * (phase - p0 * t))
-        scale[i] = np.mean(np.abs(j0))
         n = len(t)
-        T[i, :n], S[i, :n], J0[i, :n], W[i, :n] = t, s, j0, wt
+        T[i, :n], LOG_S[i, :n], J0[i, :n], W[i, :n] = t, np.log(s), j0, wt / np.mean(np.abs(j0))
 
-    def residuals(x, rows):
-        # x: (k, 5) parameter rows, or (k, j, 5) with j rows per problem
-        sel = (rows, None) if x.ndim == 3 else rows
-        # real and imaginary parts interleaved: (r * w).real is r.real * w exactly
-        return (_projected_residuals(x, T[sel], S[sel], J0[sel]) * W[sel]).view(float) / scale[sel]
-
-    def jacobians(x, f, rows):
-        return _forward_jacobian(lambda points: residuals(points, rows), x, f)
-
-    ranked = residuals(np.broadcast_to(_STARTS, (len(problems), *_STARTS.shape)), slice(None))
-    best = np.argmin(np.sum(ranked**2, axis=-1), axis=1)
-    solutions, ok = solve_bounded(residuals, jacobians, _STARTS[best], ranked[np.arange(len(problems)), best],
-                                  _LOWER, _UPPER)
+    starts = np.broadcast_to(_STARTS, (len(problems), *_STARTS.shape))
+    ranked = _projected_residuals(starts, T[:, None], LOG_S[:, None], J0[:, None]) * W[:, None]
+    best = np.argmin(np.vecdot(ranked, ranked).real, axis=1)
+    solutions, ok = _levenberg_marquardt(
+        lambda x, rows: _residuals_and_jacobians(x, T[rows], LOG_S[rows], J0[rows], W[rows]), _STARTS[best])
     refined = []
     for x, solved, (t, L, phase, s, wt), a, j0 in zip(solutions, ok, problems, a0, J0):
         if not solved:
             refined.append(None)
             continue
         j0 = j0[: len(t)]
-        basis = _two_term_basis(x, t, s).T
+        basis = _two_term_basis(x, t, np.log(s)).T
         c = np.linalg.lstsq(basis, j0, rcond=None)[0]
         mag = np.abs(basis @ c)
         log_rms = _weighted_rms(np.log(np.maximum(mag, 1e-300)) - np.log(np.abs(j0)), wt)

@@ -153,6 +153,12 @@ class TestExitCodes:
         assert main(["solve", "--scene", str(path), "--out", str(tmp_path / "o")]) == 4
         assert "error[solver]" in capsys.readouterr().err
 
+    def test_mesh_past_the_system_budget(self, scene_file, tmp_path, capsys):
+        # 262,144 nodes: a 1 TiB dense system, refused before assembly
+        code = main(["solve", "--scene", str(scene_file), "--out", str(tmp_path / "o"), "--mesh-nodes", "65536"])
+        assert code == 3
+        assert "error[resolution]" in capsys.readouterr().err
+
     def test_no_usable_direction_is_reconstruction_error(self, scene_file, tmp_path, capsys):
         # both directions are fitted, but two half-planes cannot bound a hull
         code = main(["hull", "--scene", str(scene_file), "--out", str(tmp_path / "o"),

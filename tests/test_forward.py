@@ -1,4 +1,5 @@
 import dataclasses
+import time
 import tracemalloc
 
 import numpy as np
@@ -7,7 +8,7 @@ from scipy.linalg import lu_factor
 from scipy.linalg.lapack import zgecon
 
 from enclosure2d import forward
-from enclosure2d.errors import DomainError, NearFieldError, SolverError
+from enclosure2d.errors import DomainError, NearFieldError, ResolutionError, SolverError
 from enclosure2d.farfield import assemble_far_field_operator
 from enclosure2d.fields import PlaneWave, PointSource
 from enclosure2d.forward import (
@@ -133,6 +134,34 @@ class TestMesh:
 class TestSolve:
     def test_residual_reported(self, square_sol):
         assert square_sol.residual_norm < 1e-8 * 10  # scaled check in solver
+
+    def test_system_past_its_budget_raises_before_assembly(self, square_scene, monkeypatch):
+        # 4096 nodes (1024 per edge) fill SYSTEM_MAX_ENTRIES exactly and
+        # reach the assembly; 4160 raise, and so does the CLI's
+        # --mesh-nodes 65536 on the unit square (262,144 nodes, a 1 TiB
+        # system), in milliseconds and allocating no system
+        class Assembled(Exception):
+            pass
+
+        def assemble(mesh, k):
+            raise Assembled
+
+        monkeypatch.setattr(forward, "_assemble", assemble)
+        incident = PointSource(square_scene.source_y)
+        with pytest.raises(Assembled):
+            solve_scattering(square_scene, incident, build_mesh(square_scene, nodes_per_edge=1024))
+        for nodes_per_edge in (1040, 65536):
+            mesh = build_mesh(square_scene, nodes_per_edge=nodes_per_edge)
+            start = time.monotonic()
+            tracemalloc.start()
+            try:
+                with pytest.raises(ResolutionError, match=f"{mesh.n_nodes} nodes"):
+                    solve_scattering(square_scene, incident, mesh)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert time.monotonic() - start < 1.0
+            assert peak < 2**20
 
     def test_self_convergence_rate(self, square_scene):
         # exterior field values Cauchy under refinement, empirical order >= 2

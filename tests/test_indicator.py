@@ -3,7 +3,7 @@ import dataclasses
 import numpy as np
 import pytest
 from scipy.optimize import least_squares
-from scipy.optimize._numdiff import approx_derivative
+from scipy.optimize._lsq.common import solve_lsq_trust_region
 
 from enclosure2d import indicator
 from enclosure2d import trace as trace_module
@@ -20,6 +20,7 @@ from enclosure2d.geometry import (
 from enclosure2d.indicator import (
     B_MAX,
     B_MIN,
+    MAX_ROUNDS,
     NOISE_SNR,
     IndicatorSamples,
     SupportEstimate,
@@ -29,7 +30,6 @@ from enclosure2d.indicator import (
     estimate_supports,
     reconstruct_hull,
 )
-from enclosure2d.lsq import MAX_NFEV
 from enclosure2d.trace import trace_direct
 from conftest import (
     L_VERTS,
@@ -424,7 +424,7 @@ def lstsq_two_exponential_refine(t, L, phase, s, wt):
     best = least_squares(resid, x0, bounds=(indicator._LOWER, indicator._UPPER), max_nfev=200)
     dh1, p1, dh2, p2, b = best.x
     r, c = projected(best.x)
-    mag = np.abs(J0 - r)
+    mag = np.abs(J0 + r)  # |B c|, the model
     log_rms = indicator._weighted_rms(np.log(np.maximum(mag, 1e-300)) - np.log(np.abs(J0)), wt)
     amps = np.abs(c)
     heights = [a0 + dh for dh, amp in ((dh1, amps[0]), (dh2, amps[1])) if amp > 1e-3 * amps.max()]
@@ -437,18 +437,18 @@ def lstsq_two_exponential_refines(problems):
 
 
 def refine_inputs(samples):
-    """(t, J0, s) as the refine sees them: J0 is the data with its mean growth removed."""
-    t, L, s = samples.taus, samples.log_magnitudes, samples.s
+    """(t, J0, log s) as the refine sees them: J0 is the data with its mean growth removed."""
+    t, L = samples.taus, samples.log_magnitudes
     phase = np.unwrap(samples.phases)
     a0, p0 = np.polyfit(t, L, 1)[0], np.polyfit(t, phase, 1)[0]
-    return t, np.exp(L - a0 * t + 1j * (phase - p0 * t)), s
+    return t, np.exp(L - a0 * t + 1j * (phase - p0 * t)), np.log(samples.s)
 
 
 STARTS = np.array([[0.0, 0.0, ddh, dp, -0.75] for dp in np.linspace(-1.2, 1.2, 13) for ddh in (0.0, -0.15)])
 
 
-def lstsq_residual(row, t, s, j0):
-    basis = indicator._two_term_basis(row[None], t, s)[0].T
+def lstsq_residual(row, t, log_s, j0):
+    basis = indicator._two_term_basis(row[None], t, log_s)[0].T
     c, _, _, sv = np.linalg.lstsq(basis, j0, rcond=None)
     return basis @ c - j0, sv
 
@@ -458,11 +458,11 @@ class TestTwoTermRefine:
     def test_projection_matches_lstsq_on_the_starts(self, grid, p2):
         # the 26 starts hold the identical-column one, [0, 0, 0, 0, -0.75],
         # where both must fall back to rank 1
-        t, j0, s = refine_inputs(beat_samples(grid, p2))
+        t, j0, log_s = refine_inputs(beat_samples(grid, p2))
         assert [0.0, 0.0, 0.0, 0.0, -0.75] in STARTS.tolist()
-        rows = indicator._projected_residuals(STARTS, t, s, j0)
+        rows = indicator._projected_residuals(STARTS, t, log_s, j0)
         for start, row in zip(STARTS, rows):
-            ref, _ = lstsq_residual(start, t, s, j0)
+            ref, _ = lstsq_residual(start, t, log_s, j0)
             assert np.linalg.norm(row - ref) <= 1e-12 * np.linalg.norm(j0)
 
     @pytest.mark.parametrize("grid, p2", BEAT_GRIDS, ids=BEAT_IDS)
@@ -472,14 +472,14 @@ class TestTwoTermRefine:
         # held against the exact projection of the same float columns; the
         # re-orthogonalised QR must be at least as close to it as lstsq
         mp = pytest.importorskip("mpmath")
-        t, j0, s = refine_inputs(beat_samples(grid, p2))
+        t, j0, log_s = refine_inputs(beat_samples(grid, p2))
         near = np.array([[0.0, 0.3, 0.0, 0.3 + 1e-9, -0.9], [-0.1, 0.5, -0.1, 0.5 + 1e-9, -0.5]])
-        rows = indicator._projected_residuals(near, t, s, j0)
+        rows = indicator._projected_residuals(near, t, log_s, j0)
         for params, row in zip(near, rows):
-            ref, sv = lstsq_residual(params, t, s, j0)
+            ref, sv = lstsq_residual(params, t, log_s, j0)
             assert sv[1] > len(t) * np.finfo(float).eps * sv[0]
             assert np.linalg.norm(row - ref) <= np.finfo(float).eps * sv[0] / sv[1] * np.linalg.norm(j0)
-            basis = indicator._two_term_basis(params[None], t, s)[0].T
+            basis = indicator._two_term_basis(params[None], t, log_s)[0].T
             with mp.workdps(50):
                 a, y = mp.matrix(basis.tolist()), mp.matrix(j0.tolist())
                 exact = a * mp.lu_solve(a.H * a, a.H * y) - y
@@ -491,25 +491,34 @@ class TestTwoTermRefine:
         [-1.0, -3.0, 0.5, 3.0, B_MIN],
         [0.1, -0.4, -0.2, 1.3, -0.7],
     ], ids=["b-max", "b-min", "interior"])
-    def test_jacobian_takes_scipy_forward_difference_points(self, x):
-        # at a bound the 2-point step flips inward; the batched Jacobian
-        # must evaluate exactly the points least_squares' own finite
-        # differences would, and agree with them up to round-off / step
-        t, j0, s = refine_inputs(beat_samples(*BEAT_GRIDS[0]))
+    def test_closed_form_jacobian_matches_central_differences(self, x):
+        # Golub and Pereyra's closed form against central differences of the
+        # projected residual, at rank 2 and at rank 1 (the second exponent
+        # set equal to the first).  At rank 1 the residual jumps as soon as
+        # the two columns part, so only the directions that keep them equal
+        # have a derivative there, and the dh2 and p2 columns are zero
+        t, j0, log_s = refine_inputs(beat_samples(*BEAT_GRIDS[0]))
+        ones = np.ones_like(t)
+
+        def jacobian(row):
+            f, jac = indicator._residuals_and_jacobians(row[None], t[None], log_s[None], j0[None], ones[None])
+            np.testing.assert_array_equal(f[0], indicator._projected_residuals(row, t, log_s, j0))
+            return jac[0]
+
+        def central(row, v, h=1e-6):
+            ends = indicator._projected_residuals(np.array([row + h * v, row - h * v]), t, log_s, j0)
+            return (ends[0] - ends[1]) / (2 * h)
+
         x = np.array(x)
-
-        def rows_fun(rows):
-            r = indicator._projected_residuals(rows, t, s, j0)
-            return np.concatenate([r.real, r.imag], axis=1)
-
-        seen, ref_seen = [], []
-        f_x = rows_fun(x[None])[0]
-        jac = indicator._forward_jacobian(lambda rows: seen.extend(rows) or rows_fun(rows), x, f_x)
-        ref = approx_derivative(lambda y: ref_seen.append(y.copy()) or rows_fun(y[None])[0], x,
-                                method="2-point", f0=f_x, bounds=(indicator._LOWER, indicator._UPPER))
-        np.testing.assert_array_equal(np.array(seen), np.array(ref_seen))
-        assert np.all((np.array(seen) >= indicator._LOWER) & (np.array(seen) <= indicator._UPPER))
-        np.testing.assert_allclose(jac, ref, rtol=0, atol=1e-6 * np.max(np.abs(ref)))
+        jac = jacobian(x)
+        for v in np.eye(5):
+            np.testing.assert_allclose(v @ jac, central(x, v), rtol=0, atol=1e-7 * np.max(np.abs(jac)))
+        tied = np.concatenate([x[:2], x[:2], x[4:]])
+        jac = jacobian(tied)
+        assert not jac[2:4].any()
+        for v in ([1, 0, 1, 0, 0], [0, 1, 0, 1, 0], [0, 0, 0, 0, 1]):
+            v = np.array(v, dtype=float)
+            np.testing.assert_allclose(v @ jac, central(tied, v), rtol=0, atol=1e-7 * np.max(np.abs(jac)))
 
     @pytest.mark.parametrize("case", [*BEAT_IDS, 3, 12], ids=[*BEAT_IDS, "square-dir3", "square-dir12"])
     def test_matches_lstsq_reference(self, case, square_trace, monkeypatch):
@@ -527,51 +536,82 @@ class TestTwoTermRefine:
         assert est.h_hat == pytest.approx(ref.h_hat, abs=1e-6)
         assert est.log_s_coefficient == pytest.approx(ref.log_s_coefficient, abs=1e-6)
 
+    @staticmethod
+    def count_calls(monkeypatch):
+        """Record the parameter-row shapes of every ranking and every fused evaluation, in call order."""
+        calls = []
+        project, fused = indicator._projected_residuals, indicator._residuals_and_jacobians
+        monkeypatch.setattr(indicator, "_projected_residuals",
+                            lambda rows, *args: calls.append(("rank", rows.shape)) or project(rows, *args))
+        monkeypatch.setattr(indicator, "_residuals_and_jacobians",
+                            lambda rows, *args: calls.append(("round", rows.shape)) or fused(rows, *args))
+        return calls
+
     @pytest.mark.parametrize("grid, p2", BEAT_GRIDS, ids=BEAT_IDS)
     def test_one_projection_per_ranking_residual_and_jacobian(self, grid, p2, monkeypatch):
         # a work count, not a clock: one direction's starts are ranked in one
-        # call, each solver round is one residual call and at most one
-        # Jacobian call (five points at once), so a per-start or per-column
-        # loop fails
-        calls = []
-        project = indicator._projected_residuals
-        monkeypatch.setattr(indicator, "_projected_residuals",
-                            lambda rows, *args: calls.append(rows.shape) or project(rows, *args))
+        # call, then the start and each solver round are one evaluation of
+        # the residual and its Jacobian together, so a per-start or
+        # per-column loop, or a finite-difference Jacobian, fails
+        calls = self.count_calls(monkeypatch)
         assert estimate_support(beat_samples(grid, p2)).fit_path == "two_term"
-        ranking, first_jacobian, *rounds = calls
-        assert ranking == (1, len(STARTS), 5)
-        assert first_jacobian == (1, 5, 5)
-        assert set(rounds) <= {(1, 5), (1, 5, 5)}
-        residual_calls = rounds.count((1, 5))
-        assert 0 < residual_calls < MAX_NFEV
-        for before, shape in zip(rounds, rounds[1:]):
-            if shape == (1, 5, 5):  # a Jacobian follows its round's residual call
-                assert before == (1, 5)
+        ranking, *rounds = calls
+        assert ranking == ("rank", (1, len(STARTS), 5))
+        assert set(rounds) == {("round", (1, 5))}
+        assert 1 < len(rounds) <= MAX_ROUNDS + 1
 
     def test_one_projection_per_batch_ranking_residual_and_jacobian(self, monkeypatch):
         # a work count, not a clock: the three grids' refines run as one
-        # batch; all their starts are ranked in one call, and each solver
-        # round is one residual call over the live problems and at most one
-        # Jacobian call (five points for each problem that moved), so a
-        # per-start, per-problem or per-column loop fails
-        calls = []
-        project = indicator._projected_residuals
-        monkeypatch.setattr(indicator, "_projected_residuals",
-                            lambda rows, *args: calls.append(rows.shape) or project(rows, *args))
+        # batch; all their starts are ranked in one call, and the starts and
+        # each solver round are one fused evaluation over the problems still
+        # running, so a per-start, per-problem or per-column loop fails
+        calls = self.count_calls(monkeypatch)
         samples = [beat_samples(grid, p2) for grid, p2 in BEAT_GRIDS]
         assert [e.fit_path for e in estimate_supports(samples)] == ["two_term"] * 3
-        ranking, first_jacobian, *rounds = calls
-        assert ranking == (3, len(STARTS), 5)
-        assert first_jacobian == (3, 5, 5)
-        residual_calls = [shape for shape in rounds if len(shape) == 2]
-        assert 0 < len(residual_calls) < MAX_NFEV
-        for before, shape in zip(rounds, rounds[1:]):
-            if len(shape) == 3:  # a Jacobian follows its round's residual call, over no more problems
-                assert len(before) == 2 and shape[0] <= before[0] and shape[1:] == (5, 5)
-        assert residual_calls[0] == (3, 5)
+        ranking, *rounds = calls
+        assert ranking == ("rank", (3, len(STARTS), 5))
+        assert rounds[0] == ("round", (3, 5))
+        assert all(kind == "round" and shape[1:] == (5,) for kind, shape in rounds)
+        live = [shape[0] for _, shape in rounds]
+        assert live == sorted(live, reverse=True) and live[-1] >= 1
+        assert 1 < len(rounds) <= MAX_ROUNDS + 1
+
+
+    def test_cli_square_source_240_direction_44_keeps_the_scipy_basin(self, monkeypatch):
+        # the CLI's default square lit from 240 degrees, direction 44 of 64,
+        # on the default tau grid: 10 usable samples.  Marquardt's schedule
+        # (damping 1e-3 diag(J^T J), times 0.3 on accept and 4 on reject)
+        # ends here at dh2 = -1 with log rms 0.014, where scipy's trust
+        # region reaches 0.002; the envelope is then kept, 0.03 lower
+        scene = Scene(obstacles=(SQUARE,), radius_R=2.0, radius_R1=6.0,
+                      source_y=6.0 * np.array([np.cos(4 * np.pi / 3), np.sin(4 * np.pi / 3)]), wavenumber_k=2.0)
+        sol = solve_scattering(scene, PointSource(scene.source_y), build_mesh(scene, nodes_per_edge=64, p_grade=4.0))
+        samples = compute_samples(trace_direct(sol, scene.radius_R, 512), Direction.from_angle(2 * np.pi * 44 / 64),
+                                  np.geomspace(8.0, 40.0, 16))
+        assert np.count_nonzero(samples.usable) == 10
+        est = estimate_support(samples)
+        monkeypatch.setattr(indicator, "_two_exponential_refines", lstsq_two_exponential_refines)
+        ref = estimate_support(samples)
+        assert est.fit_path == ref.fit_path == "two_term"
+        assert est.h_hat == pytest.approx(ref.h_hat, abs=1e-6)
+        assert est.residual_rms == pytest.approx(ref.residual_rms, abs=1e-6)
 
 
 class TestBatchedRefine:
+    def test_padded_problems_match_their_single_fits(self):
+        # problems of 16, 12 and 9 usable samples share one batch, so the
+        # shorter two run on padded rows, which add exact zeros: each fit
+        # matches its own single-direction fit.  CI runs this file with
+        # RuntimeWarning as error, so an inf or NaN made in the padding fails
+        base = beat_samples(*BEAT_GRIDS[1])
+        samples = [dataclasses.replace(base, usable=np.arange(16) >= drop) for drop in (0, 4, 7)]
+        batch = estimate_supports(samples)
+        assert [e.n_used for e in batch] == [16, 12, 9]
+        assert [e.fit_path for e in batch] == ["two_term"] * 3
+        for est, one in zip(batch, map(estimate_support, samples)):
+            assert est.h_hat == pytest.approx(one.h_hat, abs=1e-9)
+            assert est.log_s_coefficient == pytest.approx(one.log_s_coefficient, abs=1e-9)
+
     def test_failed_refine_stays_with_its_row(self):
         # a NaN phase makes one problem's start residual non-finite: that
         # direction alone falls back to its envelope fit
@@ -604,6 +644,123 @@ class TestBatchedRefine:
             if est.fit_path == "two_term":
                 assert est.h_hat == pytest.approx(ref.h_hat, abs=1e-6)
                 assert est.log_s_coefficient == pytest.approx(ref.log_s_coefficient, abs=1e-6)
+
+
+class TestLevenbergMarquardt:
+    @staticmethod
+    def beat_problems():
+        """The three beat grids as the solver sees them: a fused evaluation over padded rows, and the best starts."""
+        inputs = [refine_inputs(beat_samples(grid, p2)) for grid, p2 in BEAT_GRIDS]
+        n = max(len(t) for t, *_ in inputs)
+        T, LOG_S = np.zeros((3, n)), np.full((3, n), indicator._PAD_LOG_S)
+        J0, W = np.zeros((3, n), dtype=complex), np.zeros((3, n))
+        for i, (t, j0, log_s) in enumerate(inputs):
+            T[i, :len(t)], LOG_S[i, :len(t)], J0[i, :len(t)], W[i, :len(t)] = t, log_s, j0, 1.0
+
+        def evaluate(x, rows):
+            return indicator._residuals_and_jacobians(x, T[rows], LOG_S[rows], J0[rows], W[rows])
+
+        ranked = indicator._projected_residuals(STARTS, T[:, None], LOG_S[:, None], J0[:, None]) * W[:, None]
+        return evaluate, STARTS[np.argmin(np.vecdot(ranked, ranked).real, axis=1)]
+
+    def solo(self, evaluate, starts, i):
+        x, ok = indicator._levenberg_marquardt(lambda x, rows: evaluate(x, np.array([i])[rows]), starts[i:i + 1])
+        assert ok.all()
+        return x[0]
+
+    def test_non_finite_start_fails_that_problem_only(self):
+        evaluate, starts = self.beat_problems()
+
+        def broken(x, rows):
+            f, jac = evaluate(x, rows)
+            if isinstance(rows, slice):  # the starts: problem 1's residual turns NaN
+                f[1, 2] = np.nan
+            return f, jac
+
+        x, ok = indicator._levenberg_marquardt(broken, starts)
+        assert ok.tolist() == [True, False, True]
+        for i in (0, 2):
+            np.testing.assert_allclose(x[i], self.solo(evaluate, starts, i), rtol=0, atol=1e-12)
+
+    def test_non_finite_trial_is_rejected_and_leaves_the_others_unchanged(self):
+        # problem 0's first trial point gives a NaN residual: that step is
+        # rejected, the radius shrinks and the solve goes on to the same end
+        evaluate, starts = self.beat_problems()
+        trials = []
+
+        def broken(x, rows):
+            f, jac = evaluate(x, rows)
+            trials.append(len(trials))
+            if len(trials) == 2:
+                f[0] = np.nan
+            return f, jac
+
+        x, ok = indicator._levenberg_marquardt(broken, starts)
+        assert ok.all()
+        clean, _ = indicator._levenberg_marquardt(evaluate, starts)
+        np.testing.assert_allclose(x[0], clean[0], rtol=0, atol=1e-7)
+        for i in (1, 2):
+            np.testing.assert_allclose(x[i], self.solo(evaluate, starts, i), rtol=0, atol=1e-12)
+
+    def test_iteration_cap(self, monkeypatch):
+        evaluate, starts = self.beat_problems()
+        calls = []
+        monkeypatch.setattr(indicator, "MAX_ROUNDS", 3)
+        x, ok = indicator._levenberg_marquardt(lambda x, rows: calls.append(1) or evaluate(x, rows), starts)
+        assert ok.all() and len(calls) == 1 + 3
+        assert np.all((x >= indicator._LOWER) & (x <= indicator._UPPER))
+
+    def test_batch_matches_each_problem_alone(self):
+        evaluate, starts = self.beat_problems()
+        x, ok = indicator._levenberg_marquardt(evaluate, starts)
+        assert ok.all()
+        for i in range(3):
+            np.testing.assert_allclose(x[i], self.solo(evaluate, starts, i), rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_trust_region_steps_against_scipy(self, seed):
+        # three rows: a Gauss-Newton step inside the radius, one that must
+        # be damped, and a rank-deficient system.  The first is taken
+        # exactly; the others stay within the radius (1.1 radius for a
+        # Gauss-Newton step) and reach at least 0.9 of the model decrease
+        # of scipy's exact trust-region step (worst here 0.93)
+        rng = np.random.default_rng(seed)
+        J = rng.standard_normal((3, 12, 5))
+        J[2, :, 4] = J[2, :, 3]
+        f = rng.standard_normal((3, 12))
+        A, g = np.matmul(J.swapaxes(1, 2), J), np.matmul(J.swapaxes(1, 2), f[:, :, None])[:, :, 0]
+        gauss_newton = -np.linalg.solve(A[:2], g[:2, :, None])[:, :, 0]
+        radius = np.array([2.0 * np.linalg.norm(gauss_newton[0]), 0.3 * np.linalg.norm(gauss_newton[1]), 0.5])
+        p = indicator._trust_region_steps(A, g, radius)
+        np.testing.assert_allclose(p[0], gauss_newton[0], rtol=1e-10, atol=0)
+        for i in range(3):
+            U, sv, Vt = np.linalg.svd(J[i], full_matrices=False)
+            exact, _, _ = solve_lsq_trust_region(5, 12, U.T @ f[i], sv, Vt.T, radius[i])
+            assert np.linalg.norm(p[i]) <= 1.1 * radius[i]
+
+            def model(step):
+                return g[i] @ step + 0.5 * step @ A[i] @ step
+
+            assert model(p[i]) <= 0.9 * model(exact) < 0
+
+    @pytest.mark.parametrize("grid, p2", BEAT_GRIDS, ids=BEAT_IDS)
+    def test_bound_is_reached_by_clamping(self, grid, p2):
+        # data decaying like s^-0.3, past b's window: the solve ends with b
+        # clamped exactly to B_MAX and frozen there, within 1e-6 of scipy's
+        # bounded trust-region solve from the same start
+        samples = beat_samples(grid, p2)
+        s = samples.s
+        j = s**-0.3 * (np.exp((0.5 + 0.3j) * samples.taus) + 0.8 * np.exp((0.48 + 1j * p2) * samples.taus))
+        t, j0, log_s = refine_inputs(dataclasses.replace(samples, log_magnitudes=np.log(np.abs(j)), phases=np.angle(j)))
+        ranked = indicator._projected_residuals(STARTS, t, log_s, j0)
+        start = STARTS[np.argmin(np.vecdot(ranked, ranked).real)]
+        x, ok = indicator._levenberg_marquardt(
+            lambda x, rows: indicator._residuals_and_jacobians(x, t[None], log_s[None], j0[None], np.ones((1, len(t)))),
+            start[None])
+        assert ok.all() and x[0, 4] == B_MAX
+        ref = least_squares(lambda y: indicator._projected_residuals(y, t, log_s, j0).view(float), start,
+                            bounds=(indicator._LOWER, indicator._UPPER), max_nfev=200).x
+        np.testing.assert_allclose(x[0], ref, rtol=0, atol=1e-6)
 
 
 class TestThreshold:

@@ -72,7 +72,8 @@ def test_bessel_kernels_come_from_specialfun_only():
 
 
 def test_no_module_imports_scipy_optimize():
-    # the batched solve in lsq.py is the package's one least-squares solver
+    # the refine's batched Levenberg-Marquardt loop in indicator.py is the
+    # package's one iterative least-squares solver
     offenders = _modules_importing_scipy("optimize")
     assert not offenders, f"scipy.optimize imported by: {offenders}"
 
