@@ -20,7 +20,7 @@ from .errors import (
     SolverError,
 )
 from .geometry import Direction, Polygon, Scene, support_function
-from .fields import PlaneWave, PointSource, ModulatedPlane, ProbeParams
+from .fields import PlaneWave, PointSource, ModulatedPlane
 from .forward import build_mesh, solve_incidents, solve_scattering, DiscSeriesSolution
 from .trace import TraceData, trace_direct, recover_neumann
 from .indicator import compute_samples, estimate_support, estimate_supports, classify_threshold, reconstruct_hull

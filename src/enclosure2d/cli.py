@@ -38,7 +38,7 @@ from .errors import (
 from .fields import PlaneWave, PointSource
 from .forward import build_mesh, solve_scattering
 from .geometry import Direction, Scene
-from .indicator import reconstruct_hull
+from .indicator import check_tau_grid, reconstruct_hull
 from .farfield import (
     assemble_far_field_operator,
     disc_far_field_operator,
@@ -52,6 +52,8 @@ EXIT_CONFIG = 2
 EXIT_RESOLUTION = 3
 EXIT_SOLVER = 4
 EXIT_RECONSTRUCTION = 5
+
+LSM_MAX_POINTS = 2**16  # lsm's grid-n^2 sampling points, one CSV row each: a 256 x 256 grid
 
 
 def _load_scene(path: str) -> Scene:
@@ -119,9 +121,9 @@ def _count(text: str) -> int:
 
 
 def _tau_grid(args) -> np.ndarray:
-    if args.tau_min <= 0 or args.tau_max <= args.tau_min or args.tau_count < 8:
-        raise ConfigError("need 0 < tau-min < tau-max and tau-count >= 8")
-    return np.geomspace(args.tau_min, args.tau_max, args.tau_count)
+    if args.tau_min <= 0 or args.tau_max <= 0:
+        raise ConfigError("tau-min and tau-max must be positive")
+    return check_tau_grid(np.geomspace(args.tau_min, args.tau_max, args.tau_count))
 
 
 def _solve_with_trace(scene, args, incident):
@@ -220,9 +222,11 @@ def cmd_farfield(args) -> int:
 
 def cmd_lsm(args) -> int:
     scene = _load_scene(args.scene)
+    n = args.grid_n
+    if n * n > LSM_MAX_POINTS:
+        raise ResolutionError(f"a {n} x {n} sampling grid passes {LSM_MAX_POINTS} points")
     op = _far_field_operator(scene, args)
     half = scene.radius_R
-    n = args.grid_n
     xs = np.linspace(-half, half, n)
     grid = np.array([[x, y] for y in xs for x in xs])
     values = lsm_indicator_map(op, grid)

@@ -1,12 +1,9 @@
-"""Incident fields and complex-exponential probe solutions.
+"""Incident fields.
 
 Three incident fields drive the forward solver: a plane wave
 e^{ik x.d}, the point source (i/4) H^(1)_0(k|x - y|), and the linearly
 modulated plane field (x0 - x).theta e^{-ik x.d} with theta chosen so
-that theta_perp = d.  The probe is the exponentially growing Helmholtz
-solution e^{x.(tau omega + i sqrt(tau^2 + k^2) omega_perp)}, always with a
-tau grid (a single tau is a grid of one); the indicator reads its
-circular-harmonic expansion, never its values (``indicator.compute_samples``).
+that theta_perp = d.
 """
 
 from __future__ import annotations
@@ -23,7 +20,6 @@ __all__ = [
     "PlaneWave",
     "PointSource",
     "ModulatedPlane",
-    "ProbeParams",
 ]
 
 
@@ -99,26 +95,3 @@ class ModulatedPlane:
         amp = (self.x0 - x) @ self.theta
         return _one_point(phase[..., None] * (-self.theta - 1j * k * amp[..., None] * self.d.vec))
 
-
-@dataclass(frozen=True)
-class ProbeParams:
-    """Probe direction and tau grid.
-
-    ``tau`` becomes a 1-D array of finite positive values at construction
-    (a float is a grid of one); ``s`` has one value per tau.
-    """
-
-    omega: Direction
-    tau: float | np.ndarray
-    k: float
-
-    def __post_init__(self):
-        tau = np.atleast_1d(np.asarray(self.tau, dtype=float))
-        object.__setattr__(self, "tau", tau)
-        if tau.ndim != 1 or not np.all(np.isfinite(tau) & (tau > 0)) or not 0 < self.k < np.inf:
-            raise DomainError("tau must be a finite positive float or 1-D grid, and k finite and positive")
-
-    @property
-    def s(self) -> np.ndarray:
-        """Auxiliary parameter sqrt(tau^2 + k^2) + tau."""
-        return np.hypot(self.tau, self.k) + self.tau

@@ -12,8 +12,10 @@ the modes a_n of u - u_inc (``trace.circle_modes``).  All of that sum
 but the direction, the (T x N) factor e^{n eta - tau R} / H_n(kR) with
 its norm ||g(tau)||_2, is the trace's ``probe_table``, built once per tau
 grid, so each direction costs one (T x N) product with a_n e^{i n beta}.
+The table is the probe's one definition over the grid, and ``check_tau_grid``
+holds every rule a grid must meet; it runs before any table is built.
 Its magnitude behaves like e^{tau h} / s^{lambda} with
-s = sqrt(tau^2 + k^2) + tau and h
+s = sqrt(tau^2 + k^2) + tau (the table's ``s``) and h
 the support function value in the probe direction, so log |J e^{-tau t_ref}|
 is fitted with the three-parameter model a tau + b log s + c; a + t_ref
 estimates h and b is a corner-angle diagnostic (close to -pi/Theta for
@@ -58,13 +60,13 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import DomainError, ReconstructionError
-from .fields import ProbeParams
 from .geometry import Direction, convex_hull_from_supports
 from .trace import TraceData
 
 __all__ = [
     "IndicatorSamples",
     "SupportEstimate",
+    "check_tau_grid",
     "compute_samples",
     "estimate_support",
     "estimate_supports",
@@ -106,10 +108,27 @@ MAX_ROUNDS = 200
 _PAD_LOG_S = 1e4
 
 
+def check_tau_grid(taus) -> np.ndarray:
+    """``taus`` as a float array, or DomainError unless it is a tau grid.
+
+    A tau grid is 1-D, finite, positive and strictly increasing, with at
+    least 8 samples (the fewest a fit reads) spanning a factor of 3 or more.
+    """
+    taus = np.asarray(taus, dtype=float)
+    if taus.ndim != 1 or len(taus) < 8:
+        raise DomainError(f"need a 1-D grid of at least 8 tau samples (got shape {taus.shape})")
+    if not np.all(np.isfinite(taus) & (taus > 0)) or np.any(np.diff(taus) <= 0):
+        raise DomainError("tau grid must be finite, positive and strictly increasing")
+    if taus[-1] / taus[0] < 3.0:
+        raise DomainError("tau grid must span at least a factor of 3")
+    return taus
+
+
 @dataclass(frozen=True)
 class IndicatorSamples:
-    """Scaled indicator values over a strictly increasing tau grid.
+    """Scaled indicator values over a tau grid that ``check_tau_grid`` admits.
 
+    ``s`` is the probe's sqrt(tau^2 + k^2) + tau at each tau.
     ``log_noise_floors`` holds each sample's noise floor, the rms that the
     trace's tail level gives J, on the same scale as ``log_magnitudes``;
     samples whose floor is -inf (noise-free data) all weigh the same in the
@@ -122,20 +141,11 @@ class IndicatorSamples:
     log_magnitudes: np.ndarray
     phases: np.ndarray
     usable: np.ndarray
-    k: float
+    s: np.ndarray
     log_noise_floors: np.ndarray
 
     def __post_init__(self):
-        taus = np.asarray(self.taus, dtype=float)
-        object.__setattr__(self, "taus", taus)
-        if len(taus) < 8:
-            raise DomainError("need at least 8 tau samples")
-        if np.any(np.diff(taus) <= 0) or taus[0] <= 0:
-            raise DomainError("tau grid must be positive and strictly increasing")
-
-    @property
-    def s(self) -> np.ndarray:
-        return ProbeParams(self.omega, self.taus, self.k).s
+        object.__setattr__(self, "taus", check_tau_grid(self.taus))
 
 
 def compute_samples(trace: TraceData, omega: Direction, taus, t_ref: float | None = None) -> IndicatorSamples:
@@ -151,15 +161,13 @@ def compute_samples(trace: TraceData, omega: Direction, taus, t_ref: float | Non
     a_n e^{i n beta}.  If every w_n carries independent noise of the tail
     level delta, J has rms 4 delta ||g||_2: that is the floor, and samples
     less than NOISE_SNR times above it are unusable.  ``t_ref`` (default:
-    the circle radius) enters as an exact affine shift.
+    the circle radius) enters as an exact affine shift.  The grid is checked
+    by ``check_tau_grid`` on every call, before the table is looked up.
     """
-    taus = np.asarray(taus, float)
-    if len(taus) == 0:
-        raise DomainError("need at least one tau sample")
+    taus = check_tau_grid(taus)
     t_ref = float(trace.radius if t_ref is None else t_ref)
     if not math.isfinite(t_ref):
         raise DomainError("t_ref must be finite")
-    ProbeParams(omega, taus, trace.k)  # checks tau and k
     table = trace.probe_table(taus)
 
     modes = trace.modes
@@ -175,7 +183,7 @@ def compute_samples(trace: TraceData, omega: Direction, taus, t_ref: float | Non
         log_magnitudes=log_mag,
         phases=np.angle(1j * series * np.exp(1j * table.kappa * (trace.center @ omega.perp))),
         usable=np.isfinite(log_mag) & (log_mag > log_floor + math.log(NOISE_SNR)),
-        k=trace.k,
+        s=table.s,
         log_noise_floors=log_floor,
     )
 
@@ -467,9 +475,6 @@ def _envelope_estimate(samples: IndicatorSamples):
     ``_two_exponential_refines`` when the trimmed residual exceeds the
     trigger or b sits at B_MIN, else None.
     """
-    taus = samples.taus
-    if taus[-1] / taus[0] < 3.0:
-        raise DomainError("tau grid must span at least a factor of 3")
     mask = samples.usable & np.isfinite(samples.log_magnitudes)
     n_used = int(np.count_nonzero(mask))
     if n_used < 8:
@@ -482,7 +487,7 @@ def _envelope_estimate(samples: IndicatorSamples):
             usable=False,
             fit_path="none",
         ), None
-    t, L, s = taus[mask], samples.log_magnitudes[mask], samples.s[mask]
+    t, L, s = samples.taus[mask], samples.log_magnitudes[mask], samples.s[mask]
     wt = _fit_weights(samples, mask)
     far = s >= S_SINGLE_MIN
     if np.count_nonzero(far) < 8:

@@ -5,9 +5,9 @@ one FFT of w = u - u_inc on the circle gives the radiating field
 sum_n a_n H_n(k r) e^{i n theta}, a_n = w_n / H_n(kR), about its centre.
 Two routes read those modes (``TraceData.modes`` computes them once per
 trace): ``recover_neumann`` returns the Neumann trace a_n k H'_n(kR), and
-``indicator.compute_samples`` pairs them with the probe's expansion, whose
-direction-independent part ``TraceData.probe_table`` keeps for the last
-tau grid.
+``indicator.compute_samples`` pairs them with the probe's expansion over a
+tau grid, whose one definition is the ``ProbeTable`` that
+``TraceData.probe_table`` keeps for the last grid.
 
 ``trace_direct`` expands the solved boundary density instead: by Graf's
 addition theorem the single-layer sum becomes one series in the same
@@ -40,6 +40,8 @@ __all__ = ["CircleModes", "ProbeTable", "TraceData", "circle_modes", "trace_dire
 
 # the harmonic tail of the scattered part must fall below this fraction of the head
 TAIL_TOL = 1e-6
+# (tau x trace node) entries of the largest probe table formed: 32 MB of complex
+PROBE_TABLE_MAX_ENTRIES = 2**21
 
 
 def _check_trace_size(n: int) -> None:
@@ -102,23 +104,27 @@ def circle_modes(u_values, incident, k: float, center, radius: float) -> CircleM
 
 @dataclass(frozen=True)
 class ProbeTable:
-    """The direction-independent part of the indicator over one tau grid, for one trace.
+    """The probe e^{x.(tau omega + i kappa omega_perp)} over one tau grid, for one trace.
 
-    With eta = asinh(tau/k), ``scale`` is e^{n eta - tau R} 2^-exps over the
-    modes' orders, one row per tau: times a it is a_n e^{n eta - tau R},
-    over |h| it is |g_n| = |e^{n eta - tau R} / H_n(kR)|.  It is stored
-    complex, the type its product with the complex modes promotes it to.
-    ``g_norm`` is ||g(tau)||_2 and ``kappa`` is sqrt(tau^2 + k^2).
+    ``kappa`` is sqrt(tau^2 + k^2) and ``s`` is kappa + tau.  With eta = asinh(tau/k), the
+    direction-independent ``scale`` is e^{n eta - tau R} 2^-exps over the modes' orders, one row per
+    tau: times a it is a_n e^{n eta - tau R}, over |h| it is |g_n| = |e^{n eta - tau R} / H_n(kR)|.
+    It is stored complex, the type its product with the complex modes promotes it to.
+    ``g_norm`` is ||g(tau)||_2.
     """
 
     taus: np.ndarray
     kappa: np.ndarray
+    s: np.ndarray
     scale: np.ndarray
     g_norm: np.ndarray
 
 
 def _build_probe_table(trace: TraceData, taus: np.ndarray) -> ProbeTable:
-    """Build the trace's ``ProbeTable`` over ``taus``; ResolutionError when the trace cannot hold the band."""
+    """The trace's ``ProbeTable`` over ``taus``; ResolutionError, before it is formed, past the budget or the band."""
+    if len(taus) * trace.n > PROBE_TABLE_MAX_ENTRIES:
+        raise ResolutionError(f"a probe table of {len(taus)} tau over {trace.n} trace nodes passes "
+                              f"{PROBE_TABLE_MAX_ENTRIES} entries; use fewer tau samples or trace nodes")
     kappa = np.hypot(taus, trace.k)
     band = 2 * float(np.max(kappa)) * trace.radius
     if band > trace.n:
@@ -126,7 +132,7 @@ def _build_probe_table(trace: TraceData, taus: np.ndarray) -> ProbeTable:
     modes = trace.modes
     eta = np.arcsinh(taus / trace.k)
     scale = np.exp(eta[:, None] * modes.orders - (taus * trace.radius)[:, None] - math.log(2) * modes.exps)
-    return ProbeTable(taus=taus, kappa=kappa, scale=scale.astype(complex),
+    return ProbeTable(taus=taus, kappa=kappa, s=kappa + taus, scale=scale.astype(complex),
                       g_norm=np.sqrt(scale**2 @ np.abs(modes.h) ** -2))
 
 
@@ -146,6 +152,8 @@ class TraceData:
 
     def __post_init__(self):
         _check_trace_size(len(self.u))
+        if not 0 < self.k < np.inf:
+            raise DomainError(f"k must be finite and positive (got {self.k})")
         if len(self.dudn) != len(self.u):
             raise DomainError("u and dudn must have matching size")
         if not (np.all(np.isfinite(self.u)) and np.all(np.isfinite(self.dudn))):
@@ -166,12 +174,12 @@ class TraceData:
         return circle_modes(self.u, self.incident, self.k, self.center, self.radius)
 
     def probe_table(self, taus: np.ndarray) -> ProbeTable:
-        """The indicator's direction-independent factor over the finite positive grid ``taus``.
+        """The ``ProbeTable`` over a grid that ``indicator.check_tau_grid`` admits.
 
         The trace keeps the table of the last grid it was asked for, so a
         sweep of directions over one grid builds it once.  |g_n| peaks near
         n = kappa R, so a trace of fewer than 2 kappa R nodes at the largest
-        tau raises ResolutionError, on every call, as no such table is kept.
+        tau, or a table past PROBE_TABLE_MAX_ENTRIES, raises ResolutionError on every call.
         """
         table = self.__dict__.get("_probe_table")
         if table is None or not np.array_equal(table.taus, taus):

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from enclosure2d.farfield import far_field_constant
-from enclosure2d.fields import PlaneWave, PointSource, ProbeParams
+from enclosure2d.fields import PlaneWave, PointSource
 from enclosure2d.forward import build_mesh, circle_nodes, eval_total, solve_incidents, solve_scattering
 from enclosure2d.geometry import Direction, Polygon, Scene
 from enclosure2d.indicator import NOISE_SNR, IndicatorSamples
@@ -44,16 +44,16 @@ def make_scene(verts):
     )
 
 
-def eval_probe(p: ProbeParams, x, t_ref=0.0):
-    """Scaled probe value e^{tau (x.omega - t_ref)} e^{i kappa x.omega_perp}, one row per tau."""
-    x, tau = np.atleast_2d(np.asarray(x, dtype=float)), p.tau[:, None]
-    return np.exp(tau * (x @ p.omega.vec - t_ref) + 1j * np.hypot(tau, p.k) * (x @ p.omega.perp))
+def eval_probe(omega, tau, k, x, t_ref=0.0):
+    """Scaled probe value e^{tau (x.omega - t_ref)} e^{i kappa x.omega_perp}, one row per tau (a float is one tau)."""
+    x, tau = np.atleast_2d(np.asarray(x, dtype=float)), np.atleast_1d(np.asarray(tau, dtype=float))[:, None]
+    return np.exp(tau * (x @ omega.vec - t_ref) + 1j * np.hypot(tau, k) * (x @ omega.perp))
 
 
-def probe_gradient_factor(p: ProbeParams):
+def probe_gradient_factor(omega, tau, k):
     """Constant vectors zeta with grad(probe) = zeta * probe, one row per tau."""
-    tau = p.tau[:, None]
-    return tau * p.omega.vec + 1j * np.hypot(tau, p.k) * p.omega.perp
+    tau = np.atleast_1d(np.asarray(tau, dtype=float))[:, None]
+    return tau * omega.vec + 1j * np.hypot(tau, k) * omega.perp
 
 
 def quadrature_samples(trace, omega, taus, t_ref=None):
@@ -71,11 +71,10 @@ def quadrature_samples(trace, omega, taus, t_ref=None):
     t_ref = trace.radius if t_ref is None else t_ref
     pts, normals = circle_nodes(trace.center, trace.radius, trace.n)
     t0 = float(np.max(pts @ omega.vec))
-    probe = ProbeParams(omega, taus, trace.k)
-    v = eval_probe(probe, pts, t_ref=t0)
+    v = eval_probe(omega, taus, trace.k, pts, t_ref=t0)
     # einsum, not the factor @ normals.T: it rounds each tau's zeta.nu
     # exactly as a one-tau matvec does
-    zeta_dot_nu = np.einsum("nc,tc->tn", normals.astype(complex), probe_gradient_factor(probe))
+    zeta_dot_nu = np.einsum("nc,tc->tn", normals.astype(complex), probe_gradient_factor(omega, taus, trace.k))
     integrand = (trace.dudn - zeta_dot_nu * trace.u) * v
     ds = 2 * np.pi * trace.radius / trace.n
     j_scaled = np.sum(integrand, axis=1) * ds
@@ -93,7 +92,7 @@ def quadrature_samples(trace, omega, taus, t_ref=None):
         log_magnitudes=log_mag,
         phases=np.angle(j_scaled),
         usable=np.isfinite(log_mag) & (log_mag_t0 > log_floor_t0 + math.log(NOISE_SNR)),
-        k=trace.k,
+        s=np.hypot(taus, trace.k) + taus,
         log_noise_floors=log_floor_t0 + shift,
     )
 
@@ -108,7 +107,7 @@ def formula_samples(trace, omega, taus, t_ref=None):
     """
     taus = np.asarray(taus, float)
     t_ref = float(trace.radius if t_ref is None else t_ref)
-    kappa = np.hypot(ProbeParams(omega, taus, trace.k).tau, trace.k)
+    kappa = np.hypot(taus, trace.k)
     modes = trace.modes
     eta = np.arcsinh(taus / trace.k)
     scale = np.exp(eta[:, None] * modes.orders - (taus * trace.radius)[:, None] - math.log(2) * modes.exps)
@@ -136,7 +135,7 @@ def reference_samples(sol, trace, omega, taus, t_ref=None):
     """
     taus = np.asarray(taus, dtype=float)
     t0 = float(np.max(circle_nodes(trace.center, trace.radius, trace.n)[0] @ omega.vec))
-    v = eval_probe(ProbeParams(omega, taus, trace.k), sol.mesh.nodes, t_ref=t0)
+    v = eval_probe(omega, taus, trace.k, sol.mesh.nodes, t_ref=t0)
     j = -v @ (sol.density * sol.mesh.weights)
     return np.log(np.abs(j)) + taus * (t0 - (trace.radius if t_ref is None else t_ref)), np.angle(j)
 

@@ -18,7 +18,7 @@ from enclosure2d.farfield import (
     disc_far_field_operator,
     unsolvability_diagnostic,
 )
-from enclosure2d.fields import PlaneWave, PointSource, ProbeParams
+from enclosure2d.fields import PlaneWave, PointSource
 from enclosure2d.forward import DiscSeriesSolution, build_mesh, eval_total, solve_scattering
 from enclosure2d.geometry import Direction, Polygon, Scene, hausdorff_distance
 from enclosure2d.indicator import (
@@ -367,8 +367,8 @@ def test_criterion_11_invariances(square_trace, square_scene, taus):
 
     # (d) probe magnitude scaling identity, exact in the log
     x = np.array([0.9, -0.4])
-    la = np.log(np.abs(eval_probe(ProbeParams(om, tau, 2.0), x, t_ref=a)))
-    l0 = np.log(np.abs(eval_probe(ProbeParams(om, tau, 2.0), x, t_ref=0.0)))
+    la = np.log(np.abs(eval_probe(om, tau, 2.0, x, t_ref=a)))
+    l0 = np.log(np.abs(eval_probe(om, tau, 2.0, x, t_ref=0.0)))
     checks["probe scaling"] = bool(np.all(np.abs(la - (l0 - tau * a)) < 1e-12 * tau * a))
 
     # (e) Tikhonov solution norms are nonincreasing in alpha

@@ -3,11 +3,13 @@
 import json
 import re
 import shlex
+import time
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+from enclosure2d import cli
 from enclosure2d.cli import build_parser, main
 from enclosure2d.geometry import hausdorff_distance
 from enclosure2d.indicator import B_MAX, B_MIN
@@ -15,6 +17,10 @@ from enclosure2d.indicator import B_MAX, B_MIN
 from conftest import SQUARE_VERTS, TWO_BOXES
 
 README = Path(__file__).resolve().parents[1] / "README.md"
+
+
+def _never(*args, **kwargs):
+    raise AssertionError("called after the flags were refused")
 
 
 def scene_dict(**overrides):
@@ -159,6 +165,21 @@ class TestExitCodes:
         assert code == 3
         assert "error[resolution]" in capsys.readouterr().err
 
+    def test_probe_table_past_its_budget(self, scene_file, tmp_path, capsys):
+        # 4097 tau over the 512 trace nodes: refused after the solve, before the table is formed
+        code = main(["hull", "--scene", str(scene_file), "--out", str(tmp_path / "o"), "--tau-count", "4097"])
+        assert code == 3
+        assert "error[resolution]" in capsys.readouterr().err
+
+    def test_lsm_grid_past_its_budget(self, scene_file, tmp_path, capsys, monkeypatch):
+        # a 257 x 257 grid passes 2^16 points: refused before the operator or the grid is built
+        monkeypatch.setattr(cli, "_far_field_operator", _never)
+        start = time.monotonic()
+        code = main(["lsm", "--scene", str(scene_file), "--out", str(tmp_path / "o"), "--grid-n", "257"])
+        assert time.monotonic() - start < 1.0
+        assert code == 3
+        assert "error[resolution]" in capsys.readouterr().err
+
     def test_no_usable_direction_is_reconstruction_error(self, scene_file, tmp_path, capsys):
         # both directions are fitted, but two half-planes cannot bound a hull
         code = main(["hull", "--scene", str(scene_file), "--out", str(tmp_path / "o"),
@@ -185,6 +206,19 @@ def test_readme_python_quick_start_runs():
 
 
 class TestHull:
+    @pytest.mark.parametrize("argv", [
+        ["--tau-max", "20"],  # spans 2.5 from the default tau-min 8
+        ["--tau-count", "7"],
+        ["--tau-max", "8"],  # one tau repeated
+        ["--tau-max", "0"],
+        ["--tau-min", "-8"],
+    ])
+    def test_tau_grid_refused_before_the_solve(self, scene_file, tmp_path, capsys, monkeypatch, argv):
+        monkeypatch.setattr(cli, "build_mesh", _never)
+        monkeypatch.setattr(cli, "solve_scattering", _never)
+        assert main(["hull", "--scene", str(scene_file), "--out", str(tmp_path / "o")] + argv) == 2
+        assert "error[config]" in capsys.readouterr().err
+
     def test_tau_beyond_trace_resolution(self, scene_file, tmp_path, capsys):
         code = main([
             "hull", "--scene", str(scene_file), "--out", str(tmp_path / "o"),

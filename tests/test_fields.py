@@ -6,7 +6,6 @@ from enclosure2d.fields import (
     ModulatedPlane,
     PlaneWave,
     PointSource,
-    ProbeParams,
 )
 from enclosure2d.geometry import Direction
 
@@ -84,67 +83,52 @@ class TestHelmholtz:
 
 class TestProbe:
     def test_unit_magnitude_on_reference_line(self):
-        p = ProbeParams(omega=Direction.from_angle(0.3), tau=12.0, k=2.0)
+        omega = Direction.from_angle(0.3)
         # any x with x . omega = t_ref
-        x = 0.8 * p.omega.vec + 1.7 * p.omega.perp
-        assert abs(eval_probe(p, x, t_ref=0.8)[0, 0]) == pytest.approx(1.0, abs=1e-12)
-
-    def test_s_accessor(self):
-        p = ProbeParams(omega=Direction(1.0, 0.0), tau=3.0, k=4.0)
-        assert p.s == pytest.approx([8.0])
+        x = 0.8 * omega.vec + 1.7 * omega.perp
+        assert abs(eval_probe(omega, 12.0, 2.0, x, t_ref=0.8)[0, 0]) == pytest.approx(1.0, abs=1e-12)
 
     def test_fd_laplacian(self):
-        tau = 10.0
-        p = ProbeParams(omega=Direction.from_angle(1.9), tau=tau, k=1.0)
+        omega, tau, k = Direction.from_angle(1.9), 10.0, 1.0
         rng = np.random.default_rng(3)
         h = 1e-5
         for x in rng.uniform(-0.5, 0.5, size=(5, 2)):
             e1, e2 = np.array([h, 0.0]), np.array([0.0, h])
             (lap,) = (
-                eval_probe(p, x + e1)
-                + eval_probe(p, x - e1)
-                + eval_probe(p, x + e2)
-                + eval_probe(p, x - e2)
-                - 4 * eval_probe(p, x)
+                eval_probe(omega, tau, k, x + e1)
+                + eval_probe(omega, tau, k, x - e1)
+                + eval_probe(omega, tau, k, x + e2)
+                + eval_probe(omega, tau, k, x - e2)
+                - 4 * eval_probe(omega, tau, k, x)
             )[:, 0] / h**2
-            v = eval_probe(p, x)[0, 0]
-            assert abs(lap + p.k**2 * v) < 1e-5 * tau**2 * abs(v)
+            v = eval_probe(omega, tau, k, x)[0, 0]
+            assert abs(lap + k**2 * v) < 1e-5 * tau**2 * abs(v)
 
     def test_scaling_identity(self):
         om = Direction.from_angle(0.6)
         tau, a = 25.0, 1.4
         x = np.array([0.9, -0.4])
-        la = np.log(np.abs(eval_probe(ProbeParams(om, tau, 2.0), x, t_ref=a)))
-        l0 = np.log(np.abs(eval_probe(ProbeParams(om, tau, 2.0), x, t_ref=0.0)))
+        la = np.log(np.abs(eval_probe(om, tau, 2.0, x, t_ref=a)))
+        l0 = np.log(np.abs(eval_probe(om, tau, 2.0, x, t_ref=0.0)))
         assert la == pytest.approx(l0 - tau * a, abs=1e-12 * tau * a)
 
     def test_gradient_factor(self):
-        p = ProbeParams(omega=Direction.from_angle(0.2), tau=5.0, k=3.0)
-        (gf,) = probe_gradient_factor(p)
-        np.testing.assert_allclose(
-            gf, 5.0 * p.omega.vec + 1j * np.hypot(5.0, 3.0) * p.omega.perp
-        )
+        omega = Direction.from_angle(0.2)
+        (gf,) = probe_gradient_factor(omega, 5.0, 3.0)
+        np.testing.assert_allclose(gf, 5.0 * omega.vec + 1j * np.hypot(5.0, 3.0) * omega.perp)
 
     def test_tau_grid_matches_stacked_scalar_probes(self):
         omega = Direction.from_angle(0.7)
         taus = np.geomspace(4.0, 40.0, 64)
         x = np.random.default_rng(5).uniform(-2, 2, size=(9, 2))
-        grid = ProbeParams(omega, taus, 2.0)
-        scalars = [ProbeParams(omega, float(t), 2.0) for t in taus]
-        values = eval_probe(grid, x, t_ref=1.3)
+        values = eval_probe(omega, taus, 2.0, x, t_ref=1.3)
         assert values.shape == (64, 9)
-        assert probe_gradient_factor(grid).shape == (64, 2)
-        assert grid.s.shape == (64,)
-        assert np.array_equal(values, np.vstack([eval_probe(p, x, t_ref=1.3) for p in scalars]))
-        assert np.array_equal(probe_gradient_factor(grid), np.vstack([probe_gradient_factor(p) for p in scalars]))
-        assert np.array_equal(grid.s, np.concatenate([p.s for p in scalars]))
+        assert probe_gradient_factor(omega, taus, 2.0).shape == (64, 2)
+        assert np.array_equal(values, np.vstack([eval_probe(omega, float(t), 2.0, x, t_ref=1.3) for t in taus]))
+        assert np.array_equal(probe_gradient_factor(omega, taus, 2.0),
+                              np.vstack([probe_gradient_factor(omega, float(t), 2.0) for t in taus]))
 
     def test_float_tau_is_a_grid_of_one(self):
-        p = ProbeParams(Direction.from_angle(0.7), 5.0, 2.0)
-        assert eval_probe(p, np.zeros((3, 2))).shape == (1, 3)
-        assert probe_gradient_factor(p).shape == (1, 2)
-        assert p.s.shape == (1,)
-
-    def test_non_positive_tau_in_grid(self):
-        with pytest.raises(DomainError):
-            ProbeParams(Direction.from_angle(0.7), [4.0, 0.0], 2.0)
+        omega = Direction.from_angle(0.7)
+        assert eval_probe(omega, 5.0, 2.0, np.zeros((3, 2))).shape == (1, 3)
+        assert probe_gradient_factor(omega, 5.0, 2.0).shape == (1, 2)

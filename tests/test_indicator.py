@@ -1,4 +1,5 @@
 import dataclasses
+import time
 
 import numpy as np
 import pytest
@@ -8,7 +9,7 @@ from scipy.optimize._lsq.common import solve_lsq_trust_region
 from enclosure2d import indicator
 from enclosure2d import trace as trace_module
 from enclosure2d.errors import DomainError, ReconstructionError, ResolutionError
-from enclosure2d.fields import PointSource, ProbeParams
+from enclosure2d.fields import PointSource
 from enclosure2d.forward import build_mesh, circle_nodes, solve_scattering
 from enclosure2d.geometry import (
     Direction,
@@ -102,8 +103,8 @@ def _per_tau_quadrature(trace, omega, tau):
     """The per-tau quadrature that quadrature_samples runs for all tau at once."""
     points, normals = circle_nodes(trace.center, trace.radius, trace.n)
     t0 = np.max(points @ omega.vec)
-    probe = ProbeParams(omega, tau, trace.k)
-    integrand = (trace.dudn - (normals @ probe_gradient_factor(probe)[0]) * trace.u) * eval_probe(probe, points, t0)[0]
+    zeta = probe_gradient_factor(omega, tau, trace.k)[0]
+    integrand = (trace.dudn - (normals @ zeta) * trace.u) * eval_probe(omega, tau, trace.k, points, t0)[0]
     ds = 2 * np.pi * trace.radius / trace.n
     j = np.sum(integrand) * ds
     shift = tau * (t0 - trace.radius)
@@ -188,17 +189,18 @@ class TestReferenceShift:
         assert estimate_support(shifted).h_hat == pytest.approx(estimate_support(default).h_hat, abs=1e-9)
 
 
-NON_FINITE_GRID = [4.0, 8.0, 16.0, np.nan]
-EIGHT_TAUS = np.geomspace(4.0, 40.0, 8)  # enough samples that only t_ref can fail
+EIGHT_TAUS = np.geomspace(4.0, 40.0, 8)  # a grid that check_tau_grid admits
 
 
 @pytest.mark.parametrize("call", [
-    pytest.param(lambda trace: ProbeParams(OM30, NON_FINITE_GRID, 2.0), id="probe-nan-tau"),
-    pytest.param(lambda trace: ProbeParams(OM30, np.inf, 2.0), id="probe-inf-tau"),
-    pytest.param(lambda trace: ProbeParams(OM30, 4.0, np.nan), id="probe-nan-k"),
-    pytest.param(lambda trace: ProbeParams(OM30, 4.0, np.inf), id="probe-inf-k"),
-    pytest.param(lambda trace: compute_samples(trace, OM30, NON_FINITE_GRID), id="samples-nan-tau"),
-    pytest.param(lambda trace: compute_samples(trace, OM30, [4.0, np.inf]), id="samples-inf-tau"),
+    pytest.param(lambda trace: dataclasses.replace(trace, k=np.nan), id="probe-nan-k"),
+    pytest.param(lambda trace: dataclasses.replace(trace, k=np.inf), id="probe-inf-k"),
+    # every other rule of the grid holds, so only the one under test can fail
+    pytest.param(lambda trace: compute_samples(trace, OM30, np.append(EIGHT_TAUS[:-1], np.nan)), id="samples-nan-tau"),
+    pytest.param(lambda trace: compute_samples(trace, OM30, np.append(EIGHT_TAUS[:-1], np.inf)), id="samples-inf-tau"),
+    pytest.param(lambda trace: compute_samples(trace, OM30, np.append(0.0, EIGHT_TAUS[1:])), id="samples-zero-tau"),
+    pytest.param(lambda trace: compute_samples(trace, OM30, np.append(-4.0, EIGHT_TAUS[1:])),
+                 id="samples-negative-tau"),
     pytest.param(lambda trace: compute_samples(trace, OM30, EIGHT_TAUS, t_ref=np.nan), id="samples-nan-t_ref"),
     pytest.param(lambda trace: compute_samples(trace, OM30, EIGHT_TAUS, t_ref=np.inf), id="samples-inf-t_ref"),
 ])
@@ -213,6 +215,21 @@ def test_non_finite_probe_input_is_domain_error(call, square_trace):
         call(trace)
 
 
+@pytest.mark.parametrize("taus", [
+    pytest.param(EIGHT_TAUS[:7], id="seven"),
+    pytest.param(EIGHT_TAUS[None], id="2-d"),
+    pytest.param(EIGHT_TAUS[::-1], id="decreasing"),
+    pytest.param(np.append(EIGHT_TAUS[:-1], EIGHT_TAUS[-2]), id="repeated"),
+    pytest.param(np.geomspace(8.0, 20.0, 16), id="span-2.5"),
+])
+def test_each_tau_grid_rule(square_trace, taus):
+    # each grid breaks one rule of check_tau_grid, which the samples and their constructor both run
+    with pytest.raises(DomainError):
+        compute_samples(square_trace, OM30, taus)
+    with pytest.raises(DomainError):
+        dataclasses.replace(synthetic_samples(EIGHT_TAUS), taus=taus)
+
+
 def assert_matches_formula(trace, omega, taus, t_ref=None):
     samples = compute_samples(trace, omega, taus, t_ref)
     log_mag, phases, usable, log_floor = formula_samples(trace, omega, taus, t_ref)
@@ -224,6 +241,12 @@ def assert_matches_formula(trace, omega, taus, t_ref=None):
 
 class TestProbeTable:
     DIRECTIONS = CRITERION_8_DIRECTIONS[::8]
+
+    def test_s_is_kappa_plus_tau(self, square_trace):
+        taus = np.geomspace(1.5, 15.0, 8)
+        s = compute_samples(square_trace, OM30, taus).s
+        assert s[0] == 4.0  # sqrt(1.5^2 + 2^2) + 1.5 at k = 2
+        np.testing.assert_array_equal(s, np.hypot(taus, square_trace.k) + taus)
 
     def test_one_table_per_trace_and_grid(self, square_trace, monkeypatch):
         # a work count, not a clock: a 64-direction hull builds the
@@ -244,6 +267,19 @@ class TestProbeTable:
         for om in CRITERION_8_DIRECTIONS:
             compute_samples(other, om, CRITERION_8_TAUS)
         assert calls[1:] == [(id(other), 64)]
+
+    def test_table_past_its_budget_raises_before_it_is_formed(self, square_trace, monkeypatch):
+        # 4097 tau over 512 nodes passes the 2^21 entries by 512; the budget
+        # is checked before the trace's modes are read or any row is formed
+        def never(*args):
+            raise AssertionError("the table was formed")
+
+        monkeypatch.setattr(trace_module, "circle_modes", never)
+        trace = dataclasses.replace(square_trace)  # a copy whose modes are not yet computed
+        start = time.monotonic()
+        with pytest.raises(ResolutionError, match="4097 tau over 512 trace nodes"):
+            compute_samples(trace, OM30, np.geomspace(4.0, 40.0, trace_module.PROBE_TABLE_MAX_ENTRIES // 512 + 1))
+        assert time.monotonic() - start < 1.0
 
     def test_two_grids_on_one_trace(self, square_trace):
         # the trace keeps the last grid's table: alternating grids rebuild it
@@ -295,7 +331,7 @@ def synthetic_samples(taus, h=0.7, b=-0.5, c=1.2, k=2.0, noise=None, seed=0):
     return IndicatorSamples(
         omega=Direction(1.0, 0.0),
         taus=taus,
-        k=k,
+        s=s,
         t_ref=0.0,
         log_magnitudes=logs,
         phases=np.zeros_like(taus),
@@ -317,7 +353,7 @@ def beat_samples(grid, p2):
     return IndicatorSamples(
         omega=Direction(1.0, 0.0),
         taus=taus,
-        k=k,
+        s=s,
         t_ref=0.0,
         log_magnitudes=np.log(np.abs(j)),
         phases=np.angle(j),
@@ -343,7 +379,7 @@ class TestFit:
         bad = IndicatorSamples(
             omega=samples.omega,
             taus=samples.taus,
-            k=samples.k,
+            s=samples.s,
             t_ref=samples.t_ref,
             log_magnitudes=samples.log_magnitudes,
             phases=samples.phases,
