@@ -45,7 +45,7 @@ from .farfield import (
     lsm_indicator_map,
     unsolvability_diagnostic,
 )
-from .trace import recover_neumann, trace_direct, trace_to_csv
+from .trace import check_probe_table_size, recover_neumann, trace_direct, trace_to_csv
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -54,6 +54,14 @@ EXIT_SOLVER = 4
 EXIT_RECONSTRUCTION = 5
 
 LSM_MAX_POINTS = 2**16  # lsm's grid-n^2 sampling points, one CSV row each: a 256 x 256 grid
+# hull's --directions, one sample product and one fit each: 4096 take 1.8 s
+# and 145 MB at the default flags, 64x the largest a test, demo or bench
+# run fits
+HULL_MAX_DIRECTIONS = 2**12
+# farfield's and lsm's --directions, an n x n operator from n right-hand
+# sides and its SVD: at 512 the disc series' (n, n, orders) phases take
+# 300 MB, 4x the largest operator a test, demo or bench run builds
+OPERATOR_MAX_DIRECTIONS = 2**9
 
 
 def _load_scene(path: str) -> Scene:
@@ -123,11 +131,12 @@ def _count(text: str) -> int:
 def _tau_grid(args) -> np.ndarray:
     if args.tau_min <= 0 or args.tau_max <= 0:
         raise ConfigError("tau-min and tau-max must be positive")
+    check_probe_table_size(args.tau_count, args.trace_n)
     return check_tau_grid(np.geomspace(args.tau_min, args.tau_max, args.tau_count))
 
 
 def _solve_with_trace(scene, args, incident):
-    mesh = build_mesh(scene, nodes_per_edge=args.mesh_nodes, p_grade=args.grade)
+    mesh = build_mesh(scene, nodes_per_edge=args.mesh_nodes)
     sol = solve_scattering(scene, incident, mesh)
     trace = trace_direct(sol, scene.radius_R, args.trace_n)
     return sol, trace
@@ -157,6 +166,8 @@ def cmd_hull(args) -> int:
     if not scene.obstacles:
         raise ConfigError("hull requires at least one obstacle")
     taus = _tau_grid(args)
+    if args.directions > HULL_MAX_DIRECTIONS:
+        raise ResolutionError(f"{args.directions} directions pass {HULL_MAX_DIRECTIONS} fits")
     if args.mode == "pointsource":
         incident = PointSource(scene.source_y)
     else:
@@ -190,10 +201,11 @@ def _alpha_sweep(args) -> np.ndarray:
 
 def _far_field_operator(scene, args):
     """The disc-series operator when --disc-radius is given, else the polygon solver's."""
+    if args.directions > OPERATOR_MAX_DIRECTIONS:
+        raise ResolutionError(f"{args.directions} directions pass {OPERATOR_MAX_DIRECTIONS} for an n x n operator")
     if args.disc_radius is not None:
         return disc_far_field_operator(args.disc_radius, scene.wavenumber_k, args.directions, args.directions)
-    return assemble_far_field_operator(scene, args.directions, args.directions,
-                                       nodes_per_edge=args.mesh_nodes, p_grade=args.grade)
+    return assemble_far_field_operator(scene, args.directions, args.directions, nodes_per_edge=args.mesh_nodes)
 
 
 def cmd_farfield(args) -> int:
@@ -245,7 +257,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--scene", required=True, help="scene JSON path")
         p.add_argument("--out", required=True, help="output directory")
         p.add_argument("--mesh-nodes", type=_count, default=64, dest="mesh_nodes")
-        p.add_argument("--grade", type=_finite_float, default=4.0)
 
     def trace_flag(p):
         p.add_argument("--trace-n", type=_count, default=512, dest="trace_n")

@@ -82,19 +82,13 @@ class FarFieldOperator:
         return float(np.max(np.abs(self.matrix - flipped)))
 
 
-def assemble_far_field_operator(
-    scene: Scene,
-    n_obs: int,
-    n_inc: int,
-    nodes_per_edge: int = 64,
-    p_grade: float = 4.0,
-) -> FarFieldOperator:
+def assemble_far_field_operator(scene: Scene, n_obs: int, n_inc: int, nodes_per_edge: int = 64) -> FarFieldOperator:
     """One plane-wave solution per incidence column, all from one ``solve_incidents`` call."""
     if n_obs < 1 or n_inc < 1:
         raise DomainError("need at least one observation and one incidence direction")
     obs_angles = 2 * np.pi * np.arange(n_obs) / n_obs
     inc_angles = 2 * np.pi * np.arange(n_inc) / n_inc
-    mesh = build_mesh(scene, nodes_per_edge=nodes_per_edge, p_grade=p_grade)
+    mesh = build_mesh(scene, nodes_per_edge=nodes_per_edge)
     k = scene.wavenumber_k
     sols = solve_incidents(scene, [PlaneWave(Direction.from_angle(ang)) for ang in inc_angles], mesh)
     densities = np.column_stack([sol.density for sol in sols])
@@ -201,9 +195,8 @@ def unsolvability_diagnostic(op: FarFieldOperator, y, alphas) -> GrowthReport:
     )
 
 
-def lsm_indicator_map(op: FarFieldOperator, points, alpha: float | None = None) -> np.ndarray:
-    """1 / ||g_alpha(y)|| over a grid of sample points (larger ~ inside)."""
-    if alpha is None:
-        alpha = max(1e-6 * float(np.max(np.abs(op.matrix))) ** 2, 1e-300)
+def lsm_indicator_map(op: FarFieldOperator, points) -> np.ndarray:
+    """1 / ||g_alpha(y)|| at alpha = 1e-6 max |F|^2 over a grid of sample points (larger ~ inside)."""
+    alpha = max(1e-6 * float(np.max(np.abs(op.matrix))) ** 2, 1e-300)
     with np.errstate(divide="ignore"):  # a zero operator gives zero norms, an infinite map
         return 1.0 / _tikhonov_norms(op, alpha, points)[0]

@@ -71,6 +71,7 @@ __all__ = [
 
 NODES_PER_PANEL = 4
 MAX_GRADING_LEVELS = 6
+GRADING_RATIO = 2.0**-4  # the graded breakpoints shrink by this factor per level toward a corner
 CONDITION_LIMIT = 1e10
 RESIDUAL_TOL = 1e-8
 INVERSE_MAX_NODES = 512
@@ -101,31 +102,28 @@ class BoundaryMesh:
         return len(self.weights)
 
 
-def _half_edge_breakpoints(p_grade: float, panels_per_half: int) -> np.ndarray:
+def _half_edge_breakpoints(panels_per_half: int) -> np.ndarray:
     """Panel breakpoints on [0, 1/2], graded geometrically toward 0.
 
-    Ratio 2^-p_grade per level, at most MAX_GRADING_LEVELS graded panels;
-    any remaining panels split the outer region [q/2, 1/2] uniformly.
+    Ratio GRADING_RATIO per level, at most MAX_GRADING_LEVELS graded panels;
+    any remaining panels split the outer region uniformly.
     """
-    q = 2.0 ** (-p_grade)
     levels = min(MAX_GRADING_LEVELS, panels_per_half - 1)
-    graded = [0.5 * q ** j for j in range(levels, 0, -1)]
+    graded = [0.5 * GRADING_RATIO**j for j in range(levels, 0, -1)]
     n_uniform = panels_per_half - levels  # >= 1 by the levels cap
     uniform = list(np.linspace(graded[-1], 0.5, n_uniform + 1)[1:])
     return np.array([0.0] + graded + uniform)
 
 
-def build_mesh(scene: Scene, nodes_per_edge: int = 64, p_grade: float = 4.0) -> BoundaryMesh:
+def build_mesh(scene: Scene, nodes_per_edge: int = 64) -> BoundaryMesh:
     """Composite Gauss-Legendre panels per edge, graded toward both corners."""
     if nodes_per_edge < 16:
         raise DomainError("nodes_per_edge must be at least 16")
     if nodes_per_edge % (2 * NODES_PER_PANEL) != 0:
         raise DomainError(f"nodes_per_edge must be a multiple of {2 * NODES_PER_PANEL}")
-    if p_grade < 2:
-        raise DomainError("p_grade must be at least 2")
 
     panels_per_half = nodes_per_edge // (2 * NODES_PER_PANEL)
-    half = _half_edge_breakpoints(p_grade, panels_per_half)
+    half = _half_edge_breakpoints(panels_per_half)
     breaks = np.concatenate([half, (1.0 - half[::-1])[1:]])  # mirrored on [0, 1]
     t0, t1 = breaks[:-1, None], breaks[1:, None]
     gx, gw = leggauss(NODES_PER_PANEL)
@@ -374,7 +372,7 @@ def eval_total(sol: ScatterSolution, x):
     return sol.incident.value(sol.scene.wavenumber_k, x) + scattered_field(sol, x)[0]
 
 
-def modulated_nonvanishing_check(scene, x0, d: Direction, nodes_per_edge: int = 64, p_grade: float = 4.0):
+def modulated_nonvanishing_check(scene, x0, d: Direction, nodes_per_edge: int = 64):
     """Total modulated field (1.3)-style value at the scene's source point.
 
     Solves the scattering problem for the linearly modulated plane field
@@ -388,7 +386,7 @@ def modulated_nonvanishing_check(scene, x0, d: Direction, nodes_per_edge: int = 
     if len(vertices) and np.min(np.linalg.norm(vertices - x0, axis=1)) > 1e-9:
         raise DomainError("x0 must be a vertex of the scene")
     incident = ModulatedPlane(x0=x0, d=d)
-    mesh = build_mesh(scene, nodes_per_edge=nodes_per_edge, p_grade=p_grade)
+    mesh = build_mesh(scene, nodes_per_edge=nodes_per_edge)
     sol = solve_scattering(scene, incident, mesh)
     return eval_total(sol, scene.source_y)
 

@@ -162,7 +162,7 @@ def compute_samples(trace: TraceData, omega: Direction, taus, t_ref: float | Non
     level delta, J has rms 4 delta ||g||_2: that is the floor, and samples
     less than NOISE_SNR times above it are unusable.  ``t_ref`` (default:
     the circle radius) enters as an exact affine shift.  The grid is checked
-    by ``check_tau_grid`` on every call, before the table is looked up.
+    by ``check_tau_grid`` once on every call, before the table is looked up.
     """
     taus = check_tau_grid(taus)
     t_ref = float(trace.radius if t_ref is None else t_ref)
@@ -176,7 +176,10 @@ def compute_samples(trace: TraceData, omega: Direction, taus, t_ref: float | Non
     with np.errstate(divide="ignore"):
         log_mag = np.log(4 * np.abs(series)) + shift
         log_floor = np.log(4 * modes.tail * table.g_norm) + shift
-    return IndicatorSamples(
+    # the grid passed check_tau_grid above, so the fields are set past the
+    # constructor, which would check it a second time
+    samples = object.__new__(IndicatorSamples)
+    samples.__dict__.update(
         omega=omega,
         t_ref=t_ref,
         taus=taus,
@@ -186,6 +189,7 @@ def compute_samples(trace: TraceData, omega: Direction, taus, t_ref: float | Non
         s=table.s,
         log_noise_floors=log_floor,
     )
+    return samples
 
 
 @dataclass(frozen=True)
@@ -237,17 +241,20 @@ def _trimmed_envelope_fit(t: np.ndarray, L: np.ndarray, s: np.ndarray, wt: np.nd
     design = np.column_stack([t, np.log(s), np.ones_like(t)])
     w = np.ones(len(t), dtype=bool)
     for _ in range(6):
-        r = L - design @ _clamped_fit(design[w], L[w], wt[w])
+        coeffs = _clamped_fit(design[w], L[w], wt[w])
+        r = L - design @ coeffs
         pos = w & (r > 0)
         sigma = max(_weighted_rms(r[pos], wt[pos]) if pos.any() else 1e-3, 1e-3)
         w_new = r > -TRIM_SIGMA * sigma
         if np.count_nonzero(w_new) < 6:
             w = np.ones(len(t), dtype=bool)
+            coeffs = _clamped_fit(design[w], L[w], wt[w])
             break
-        if np.array_equal(w_new, w):
+        if np.array_equal(w_new, w):  # coeffs is already the fit on w
             break
         w = w_new
-    coeffs = _clamped_fit(design[w], L[w], wt[w])
+    else:
+        coeffs = _clamped_fit(design[w], L[w], wt[w])
     rms = _weighted_rms(L[w] - design[w] @ coeffs, wt[w])
     return float(coeffs[0]), float(coeffs[1]), rms
 

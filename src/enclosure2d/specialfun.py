@@ -12,10 +12,9 @@ scipy's real-argument Cephes routines j0/y0/j1/y1, which agree with the
 general complex-argument routine special.hankel1 to about 1e-14 relative
 and are several times faster; higher orders, used only by the disc series,
 go through special.hankel1.  The assembly evaluates H_1 once per
-symmetric node pair: at 2048 nodes that is 52 ms of a 159 ms assembly
-(231 ms when every pair was evaluated), next to 0.32-0.35 s of LU; at 256
-nodes 0.7 ms of 2.1 ms, next to 6 ms for numpy's inverse (2-core Xeon VM,
-2 OpenBLAS threads).
+symmetric node pair: at 2048 nodes that is 52 ms of a 159 ms assembly,
+next to 0.32-0.35 s of LU; at 256 nodes 0.7 ms of 2.1 ms, next to 6 ms
+for numpy's inverse (2-core Xeon VM, 2 OpenBLAS threads).
 
 The measurement-circle series needs every order at once: ``hankel1_orders``
 gives H_m(kR) and H'_m(kR) by the upward ratio recursion and
@@ -23,9 +22,8 @@ gives H_m(kR) and H'_m(kR) by the upward ratio recursion and
 recurrence, both scaled by the same powers of two so that their products
 stay finite where H_m overflows.  On the 2048-node 128-gon (k = 2, R = 2,
 33 orders, 512 circle nodes) the whole circle trace takes 2.2 ms, of
-which Miller's recurrence is 1.0 ms and the Hankel orders 0.05 ms; the
-pair sum it replaced took 99 ms.  This module is the one place that calls
-scipy's Bessel and Hankel routines.
+which Miller's recurrence is 1.0 ms and the Hankel orders 0.05 ms.  This
+module is the one place that calls scipy's Bessel and Hankel routines.
 """
 
 from __future__ import annotations

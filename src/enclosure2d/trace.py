@@ -35,8 +35,8 @@ from .fields import ModulatedPlane, PlaneWave, PointSource
 from .forward import ScatterSolution, circle_field, circle_nodes
 from .specialfun import hankel1_orders
 
-__all__ = ["CircleModes", "ProbeTable", "TraceData", "circle_modes", "trace_direct", "recover_neumann",
-           "trace_to_csv", "trace_from_csv"]
+__all__ = ["CircleModes", "ProbeTable", "TraceData", "check_probe_table_size", "circle_modes", "trace_direct",
+           "recover_neumann", "trace_to_csv", "trace_from_csv"]
 
 # the harmonic tail of the scattered part must fall below this fraction of the head
 TAIL_TOL = 1e-6
@@ -120,11 +120,16 @@ class ProbeTable:
     g_norm: np.ndarray
 
 
+def check_probe_table_size(tau_count: int, trace_n: int) -> None:
+    """ResolutionError when a probe table of tau_count x trace_n entries would pass PROBE_TABLE_MAX_ENTRIES."""
+    if tau_count * trace_n > PROBE_TABLE_MAX_ENTRIES:
+        raise ResolutionError(f"a probe table of {tau_count} tau over {trace_n} trace nodes passes "
+                              f"{PROBE_TABLE_MAX_ENTRIES} entries; use fewer tau samples or trace nodes")
+
+
 def _build_probe_table(trace: TraceData, taus: np.ndarray) -> ProbeTable:
     """The trace's ``ProbeTable`` over ``taus``; ResolutionError, before it is formed, past the budget or the band."""
-    if len(taus) * trace.n > PROBE_TABLE_MAX_ENTRIES:
-        raise ResolutionError(f"a probe table of {len(taus)} tau over {trace.n} trace nodes passes "
-                              f"{PROBE_TABLE_MAX_ENTRIES} entries; use fewer tau samples or trace nodes")
+    check_probe_table_size(len(taus), trace.n)
     kappa = np.hypot(taus, trace.k)
     band = 2 * float(np.max(kappa)) * trace.radius
     if band > trace.n:

@@ -180,7 +180,7 @@ def tikhonov_reference(op, alphas, points):
     return norms, resids
 
 
-def point_source_far_field_check(scene, d_angles, nodes_per_edge=64, p_grade=4.0):
+def point_source_far_field_check(scene, d_angles, nodes_per_edge=64):
     """Max relative discrepancy of the point-source far-field identity.
 
     Compares the far field of the point-source total field against
@@ -191,7 +191,7 @@ def point_source_far_field_check(scene, d_angles, nodes_per_edge=64, p_grade=4.0
     d_angles = np.atleast_1d(np.asarray(d_angles, dtype=float))
     k = scene.wavenumber_k
     y = scene.source_y
-    mesh = build_mesh(scene, nodes_per_edge=nodes_per_edge, p_grade=p_grade)
+    mesh = build_mesh(scene, nodes_per_edge=nodes_per_edge)
     # incidence -d for every observation direction d
     plane_waves = [PlaneWave(Direction.from_angle(ang + np.pi)) for ang in d_angles]
     ps_sol, *pw_sols = solve_incidents(scene, [PointSource(y)] + plane_waves, mesh)

@@ -13,6 +13,7 @@ from enclosure2d import cli
 from enclosure2d.cli import build_parser, main
 from enclosure2d.geometry import hausdorff_distance
 from enclosure2d.indicator import B_MAX, B_MIN
+from enclosure2d.trace import PROBE_TABLE_MAX_ENTRIES
 
 from conftest import SQUARE_VERTS, TWO_BOXES
 
@@ -21,6 +22,14 @@ README = Path(__file__).resolve().parents[1] / "README.md"
 
 def _never(*args, **kwargs):
     raise AssertionError("called after the flags were refused")
+
+
+class _Reached(Exception):
+    """Raised by a stage patched in to show that a run got past its flag checks."""
+
+
+def _reached(*args, **kwargs):
+    raise _Reached
 
 
 def scene_dict(**overrides):
@@ -104,8 +113,13 @@ class TestConfigErrors:
         scene_dict(center=[0.0, False]),
         scene_dict(k=True),
         scene_dict(obstacles=[[[-0.5, -0.5], [0.5, -0.5], [0.5, True]]]),
+        scene_dict(R=0.0),
+        scene_dict(k=-2.0),
+        scene_dict(R1=2.0),  # R1 must exceed R
+        {key: value for key, value in scene_dict().items() if key != "k"},
     ], ids=["list", "number", "R-text", "k-null", "ragged-vertices", "3d-source", "k-nan", "vertex-nan",
-            "R-true", "source-false", "center-false", "k-true", "vertex-true"])
+            "R-true", "source-false", "center-false", "k-true", "vertex-true", "R-zero", "k-negative", "R1-at-R",
+            "missing-k"])
     def test_malformed_scene_body(self, tmp_path, capsys, body):
         path = tmp_path / "scene.json"
         path.write_text(json.dumps(body))
@@ -135,12 +149,29 @@ class TestConfigErrors:
         ["farfield", "--directions", "0"],
         ["lsm", "--directions", "0"],
         ["farfield", "--sample-point", "nan", "0"],
+        ["hull", "--tau-min", "eight"],
+        ["hull", "--directions", "many"],
     ])
     def test_non_finite_or_empty_flag_is_usage_error(self, scene_file, tmp_path, capsys, argv):
         with pytest.raises(SystemExit) as exc:
             main(argv + ["--scene", str(scene_file), "--out", str(tmp_path / "o")])
         assert exc.value.code == 2
         assert f"argument {argv[1]}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["solve", "hull", "farfield", "lsm"])
+    def test_grade_is_not_a_flag(self, scene_file, tmp_path, capsys, command):
+        # the mesh's corner grading is fixed, forward.GRADING_RATIO
+        with pytest.raises(SystemExit) as exc:
+            main([command, "--grade", "4", "--scene", str(scene_file), "--out", str(tmp_path / "o")])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --grade 4" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["solve", "hull"])
+    def test_command_needs_an_obstacle(self, tmp_path, capsys, command):
+        path = tmp_path / "scene.json"
+        path.write_text(json.dumps(scene_dict(obstacles=[])))
+        assert main([command, "--scene", str(path), "--out", str(tmp_path / "o")]) == 2
+        assert "requires at least one obstacle" in capsys.readouterr().err
 
     @pytest.mark.parametrize("command", ["farfield", "lsm"])
     def test_trace_n_is_not_a_far_field_flag(self, scene_file, tmp_path, capsys, command):
@@ -165,11 +196,34 @@ class TestExitCodes:
         assert code == 3
         assert "error[resolution]" in capsys.readouterr().err
 
-    def test_probe_table_past_its_budget(self, scene_file, tmp_path, capsys):
-        # 4097 tau over the 512 trace nodes: refused after the solve, before the table is formed
-        code = main(["hull", "--scene", str(scene_file), "--out", str(tmp_path / "o"), "--tau-count", "4097"])
-        assert code == 3
+    def test_probe_table_past_its_budget(self, scene_file, tmp_path, capsys, monkeypatch):
+        # 4097 tau over the 512 trace nodes: refused before the grid is formed or the scene solved
+        monkeypatch.setattr(np, "geomspace", _never)
+        monkeypatch.setattr(cli, "build_mesh", _never)
+        argv = ["hull", "--scene", str(scene_file), "--out", str(tmp_path / "o")]
+        assert main(argv + ["--tau-count", str(PROBE_TABLE_MAX_ENTRIES // 512 + 1)]) == 3
         assert "error[resolution]" in capsys.readouterr().err
+        monkeypatch.setattr(np, "geomspace", _reached)
+        with pytest.raises(_Reached):
+            main(argv + ["--tau-count", str(PROBE_TABLE_MAX_ENTRIES // 512)])
+
+    @pytest.mark.parametrize("argv, budget, stage", [
+        (["hull"], cli.HULL_MAX_DIRECTIONS, "build_mesh"),
+        (["farfield"], cli.OPERATOR_MAX_DIRECTIONS, "assemble_far_field_operator"),
+        (["farfield", "--disc-radius", "0.8"], cli.OPERATOR_MAX_DIRECTIONS, "disc_far_field_operator"),
+        (["lsm"], cli.OPERATOR_MAX_DIRECTIONS, "assemble_far_field_operator"),
+        (["lsm", "--disc-radius", "0.8"], cli.OPERATOR_MAX_DIRECTIONS, "disc_far_field_operator"),
+    ], ids=["hull", "farfield", "farfield-disc", "lsm", "lsm-disc"])
+    def test_directions_past_their_budget(self, scene_file, tmp_path, capsys, monkeypatch, argv, budget, stage):
+        # one direction past the budget is refused before the mesh or the
+        # operator is built; the budget itself gets there
+        argv = argv + ["--scene", str(scene_file), "--out", str(tmp_path / "o")]
+        monkeypatch.setattr(cli, stage, _never)
+        assert main(argv + ["--directions", str(budget + 1)]) == 3
+        assert "error[resolution]" in capsys.readouterr().err
+        monkeypatch.setattr(cli, stage, _reached)
+        with pytest.raises(_Reached):
+            main(argv + ["--directions", str(budget)])
 
     def test_lsm_grid_past_its_budget(self, scene_file, tmp_path, capsys, monkeypatch):
         # a 257 x 257 grid passes 2^16 points: refused before the operator or the grid is built

@@ -43,6 +43,8 @@ class TestValues:
         src = PointSource(np.array([1.0, 1.0]))
         with pytest.raises(DomainError):
             src.value(1.0, np.array([1.0, 1.0]))
+        with pytest.raises(DomainError):
+            src.gradient(1.0, np.array([[0.0, 0.0], [1.0, 1.0]]))
 
 
 def fd_laplacian(f, k, x, h):

@@ -10,9 +10,10 @@ from scipy.linalg.lapack import zgecon
 from enclosure2d import forward
 from enclosure2d.errors import DomainError, NearFieldError, ResolutionError, SolverError
 from enclosure2d.farfield import assemble_far_field_operator
-from enclosure2d.fields import PlaneWave, PointSource
+from enclosure2d.fields import ModulatedPlane, PlaneWave, PointSource
 from enclosure2d.forward import (
     INVERSE_MAX_NODES,
+    GRADING_RATIO,
     MAX_GRADING_LEVELS,
     NODES_PER_PANEL,
     DiscSeriesSolution,
@@ -98,14 +99,13 @@ class TestMesh:
 
     def test_grading_smallest_panel(self):
         scene = make_scene(TRIANGLE_VERTS)
-        p = 4.0
-        mesh = build_mesh(scene, nodes_per_edge=64, p_grade=p)
+        mesh = build_mesh(scene, nodes_per_edge=64)
         levels = min(MAX_GRADING_LEVELS, 64 // (2 * NODES_PER_PANEL) - 1)
         for e in range(3):
             on_edge = mesh.edge_ids == e
             ell = np.sum(mesh.weights[on_edge])
             smallest = np.min(mesh.panel_sizes[on_edge])
-            assert smallest <= 0.5 ** (p * levels) * ell
+            assert smallest <= GRADING_RATIO**levels * ell
 
     def test_refinement_halves_max_panel(self, square_scene):
         coarse = build_mesh(square_scene, nodes_per_edge=32)
@@ -127,8 +127,6 @@ class TestMesh:
             build_mesh(square_scene, nodes_per_edge=8)
         with pytest.raises(DomainError):
             build_mesh(square_scene, nodes_per_edge=36)
-        with pytest.raises(DomainError):
-            build_mesh(square_scene, p_grade=1.0)
 
 
 class TestSolve:
@@ -466,6 +464,14 @@ class TestDiscSeries:
         )
         assert boundary_neumann_residual(oracle, n_angles=64) < 1e-10
 
+    @pytest.mark.parametrize("incident, message", [
+        (PointSource(np.array([0.3, 0.0])), "outside the disc"),
+        (ModulatedPlane(x0=np.zeros(2), d=Direction(1.0, 0.0)), "PlaneWave and PointSource only"),
+    ], ids=["source-inside", "modulated"])
+    def test_unsupported_incident_rejected(self, incident, message):
+        with pytest.raises(DomainError, match=message):
+            DiscSeriesSolution(center=np.zeros(2), a=0.5, k=2.0, incident=incident)
+
     def test_small_k_quadratic_scaling(self):
         # sound-hard disc: scattered amplitude ~ k^2 at leading order;
         # evaluate at fixed kr so the Hankel factor drops out of the ratio
@@ -500,6 +506,10 @@ class TestModulatedCheck:
         theta = np.array([-d.vec[1], d.vec[0]])
         expected = (x0 - y) @ theta * np.exp(-1j * k * (y @ d.vec))
         assert v == pytest.approx(expected, abs=1e-14)
+
+    def test_anchor_must_be_a_vertex(self, square_scene):
+        with pytest.raises(DomainError, match="vertex"):
+            modulated_nonvanishing_check(square_scene, np.zeros(2), Direction.from_angle(1.0), nodes_per_edge=32)
 
     def test_square_vertex_nonzero(self, square_scene):
         v = modulated_nonvanishing_check(

@@ -28,6 +28,9 @@ def reference_contains(poly, point):
 
 
 UNIT_SQ = Polygon(np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0]]))
+# counterclockwise with positive signed area, so only the crossing test refuses it
+_STAR_ANGLES = np.pi / 2 + 0.8 * np.pi * np.arange(5)
+PENTAGRAM = np.column_stack([np.cos(_STAR_ANGLES), np.sin(_STAR_ANGLES)])
 
 
 class TestDirection:
@@ -55,6 +58,14 @@ class TestPolygon:
         bowtie = np.array([[0.0, 0.0], [1.0, 1.0], [1.0, 0.0], [0.0, 1.0]])
         with pytest.raises(GeometryError):
             Polygon(bowtie)
+
+    @pytest.mark.parametrize("verts, message", [
+        (np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 0.0], [0.0, 1.0]]), "consecutive vertices coincide"),
+        (PENTAGRAM, "self-intersecting"),
+    ], ids=["coincident", "pentagram"])
+    def test_rejects_degenerate_outline(self, verts, message):
+        with pytest.raises(GeometryError, match=message):
+            Polygon(verts)
 
     def test_contains(self):
         assert UNIT_SQ.contains((0.5, 0.5))
@@ -139,6 +150,10 @@ class TestHullFromSupports:
         x, y = hull[:, 0], hull[:, 1]
         area = 0.5 * abs(np.dot(x, np.roll(y, -1)) - np.dot(y, np.roll(x, -1)))
         assert area == pytest.approx(3 * np.sqrt(3.0), rel=1e-10)
+
+    def test_fewer_than_three_samples_rejected(self):
+        with pytest.raises(DomainError, match="at least 3"):
+            convex_hull_from_supports([(Direction(1.0, 0.0), 0.5), (Direction(0.0, 1.0), 0.5)], clip_radius=2.0)
 
     def test_refinement_monotone(self):
         # square data saturates immediately; the unit disc (h == 1) exposes

@@ -281,6 +281,22 @@ class TestProbeTable:
             compute_samples(trace, OM30, np.geomspace(4.0, 40.0, trace_module.PROBE_TABLE_MAX_ENTRIES // 512 + 1))
         assert time.monotonic() - start < 1.0
 
+    def test_one_grid_check_per_direction(self, square_trace, monkeypatch):
+        # the samples are bitwise what their constructor, which checks the
+        # grid again, would hold
+        calls = []
+        check = indicator.check_tau_grid
+        monkeypatch.setattr(indicator, "check_tau_grid", lambda taus: calls.append(len(taus)) or check(taus))
+        trace = dataclasses.replace(square_trace)  # a copy that has built no table
+        for om in self.DIRECTIONS:
+            samples = compute_samples(trace, om, CRITERION_8_TAUS)
+            assert len(calls) == 1
+            rebuilt = IndicatorSamples(**{f.name: getattr(samples, f.name) for f in dataclasses.fields(samples)})
+            assert len(calls) == 2
+            calls.clear()
+            for f in dataclasses.fields(samples):
+                np.testing.assert_array_equal(getattr(rebuilt, f.name), getattr(samples, f.name))
+
     def test_two_grids_on_one_trace(self, square_trace):
         # the trace keeps the last grid's table: alternating grids rebuild it
         trace = dataclasses.replace(square_trace)
@@ -369,6 +385,14 @@ class TestFit:
         assert est.log_s_coefficient == pytest.approx(-0.5, abs=1e-8)
         assert est.residual_rms < 1e-10
         assert est.fit_path == "envelope"
+
+    def test_converged_pass_is_not_repeated(self, taus, monkeypatch):
+        # clean single-corner data trims nothing: one pass, whose fit is the result
+        calls = []
+        fit = indicator._clamped_fit
+        monkeypatch.setattr(indicator, "_clamped_fit", lambda *args: calls.append(1) or fit(*args))
+        assert estimate_support(synthetic_samples(taus)).fit_path == "envelope"
+        assert len(calls) == 1
 
     def test_noisy_data(self, taus):
         est = estimate_support(synthetic_samples(taus, noise=1e-3, seed=4))
@@ -621,7 +645,7 @@ class TestTwoTermRefine:
         # region reaches 0.002; the envelope is then kept, 0.03 lower
         scene = Scene(obstacles=(SQUARE,), radius_R=2.0, radius_R1=6.0,
                       source_y=6.0 * np.array([np.cos(4 * np.pi / 3), np.sin(4 * np.pi / 3)]), wavenumber_k=2.0)
-        sol = solve_scattering(scene, PointSource(scene.source_y), build_mesh(scene, nodes_per_edge=64, p_grade=4.0))
+        sol = solve_scattering(scene, PointSource(scene.source_y), build_mesh(scene, nodes_per_edge=64))
         samples = compute_samples(trace_direct(sol, scene.radius_R, 512), Direction.from_angle(2 * np.pi * 44 / 64),
                                   np.geomspace(8.0, 40.0, 16))
         assert np.count_nonzero(samples.usable) == 10
@@ -806,6 +830,16 @@ class TestThreshold:
         assert classify_threshold(samples, h + 0.2) == "decays"
         assert classify_threshold(samples, h - 0.2) == "blows_up"
         assert classify_threshold(samples, h) in ("decays", "inconclusive")
+
+    def test_inconclusive_at_the_support(self, taus):
+        # with b = 0, log(e^{-tau t} |J|) has slope h - t exactly
+        samples = synthetic_samples(taus, b=0.0)
+        assert [classify_threshold(samples, t) for t in (0.68, 0.7, 0.72)] == ["blows_up", "inconclusive", "decays"]
+
+    def test_too_few_usable_samples(self, taus):
+        samples = synthetic_samples(taus)
+        with pytest.raises(ReconstructionError, match="at least 8"):
+            classify_threshold(dataclasses.replace(samples, usable=np.arange(len(taus)) < 7), 0.7)
 
     def test_monotone_sandwich(self, square_trace, taus):
         samples = compute_samples(square_trace, OM30, taus)

@@ -178,6 +178,10 @@ class TestDomainGuards:
             bessel_y(0, -1.0)
         with pytest.raises(DomainError):
             hankel1(0, 0.0)
+        with pytest.raises(DomainError):
+            bessel_j(0, [1.0, -1.0])
+        with pytest.raises(DomainError):
+            bessel_j_prime(1, -1.0)
 
     def test_noninteger_order_rejected(self):
         with pytest.raises((DomainError, TypeError)):

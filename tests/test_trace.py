@@ -1,3 +1,4 @@
+import dataclasses
 import time
 
 import numpy as np
@@ -293,6 +294,16 @@ class TestRecoverNeumann:
                 square_scene.radius_R,
                 square_scene.center,
             )
+
+
+@pytest.mark.parametrize("changes, message", [
+    (lambda trace: {"dudn": trace.dudn[: trace.n // 2]}, "matching size"),
+    (lambda trace: {"u": np.append(trace.u[:-1], np.nan)}, "must be finite"),
+    (lambda trace: {"dudn": np.append(trace.dudn[:-1], np.inf)}, "must be finite"),
+], ids=["size-mismatch", "nan-u", "inf-dudn"])
+def test_malformed_trace_rejected(square_trace, changes, message):
+    with pytest.raises(DomainError, match=message):
+        dataclasses.replace(square_trace, **changes(square_trace))
 
 
 class TestCsvRoundTrip:
