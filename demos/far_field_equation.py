@@ -24,7 +24,7 @@ def main():
         radius_R=2.0, radius_R1=6.0, source_y=(6.0, 0.0), wavenumber_k=2.0,
     )
     op = assemble_far_field_operator(square, 32, 32, nodes_per_edge=32)
-    disc = disc_far_field_operator(0.8, 2.0, 64, 64)
+    disc = disc_far_field_operator(0.8, 2.0, 64)
     alphas = np.geomspace(1e-3, 1e-9, 7)
 
     print("Tikhonov solution norms across the alpha sweep")

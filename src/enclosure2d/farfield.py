@@ -17,8 +17,8 @@ U^H c and its squared moduli.  The relative residual, which needs
 c - U U^H c, is formed only for the sweep's one sample point.
 Each operator is built from one phase product over all its incidences and
 keeps its SVD once computed, so every sweep and map on it reuses both.
-The disc series operator, probed at its center, is the solvable contrast
-case that does not depend on the polygon solver.
+The disc operator, one series gathered circulantly and probed at its
+center, is the solvable contrast case that needs no polygon solver.
 """
 
 from __future__ import annotations
@@ -39,6 +39,7 @@ __all__ = [
     "far_field_constant",
     "assemble_far_field_operator",
     "disc_far_field_operator",
+    "check_alpha_sweep",
     "unsolvability_diagnostic",
     "lsm_indicator_map",
 ]
@@ -98,17 +99,16 @@ def assemble_far_field_operator(scene: Scene, n_obs: int, n_inc: int, nodes_per_
     return FarFieldOperator(matrix=matrix, obs_angles=obs_angles, inc_angles=inc_angles, k=k)
 
 
-def disc_far_field_operator(radius: float, k: float, n_obs: int, n_inc: int) -> FarFieldOperator:
-    """Far-field operator of a sound-hard disc at the origin, via the series.
+def disc_far_field_operator(radius: float, k: float, n: int) -> FarFieldOperator:
+    """Far-field operator of a sound-hard disc at the origin on n equal directions, via the series.
 
-    The disc is rotation invariant, so F(phi, d) = F_0(phi - d) with F_0
-    the pattern of the one series at incidence angle 0.
+    Rotation invariance gives F(phi_i, d_j) = F_0(phi_i - d_j), the pattern at incidence 0 on the
+    grid angle of (i - j) mod n: one series on the n angles fills the circulant matrix.
     """
-    obs_angles = 2 * np.pi * np.arange(n_obs) / n_obs
-    inc_angles = 2 * np.pi * np.arange(n_inc) / n_inc
-    series = DiscSeriesSolution((0.0, 0.0), radius, k, PlaneWave(Direction.from_angle(0.0)))
-    matrix = series.far_field(obs_angles[:, None] - inc_angles[None, :])
-    return FarFieldOperator(matrix=matrix, obs_angles=obs_angles, inc_angles=inc_angles, k=k)
+    angles = 2 * np.pi * np.arange(n) / n
+    pattern = DiscSeriesSolution((0.0, 0.0), radius, k, PlaneWave(Direction.from_angle(0.0))).far_field(angles)
+    matrix = pattern[np.subtract.outer(np.arange(n), np.arange(n)) % n]
+    return FarFieldOperator(matrix=matrix, obs_angles=angles, inc_angles=angles, k=k)
 
 
 _POINT_BLOCK = 256  # sample points per block: a map's working set is (N_obs, block)
@@ -117,32 +117,26 @@ _POINT_BLOCK = 256  # sample points per block: a map's working set is (N_obs, bl
 def _weighted_rhs(op: FarFieldOperator, points) -> np.ndarray:
     """sqrt(w_o) times the point-source far fields, one column per point."""
     points = np.atleast_2d(np.asarray(points, dtype=float))
+    if not np.all(np.isfinite(points)):
+        raise DomainError("sample points must be finite")
     phi_hat = np.column_stack([np.cos(op.obs_angles), np.sin(op.obs_angles)])
     return math.sqrt(op.obs_weight) * far_field_constant(op.k) * np.exp(-1j * op.k * (phi_hat @ points.T))
 
 
-def _tikhonov_norms(op: FarFieldOperator, alphas, points) -> np.ndarray:
-    """||g_alpha(y)||, shaped (alphas, points), from the operator's SVD.
+def _norms(op: FarFieldOperator, alphas: np.ndarray, power: np.ndarray) -> np.ndarray:
+    """||g_alpha||, shaped (alphas, points), from power = |U^H c|^2: the norm of s / (s^2 + alpha w_i) U^H c."""
+    s = op.svd[1]
+    return np.sqrt(op.inc_weight * ((s / (s**2 + op.inc_weight * alphas[:, None])) ** 2 @ power))
 
-    ||g|| is the norm of the filtered coefficients s / (s^2 + alpha w_i)
-    U^H c, so a block of points costs one product with U^H and the
-    squared moduli |U^H c|^2.
-    """
-    alphas = np.atleast_1d(np.asarray(alphas, dtype=float))
-    points = np.atleast_2d(np.asarray(points, dtype=float))
-    if not np.all(np.isfinite(alphas) & (alphas > 0)):
-        raise DomainError("regularization parameters must be finite and positive")
-    if not np.all(np.isfinite(points)):
-        raise DomainError("sample points must be finite")
-    u, s, _ = op.svd
-    u_h = u.conj().T
-    filtered = s / (s**2 + op.inc_weight * alphas[:, None])
-    norms = np.empty((len(alphas), len(points)))
-    for start in range(0, len(points), _POINT_BLOCK):
-        block = slice(start, start + _POINT_BLOCK)
-        power = np.abs(u_h @ _weighted_rhs(op, points[block])) ** 2
-        norms[:, block] = np.sqrt(op.inc_weight * (filtered**2 @ power))
-    return norms
+
+def check_alpha_sweep(alphas) -> np.ndarray:
+    """The sweep as a float array: 1-D, finite, positive, strictly decreasing, >= 5 values over >= 4 decades."""
+    alphas = np.asarray(alphas, dtype=float)
+    if alphas.ndim != 1 or len(alphas) < 5 or not np.all(np.isfinite(alphas) & (alphas > 0)):
+        raise DomainError("an alpha sweep is a 1-D array of >= 5 finite, positive values")
+    if np.any(np.diff(alphas) >= 0) or math.log10(alphas[0] / alphas[-1]) < 4:
+        raise DomainError("an alpha sweep must decrease strictly over at least 4 decades")
+    return alphas
 
 
 @dataclass(frozen=True)
@@ -163,20 +157,17 @@ def unsolvability_diagnostic(op: FarFieldOperator, y, alphas) -> GrowthReport:
     the last three decades of alpha with growth ratio above 2 per decade,
     the desk-scale observable of the rhs lying outside the operator range.
     """
-    alphas = np.asarray(alphas, dtype=float)
-    norms = _tikhonov_norms(op, alphas, y)[:, 0]
+    alphas = check_alpha_sweep(alphas)
     u, s, _ = op.svd
-    if len(alphas) < 5 or np.any(np.diff(alphas) >= 0):
-        raise DomainError("need >= 5 strictly decreasing alpha values")
-    if math.log10(alphas[0] / alphas[-1]) < 4:
-        raise DomainError("alpha sweep must span at least 4 decades")
-    # the residual is the filtered-out part of the coefficients plus c outside range(U)
     c = _weighted_rhs(op, y)
     coeffs = u.conj().T @ c
+    power = np.abs(coeffs) ** 2
+    norms = _norms(op, alphas, power)[:, 0]
+    # the residual is the filtered-out part of the coefficients plus c outside range(U)
     damping = op.inc_weight * alphas[:, None]
     missed = damping / (s**2 + damping)
     outside = np.sum(np.abs(c - u @ coeffs) ** 2, axis=0)
-    resids = np.sqrt((missed**2 @ np.abs(coeffs) ** 2 + outside) / np.sum(np.abs(c) ** 2, axis=0))[:, 0]
+    resids = np.sqrt((missed**2 @ power + outside) / np.sum(np.abs(c) ** 2, axis=0))[:, 0]
     slope = float(np.polyfit(np.log10(1.0 / alphas), np.log10(norms), 1)[0])
 
     window = alphas <= alphas[-1] * 1e3  # last three decades
@@ -198,5 +189,13 @@ def unsolvability_diagnostic(op: FarFieldOperator, y, alphas) -> GrowthReport:
 def lsm_indicator_map(op: FarFieldOperator, points) -> np.ndarray:
     """1 / ||g_alpha(y)|| at alpha = 1e-6 max |F|^2 over a grid of sample points (larger ~ inside)."""
     alpha = max(1e-6 * float(np.max(np.abs(op.matrix))) ** 2, 1e-300)
+    if not math.isfinite(alpha):  # a non-finite operator
+        raise DomainError("the map's alpha, 1e-6 max |F|^2, must be finite")
+    points = np.atleast_2d(np.asarray(points, dtype=float))
+    u_h = op.svd[0].conj().T
+    norms = np.empty(len(points))
+    for start in range(0, len(points), _POINT_BLOCK):
+        block = slice(start, start + _POINT_BLOCK)
+        norms[block] = _norms(op, np.array([alpha]), np.abs(u_h @ _weighted_rhs(op, points[block])) ** 2)[0]
     with np.errstate(divide="ignore"):  # a zero operator gives zero norms, an infinite map
-        return 1.0 / _tikhonov_norms(op, alpha, points)[0]
+        return 1.0 / norms

@@ -297,7 +297,7 @@ def test_criterion_10_far_field_unsolvability(square_scene):
     rep_centroid = unsolvability_diagnostic(op, (0.0, 0.0), alphas)
     rep_corner = unsolvability_diagnostic(op, (0.4, 0.4), alphas)
     rep_exterior = unsolvability_diagnostic(op, (1.5, 0.5), alphas)
-    disc = disc_far_field_operator(0.8, k, 64, 64)
+    disc = disc_far_field_operator(0.8, k, 64)
     rep_disc = unsolvability_diagnostic(disc, (0.0, 0.0), alphas)
     disc_ratio = float(np.max(rep_disc.norms) / np.min(rep_disc.norms))
     sigma = rep_centroid.singular_values
@@ -372,7 +372,7 @@ def test_criterion_11_invariances(square_trace, square_scene, taus):
     checks["probe scaling"] = bool(np.all(np.abs(la - (l0 - tau * a)) < 1e-12 * tau * a))
 
     # (e) Tikhonov solution norms are nonincreasing in alpha
-    disc = disc_far_field_operator(0.8, square_scene.wavenumber_k, 64, 64)
+    disc = disc_far_field_operator(0.8, square_scene.wavenumber_k, 64)
     norms = unsolvability_diagnostic(disc, (0.2, 0.1), np.geomspace(1e-2, 1e-6, 5)).norms
     checks["Tikhonov monotone"] = bool(np.all(np.diff(norms) >= 0))
 

@@ -166,12 +166,37 @@ class TestConfigErrors:
         assert exc.value.code == 2
         assert "unrecognized arguments: --grade 4" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("command", ["solve", "hull"])
-    def test_command_needs_an_obstacle(self, tmp_path, capsys, command):
+    @pytest.mark.parametrize("command", ["solve", "hull", "farfield", "lsm"])
+    def test_command_needs_an_obstacle(self, tmp_path, capsys, monkeypatch, command):
+        # refused before any operator is built
+        monkeypatch.setattr(cli, "assemble_far_field_operator", _never)
         path = tmp_path / "scene.json"
         path.write_text(json.dumps(scene_dict(obstacles=[])))
         assert main([command, "--scene", str(path), "--out", str(tmp_path / "o")]) == 2
         assert "requires at least one obstacle" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("command", ["farfield", "lsm"])
+    def test_disc_radius_needs_no_obstacle(self, tmp_path, command):
+        path = tmp_path / "scene.json"
+        path.write_text(json.dumps(scene_dict(obstacles=[])))
+        argv = [command, "--scene", str(path), "--out", str(tmp_path / "o")]
+        assert main(argv + ["--disc-radius", "0.8", "--directions", "16"]) == 0
+
+    @pytest.mark.parametrize("argv", [
+        ["--alpha-min", "1e-4", "--alpha-max", "1e-2"],  # 2 decades, under the sweep's 4
+        ["--alpha-min", "1e-2", "--alpha-max", "1e-8"],  # alpha-min above alpha-max: an increasing sweep
+        ["--alpha-min", "1e-2", "--alpha-max", "1e-2"],
+    ], ids=["two-decades", "min-above-max", "min-at-max"])
+    @pytest.mark.parametrize("disc", [[], ["--disc-radius", "0.8"]], ids=["polygon", "disc"])
+    def test_alpha_sweep_refused_before_the_operator(self, scene_file, tmp_path, capsys, monkeypatch, argv, disc):
+        monkeypatch.setattr(cli, "assemble_far_field_operator", _never)
+        monkeypatch.setattr(cli, "disc_far_field_operator", _never)
+        out = tmp_path / "o"
+        argv = ["farfield", "--scene", str(scene_file), "--out", str(out), "--directions", "512"] + argv + disc
+        assert main(argv) == 2
+        assert "error[config]" in capsys.readouterr().err
+        assert not out.exists()
 
     @pytest.mark.parametrize("command", ["farfield", "lsm"])
     def test_trace_n_is_not_a_far_field_flag(self, scene_file, tmp_path, capsys, command):
@@ -371,3 +396,23 @@ class TestFarfieldAndLsm:
         rows = [l for l in (lsm / "heatmap.csv").read_text().splitlines() if not l.startswith("#")]
         values = np.array([float(r.split(",")[2]) for r in rows[1:]])
         assert len(values) == 25 and np.all(np.isfinite(values) & (values > 0))
+
+
+class TestJsonOutput:
+    def test_every_json_file_is_strict(self, scene_file, tmp_path):
+        # Python's json reads NaN and Infinity; strict parsers do not
+        def refuse(name):
+            raise AssertionError(f"non-standard JSON constant {name}")
+
+        for command in ("solve", "hull", "farfield"):
+            out = tmp_path / command
+            assert main([command, "--scene", str(scene_file), "--out", str(out)]) == 0
+            paths = sorted(out.glob("*.json"))
+            assert paths
+            for path in paths:
+                json.loads(path.read_text(), parse_constant=refuse)
+
+    def test_nan_in_a_json_file_raises(self, tmp_path):
+        args = build_parser().parse_args(["solve", "--scene", "s", "--out", "o"])
+        with pytest.raises(ValueError):
+            cli._write_json(tmp_path / "x.json", args, {"value": float("nan")})

@@ -1,14 +1,17 @@
 """Far-field patterns, operator structure, and the unsolvability diagnostic."""
 
 import dataclasses
+import tracemalloc
 
 import numpy as np
 import pytest
 from scipy.linalg import cho_factor, cho_solve
 
+from enclosure2d import farfield
 from enclosure2d.errors import DomainError
 from enclosure2d.farfield import (
     assemble_far_field_operator,
+    check_alpha_sweep,
     disc_far_field_operator,
     far_field_constant,
     lsm_indicator_map,
@@ -47,7 +50,7 @@ def disc_scene(n_gon=64):
 
 @pytest.fixture(scope="module")
 def disc_op():
-    return disc_far_field_operator(DISC_R, K, 64, 64)
+    return disc_far_field_operator(DISC_R, K, 64)
 
 
 @pytest.fixture(scope="module")
@@ -146,6 +149,23 @@ class TestOperator:
             ref = lam * np.exp(1j * n * disc_op.obs_angles)
             assert np.max(np.abs(out - ref)) < 1e-12 * np.max(np.abs(out))
 
+    def test_disc_operator_is_the_series_on_every_angle_difference(self, disc_op):
+        # the reference evaluates the incidence-0 series on the full (n, n) grid of phi - d
+        series = DiscSeriesSolution((0.0, 0.0), DISC_R, K, PlaneWave(Direction.from_angle(0.0)))
+        ref = series.far_field(disc_op.obs_angles[:, None] - disc_op.inc_angles[None, :])
+        assert np.max(np.abs(disc_op.matrix - ref)) < 1e-14 * np.max(np.abs(ref))
+
+    def test_disc_operator_forms_no_orders_tensor(self):
+        # one series on n angles: an (n, n, orders) phase array at n = 512 traced 202 MiB
+        tracemalloc.start()
+        try:
+            op = disc_far_field_operator(0.5, 2.0, 512)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert op.matrix.shape == (512, 512)
+        assert peak < 32 * 2**20
+
 
 def point_rhs(op, y):
     """sqrt(w_o) times the far field of the point source at y over the operator's observation grid."""
@@ -178,6 +198,38 @@ class TestRegularizedSolve:
             for alpha in (1e-2, 1e-4, 1e-6)
         ]
         assert norms[0] <= norms[1] <= norms[2]
+
+    @pytest.mark.parametrize("alphas", [
+        np.geomspace(1e-2, 1e-8, 4),
+        np.geomspace(1e-8, 1e-2, 7),
+        [1e-2, 1e-3, 1e-4, 1e-4, 1e-5, 1e-6],
+        np.geomspace(1e-2, 1e-2 / 10**3.9, 7),
+        [1e-2, 1e-3, np.nan, 1e-5, 1e-6],
+        [1e-2, 1e-3, 1e-4, 1e-5, 0.0],
+        np.geomspace(1e-2, 1e-8, 14).reshape(2, 7),
+    ], ids=["four-values", "increasing", "repeated", "3.9-decades", "nan", "zero", "2-d"])
+    def test_each_alpha_sweep_rule(self, disc_op, alphas):
+        with pytest.raises(DomainError):
+            check_alpha_sweep(alphas)
+        with pytest.raises(DomainError):
+            unsolvability_diagnostic(disc_op, (0.0, 0.0), alphas)
+
+    def test_sweep_returns_floats(self):
+        sweep = check_alpha_sweep([10**5, 10**4, 10**3, 100, 10])
+        assert sweep.dtype == float
+        np.testing.assert_array_equal(sweep, [1e5, 1e4, 1e3, 1e2, 1e1])
+
+    def test_one_right_hand_side_per_sweep(self, square_op, monkeypatch):
+        # the norms, the residuals and the Picard coefficients share one c and one U^H c
+        weighted_rhs, calls = farfield._weighted_rhs, []
+
+        def counting(*args):
+            calls.append(args)
+            return weighted_rhs(*args)
+
+        monkeypatch.setattr(farfield, "_weighted_rhs", counting)
+        unsolvability_diagnostic(square_op, (0.2, 0.1), np.logspace(-2, -8, 7))
+        assert len(calls) == 1
 
     def test_alpha_sweep_validation(self, disc_op):
         with pytest.raises(DomainError):
@@ -257,6 +309,8 @@ class TestSvdPath:
         pytest.param(lambda op: unsolvability_diagnostic(op, (0.0, np.inf), np.logspace(-2, -8, 7)),
                      id="sweep-inf-point"),
         pytest.param(lambda op: lsm_indicator_map(op, [[0.0, 0.0], [np.nan, 0.0]]), id="map-nan-point"),
+        pytest.param(lambda op: lsm_indicator_map(dataclasses.replace(op, matrix=np.full_like(op.matrix, np.nan)),
+                                                  [[0.0, 0.0]]), id="map-nan-operator"),
     ])
     def test_bad_alpha_or_point_is_domain_error(self, disc_op, call):
         with pytest.raises(DomainError):
