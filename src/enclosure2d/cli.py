@@ -218,9 +218,8 @@ def cmd_farfield(args) -> int:
     op = _far_field_operator(scene, args)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    re, im = op.matrix.real.tolist(), op.matrix.imag.tolist()
-    rows = [[i, j, repr(v), repr(w)] for i, (re_i, im_i) in enumerate(zip(re, im))
-            for j, (v, w) in enumerate(zip(re_i, im_i))]
+    rows = ([i, j, repr(v), repr(w)] for i, row in enumerate(op.matrix)
+            for j, (v, w) in enumerate(zip(row.real.tolist(), row.imag.tolist())))
     _write_csv(out / "operator.csv", args, ["obs_index", "inc_index", "re", "im"], rows)
     report = unsolvability_diagnostic(op, np.asarray(args.sample_point), alphas)
     _write_json(out / "sweep.json", args, {
@@ -244,11 +243,11 @@ def cmd_lsm(args) -> int:
     op = _far_field_operator(scene, args)
     half = scene.radius_R
     xs = np.linspace(-half, half, n)
-    grid = np.array([[x, y] for y in xs for x in xs])
+    grid = np.stack(np.meshgrid(xs, xs), axis=-1).reshape(-1, 2)  # row by row in y, x fastest
     values = lsm_indicator_map(op, grid)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    rows = [[repr(x), repr(y), repr(v)] for (x, y), v in zip(grid.tolist(), values.tolist())]
+    rows = ([repr(x), repr(y), repr(v)] for (x, y), v in zip(grid.tolist(), values.tolist()))
     _write_csv(out / "heatmap.csv", args, ["x", "y", "inv_norm"], rows)
     return EXIT_OK
 

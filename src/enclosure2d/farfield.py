@@ -12,9 +12,11 @@ norm blows up with no plateau as the regularization parameter decreases.
 One SVD U diag(s) V^H of B = sqrt(w_o) w_i F serves every alpha and every
 sample point: g = V diag(s / (s^2 + alpha w_i)) U^H c with c = sqrt(w_o) b,
 and s with the Picard coefficients |U^H c| is the discrete Picard evidence.
-The sampling map forms only the norms: per block of points one product
-U^H c and its squared moduli.  The relative residual, which needs
-c - U U^H c, is formed only for the sweep's one sample point.
+The sampling map forms only the norms over the r resolved modes,
+s_m > max(N_obs, N_inc) eps s_0: per block of points one product U_r^H c,
+with c from per-axis factors e^{-ik x cos phi} e^{-ik y sin phi} where the
+points repeat coordinates (a tensor grid).  The sweep keeps all modes for
+its Picard report, and forms the residual from c - U U^H c.
 Each operator is built from one phase product over all its incidences and
 keeps its SVD once computed, so every sweep and map on it reuses both.
 The disc operator, one series gathered circulantly and probed at its
@@ -114,18 +116,36 @@ def disc_far_field_operator(radius: float, k: float, n: int) -> FarFieldOperator
 _POINT_BLOCK = 256  # sample points per block: a map's working set is (N_obs, block)
 
 
-def _weighted_rhs(op: FarFieldOperator, points) -> np.ndarray:
-    """sqrt(w_o) times the point-source far fields, one column per point."""
+def _weighted_rhs(op: FarFieldOperator, points):
+    """sqrt(w_o) times the point-source far fields, as (block, columns) pairs covering the points.
+
+    The last block overlaps its predecessor, so every product has one width and a point's value does
+    not depend on its place.  e^{-ik(x cos phi + y sin phi)} is a factor on the distinct x values times
+    one on the distinct y values where that takes fewer exponentials than the points.
+    """
     points = np.atleast_2d(np.asarray(points, dtype=float))
     if not np.all(np.isfinite(points)):
         raise DomainError("sample points must be finite")
+    starts = [*range(0, len(points) - _POINT_BLOCK, _POINT_BLOCK), max(len(points) - _POINT_BLOCK, 0)]
+    blocks = [slice(start, start + _POINT_BLOCK) for start in starts]
+    scale = math.sqrt(op.obs_weight) * far_field_constant(op.k)
+    (xs, ix), (ys, iy) = (np.unique(axis, return_inverse=True) for axis in points.T)
+    if len(xs) + len(ys) < len(points):
+        fx = scale * np.exp(-1j * op.k * np.outer(np.cos(op.obs_angles), xs))
+        fy = np.exp(-1j * op.k * np.outer(np.sin(op.obs_angles), ys))
+        for b in blocks:
+            c = fx[:, ix[b]]
+            c *= fy[:, iy[b]]  # in place: one (N_obs, block) temporary fewer
+            yield b, c
+        return
     phi_hat = np.column_stack([np.cos(op.obs_angles), np.sin(op.obs_angles)])
-    return math.sqrt(op.obs_weight) * far_field_constant(op.k) * np.exp(-1j * op.k * (phi_hat @ points.T))
+    for b in blocks:
+        yield b, scale * np.exp(-1j * op.k * (phi_hat @ points[b].T))
 
 
 def _norms(op: FarFieldOperator, alphas: np.ndarray, power: np.ndarray) -> np.ndarray:
-    """||g_alpha||, shaped (alphas, points), from power = |U^H c|^2: the norm of s / (s^2 + alpha w_i) U^H c."""
-    s = op.svd[1]
+    """||g_alpha||, shaped (alphas, points), from power = |U^H c|^2 over its len(power) leading modes."""
+    s = op.svd[1][: len(power)]
     return np.sqrt(op.inc_weight * ((s / (s**2 + op.inc_weight * alphas[:, None])) ** 2 @ power))
 
 
@@ -159,10 +179,12 @@ def unsolvability_diagnostic(op: FarFieldOperator, y, alphas) -> GrowthReport:
     """
     alphas = check_alpha_sweep(alphas)
     u, s, _ = op.svd
-    c = _weighted_rhs(op, y)
+    _, c = next(_weighted_rhs(op, y))
     coeffs = u.conj().T @ c
     power = np.abs(coeffs) ** 2
     norms = _norms(op, alphas, power)[:, 0]
+    if not np.all(norms > 0):  # before the logarithms below
+        raise DomainError("a zero far-field operator gives zero regularized norms: no sweep to report")
     # the residual is the filtered-out part of the coefficients plus c outside range(U)
     damping = op.inc_weight * alphas[:, None]
     missed = damping / (s**2 + damping)
@@ -187,15 +209,18 @@ def unsolvability_diagnostic(op: FarFieldOperator, y, alphas) -> GrowthReport:
 
 
 def lsm_indicator_map(op: FarFieldOperator, points) -> np.ndarray:
-    """1 / ||g_alpha(y)|| at alpha = 1e-6 max |F|^2 over a grid of sample points (larger ~ inside)."""
+    """1 / ||g_alpha(y)|| at alpha = 1e-6 max |F|^2 over a grid of sample points (larger ~ inside).
+
+    Reads the modes above ``np.linalg.matrix_rank``'s tolerance; a zero operator has none: an infinite map.
+    """
     alpha = max(1e-6 * float(np.max(np.abs(op.matrix))) ** 2, 1e-300)
     if not math.isfinite(alpha):  # a non-finite operator
         raise DomainError("the map's alpha, 1e-6 max |F|^2, must be finite")
+    u, s, _ = op.svd
+    u_h = u[:, : np.count_nonzero(s > max(op.matrix.shape) * np.finfo(float).eps * s[0])].conj().T
     points = np.atleast_2d(np.asarray(points, dtype=float))
-    u_h = op.svd[0].conj().T
     norms = np.empty(len(points))
-    for start in range(0, len(points), _POINT_BLOCK):
-        block = slice(start, start + _POINT_BLOCK)
-        norms[block] = _norms(op, np.array([alpha]), np.abs(u_h @ _weighted_rhs(op, points[block])) ** 2)[0]
+    for block, c in _weighted_rhs(op, points):
+        norms[block] = _norms(op, np.array([alpha]), np.abs(u_h @ c) ** 2)[0]
     with np.errstate(divide="ignore"):  # a zero operator gives zero norms, an infinite map
         return 1.0 / norms

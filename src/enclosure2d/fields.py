@@ -3,7 +3,7 @@
 Three incident fields drive the forward solver: a plane wave
 e^{ik x.d}, the point source (i/4) H^(1)_0(k|x - y|), and the linearly
 modulated plane field (x0 - x).theta e^{-ik x.d} with theta chosen so
-that theta_perp = d.
+that theta_perp = d.  ``normal_derivatives`` is the solver's Neumann data.
 """
 
 from __future__ import annotations
@@ -20,6 +20,7 @@ __all__ = [
     "PlaneWave",
     "PointSource",
     "ModulatedPlane",
+    "normal_derivatives",
 ]
 
 
@@ -95,3 +96,15 @@ class ModulatedPlane:
         amp = (self.x0 - x) @ self.theta
         return _one_point(phase[..., None] * (-self.theta - 1j * k * amp[..., None] * self.d.vec))
 
+
+def normal_derivatives(incidents, k: float, x, normals) -> np.ndarray:
+    """d(u_inc)/dnu at points x with unit normals, one column per field in order; plane waves in one product."""
+    x, normals = _points(x), _points(normals)
+    out = np.empty((len(x), len(incidents)), dtype=complex)
+    planes = [j for j, inc in enumerate(incidents) if isinstance(inc, PlaneWave)]
+    d = np.array([incidents[j].d.vec for j in planes]).reshape(-1, 2).T
+    out[:, planes] = 1j * k * (normals @ d) * np.exp(1j * k * (x @ d))  # ik (nu.d_j) e^{ik x.d_j}
+    for j, inc in enumerate(incidents):
+        if not isinstance(inc, PlaneWave):  # the field's own gradient
+            out[:, j] = np.einsum("ic,ic->i", inc.gradient(k, x), normals.astype(complex))
+    return out

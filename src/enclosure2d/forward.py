@@ -51,7 +51,7 @@ from scipy.linalg import lu_factor, lu_solve
 from scipy.linalg.lapack import zgecon
 
 from .errors import DomainError, GeometryError, NearFieldError, ResolutionError, SolverError
-from .fields import ModulatedPlane, PlaneWave, PointSource
+from .fields import ModulatedPlane, PlaneWave, PointSource, normal_derivatives
 from .geometry import Direction, Scene
 from .specialfun import bessel_j_orders, bessel_j_prime, hankel1, hankel1_orders, hankel1_prime
 
@@ -237,10 +237,7 @@ def solve_incidents(scene: Scene, incidents, mesh: BoundaryMesh) -> list[Scatter
                 "k is close to a spurious interior Dirichlet eigenvalue of the "
                 "single-layer ansatz -- perturb k slightly"
             )
-        normals = mesh.normals.astype(complex)
-        rhs = np.column_stack([
-            -np.einsum("ic,ic->i", inc.gradient(scene.wavenumber_k, mesh.nodes), normals) for inc in incidents
-        ])
+        rhs = -normal_derivatives(incidents, scene.wavenumber_k, mesh.nodes, mesh.normals)
         densities = inverse @ rhs if lu is None else lu_solve(lu, rhs)
         residuals = np.linalg.norm(matrix @ densities - rhs, np.inf, axis=0)
         scale = np.maximum(np.linalg.norm(rhs, np.inf, axis=0), 1e-300)

@@ -160,8 +160,10 @@ def tikhonov_reference(op, alphas, points):
     """Norms and relative residuals, shaped (alphas, points), from the operator's SVD.
 
     Both for every point, in blocks of 256 points as the package's map
-    takes them; the residuals form c - U U^H c, which the map does not
-    need.  The map's and the sweep's values must agree with these bitwise.
+    takes them (the last block ends at the last point and overlaps its
+    predecessor); the residuals form c - U U^H c, which the map does not
+    need.  The sweep's values, and the map's on scattered points, must
+    agree with these bitwise.
     """
     alphas = np.atleast_1d(np.asarray(alphas, dtype=float))
     points = np.atleast_2d(np.asarray(points, dtype=float))
@@ -169,7 +171,7 @@ def tikhonov_reference(op, alphas, points):
     damping = op.inc_weight * alphas[:, None]
     filtered, missed = s / (s**2 + damping), damping / (s**2 + damping)
     norms, resids = np.empty((2, len(alphas), len(points)))
-    for start in range(0, len(points), 256):
+    for start in [*range(0, len(points) - 256, 256), max(len(points) - 256, 0)]:
         block = slice(start, start + 256)
         c = weighted_rhs_reference(op, points[block])
         coeffs = u.conj().T @ c

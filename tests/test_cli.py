@@ -11,7 +11,8 @@ import pytest
 
 from enclosure2d import cli
 from enclosure2d.cli import build_parser, main
-from enclosure2d.geometry import hausdorff_distance
+from enclosure2d.farfield import assemble_far_field_operator, lsm_indicator_map
+from enclosure2d.geometry import Scene, hausdorff_distance
 from enclosure2d.indicator import B_MAX, B_MIN
 from enclosure2d.trace import PROBE_TABLE_MAX_ENTRIES
 
@@ -393,9 +394,18 @@ class TestFarfieldAndLsm:
         assert len(rows) == 1 + 8 * 8
         sweep = json.loads((ff / "sweep.json").read_text())
         assert len(sweep["singular_values"]) == 8 and sweep["singular_values"][0] > 0
+        # the files hold the operator, row by row, and the map over the grid, y by y and x fastest, bitwise
+        op = assemble_far_field_operator(Scene.from_dict(scene_dict()), 8, 8)
+        table = [r.split(",") for r in rows[1:]]
+        assert [(int(i), int(j)) for i, j, *_ in table] == [(i, j) for i in range(8) for j in range(8)]
+        np.testing.assert_array_equal([complex(float(re), float(im)) for *_, re, im in table], op.matrix.ravel())
         rows = [l for l in (lsm / "heatmap.csv").read_text().splitlines() if not l.startswith("#")]
-        values = np.array([float(r.split(",")[2]) for r in rows[1:]])
-        assert len(values) == 25 and np.all(np.isfinite(values) & (values > 0))
+        heat = np.array([[float(v) for v in r.split(",")] for r in rows[1:]])
+        xs = np.linspace(-2.0, 2.0, 5)
+        grid = np.array([[x, y] for y in xs for x in xs])
+        np.testing.assert_array_equal(heat[:, :2], grid)
+        np.testing.assert_array_equal(heat[:, 2], lsm_indicator_map(op, grid))
+        assert np.all(np.isfinite(heat[:, 2]) & (heat[:, 2] > 0))
 
 
 class TestJsonOutput:

@@ -337,15 +337,78 @@ class TestLsmMap:
 class TestNormsOnly:
     """The map forms only |U^H c|^2 and the norms; the sweep adds its one point's residuals."""
 
-    # 3721 points: 15 blocks of the map, the last one partial
+    # 3721 points: 15 blocks of the map, the last one overlapping its predecessor
     GRID = np.array([[x, y] for y in np.linspace(-2.0, 2.0, 61) for x in np.linspace(-2.0, 2.0, 61)])
+    # as many points with no repeated coordinate: the direct exponential
+    SCATTERED = np.random.default_rng(0).uniform(-2.0, 2.0, size=(3721, 2))
+
+    @staticmethod
+    def resolved(op):
+        """The map's modes, sigma_m > max(N_obs, N_inc) eps sigma_0, and the map's alpha."""
+        s = op.svd[1]
+        r = int(np.sum(s > max(op.matrix.shape) * np.finfo(float).eps * s[0]))
+        return r, 1e-6 * float(np.max(np.abs(op.matrix))) ** 2
 
     @pytest.mark.parametrize("which", ["square_op", "l_op", "tall_square_op"])
     def test_map_is_bitwise_the_reference(self, request, which):
+        # the reference sums every mode; the dropped ones lie below round-off
         op = request.getfixturevalue(which)
-        alpha = 1e-6 * float(np.max(np.abs(op.matrix))) ** 2  # the map's alpha
+        norms, _ = tikhonov_reference(op, self.resolved(op)[1], self.SCATTERED)
+        np.testing.assert_array_equal(lsm_indicator_map(op, self.SCATTERED), 1.0 / norms[0])
+
+    @pytest.mark.parametrize("which", ["square_op", "l_op", "tall_square_op"])
+    def test_tensor_grid_map_moves_within_the_factor_rounding(self, request, which):
+        # Per entry the factored and the direct far field round differently: the direct phase
+        # k (x cos + y sin) by 3 k u (|x| + |y|), the two factor phases by 2 k u (|x| + |y|), u per
+        # exponential (one against two) and sqrt(5) u per complex product (one against two), so
+        # |dc| <= (5 k (|x| + |y|) + 3 + 3 sqrt(5)) u |c|.  The norm is sqrt(w_i) ||D_f U_r^H c|| with
+        # f <= f_max, and U^H c rounds on either side by at most 2 N_obs u |U_r^H| |c| (a complex dot
+        # of N_obs terms), so |d ||g||| <= sqrt(w_i) f_max (||dc|| + 4 N_obs u || |U_r^H| |c| ||).  The
+        # norm's own sum over r modes and its square root add (r + 2) u, and the dropped modes eps.
+        op = request.getfixturevalue(which)
+        r, alpha = self.resolved(op)
+        u_mach = np.finfo(float).eps / 2
+        u, s, _ = op.svd
+        c = weighted_rhs_reference(op, self.GRID)
+        per_entry = (5 * op.k * np.sum(np.abs(self.GRID), axis=1) + 3 + 3 * np.sqrt(5)) * u_mach
+        shift = per_entry * np.linalg.norm(c, axis=0) + 4 * len(op.obs_angles) * u_mach * np.linalg.norm(
+            np.abs(u[:, :r].conj().T) @ np.abs(c), axis=0)
         norms, _ = tikhonov_reference(op, alpha, self.GRID)
-        np.testing.assert_array_equal(lsm_indicator_map(op, self.GRID), 1.0 / norms[0])
+        f_max = np.max(s / (s**2 + alpha * op.inc_weight))
+        bound = np.sqrt(op.inc_weight) * f_max * shift / norms[0] + (r + 2) * u_mach + np.finfo(float).eps
+        change = np.abs(lsm_indicator_map(op, self.GRID) * norms[0] - 1.0)
+        assert np.all(change <= bound)
+
+    @pytest.mark.parametrize("which", ["disc_op", "square_op", "l_op", "tall_square_op"])
+    def test_dropped_modes_lie_below_round_off(self, request, which):
+        # A dropped mode m >= r adds w_i (s_m / (s_m^2 + alpha w_i))^2 |u_m^H c|^2 <= w_i (s_r / (alpha w_i))^2
+        # |u_m^H c|^2 to ||g||^2, and those |u_m^H c|^2 sum to at most ||c - U_r U_r^H c||^2.  That share of
+        # each point's ||g||^2 is below eps.  (With ||c||^2 in place of the part outside the resolved modes
+        # the share reads 1.06 eps on the L and 23 eps on the 128-direction square.)
+        op = request.getfixturevalue(which)
+        r, alpha = self.resolved(op)
+        u, s, _ = op.svd
+        sigma_r = s[r] if r < len(s) else 0.0
+        c, u_r = weighted_rhs_reference(op, self.GRID), u[:, :r]
+        outside = np.sum(np.abs(c - u_r @ (u_r.conj().T @ c)) ** 2, axis=0)
+        norms, _ = tikhonov_reference(op, alpha, self.GRID)
+        share = op.inc_weight * (sigma_r / (alpha * op.inc_weight)) ** 2 * outside / norms[0] ** 2
+        assert np.max(share) < np.finfo(float).eps
+
+    @pytest.mark.parametrize("which", ["square_op", "l_op", "tall_square_op"])
+    def test_shuffled_grid_gives_the_permuted_map(self, request, which):
+        op = request.getfixturevalue(which)
+        order = np.random.default_rng(1).permutation(len(self.GRID))
+        np.testing.assert_array_equal(lsm_indicator_map(op, self.GRID[order]), lsm_indicator_map(op, self.GRID)[order])
+
+    def test_zero_operator_map_is_infinite(self, empty_scene):
+        op = assemble_far_field_operator(empty_scene, 16, 16)
+        assert np.all(lsm_indicator_map(op, self.GRID) == np.inf)
+
+    def test_zero_operator_sweep_is_domain_error(self, empty_scene):
+        op = assemble_far_field_operator(empty_scene, 16, 16)
+        with pytest.raises(DomainError):
+            unsolvability_diagnostic(op, (0.0, 0.0), np.geomspace(1e-2, 1e-8, 7))
 
     @pytest.mark.parametrize("which", ["square_op", "l_op", "tall_square_op"])
     def test_sweep_is_bitwise_the_reference(self, request, which):

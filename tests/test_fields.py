@@ -6,10 +6,12 @@ from enclosure2d.fields import (
     ModulatedPlane,
     PlaneWave,
     PointSource,
+    normal_derivatives,
 )
+from enclosure2d.forward import build_mesh
 from enclosure2d.geometry import Direction
 
-from conftest import eval_probe, probe_gradient_factor
+from conftest import L_VERTS, SQUARE_VERTS, eval_probe, make_scene, probe_gradient_factor
 from test_specialfun import j_series, y0_series
 
 ALL_FIELDS = [
@@ -81,6 +83,36 @@ class TestHelmholtz:
             for c, e in enumerate(np.eye(2)):
                 fd = (f.value(k, x + h * e) - f.value(k, x - h * e)) / (2 * h)
                 assert g[c] == pytest.approx(fd, rel=1e-6, abs=1e-9)
+
+
+def gradient_normal_derivative(field, k, mesh):
+    """d(u_inc)/dnu from the field's own gradient, the path every field had before plane waves were grouped."""
+    return np.einsum("ic,ic->i", field.gradient(k, mesh.nodes), mesh.normals.astype(complex))
+
+
+class TestNormalDerivatives:
+    @pytest.mark.parametrize("verts", [SQUARE_VERTS, L_VERTS], ids=["square", "L"])
+    def test_plane_waves_match_their_gradients(self, verts):
+        # the far-field operator's 128 incidences, on its mesh
+        mesh, k = build_mesh(make_scene(verts), nodes_per_edge=64), 2.0
+        waves = [PlaneWave(Direction.from_angle(a)) for a in 2 * np.pi * np.arange(128) / 128]
+        grouped = normal_derivatives(waves, k, mesh.nodes, mesh.normals)
+        ref = np.column_stack([gradient_normal_derivative(w, k, mesh) for w in waves])
+        assert grouped.shape == (mesh.n_nodes, 128)
+        assert np.max(np.abs(grouped - ref)) <= 1e-15 * np.max(np.abs(ref))
+
+    def test_mixed_kinds_keep_their_column_order(self):
+        mesh, k = build_mesh(make_scene(SQUARE_VERTS), nodes_per_edge=32), 2.0
+        fields = [PointSource(np.array([6.0, 0.0])), PlaneWave(Direction.from_angle(0.3)),
+                  ModulatedPlane(x0=np.array([0.5, 0.5]), d=Direction.from_angle(1.1)),
+                  PlaneWave(Direction.from_angle(2.0)), PointSource(np.array([0.0, -5.0]))]
+        grouped = normal_derivatives(fields, k, mesh.nodes, mesh.normals)
+        for j, field in enumerate(fields):
+            ref = gradient_normal_derivative(field, k, mesh)
+            if isinstance(field, PlaneWave):
+                assert np.max(np.abs(grouped[:, j] - ref)) <= 1e-15 * np.max(np.abs(ref))
+            else:  # the field's own gradient, unchanged
+                np.testing.assert_array_equal(grouped[:, j], ref)
 
 
 class TestProbe:

@@ -251,6 +251,16 @@ class TestSolve:
         single = solve_scattering(square_scene, incs[1], mesh)
         np.testing.assert_allclose(sols[1].density, single.density, atol=1e-13)
 
+    def test_mixed_incidents_keep_their_order(self, square_scene):
+        mesh = build_mesh(square_scene, nodes_per_edge=32)
+        incs = [PlaneWave(Direction.from_angle(0.0)), PointSource(np.array([6.0, 0.0])),
+                ModulatedPlane(x0=np.array([0.5, 0.5]), d=Direction.from_angle(1.1)),
+                PlaneWave(Direction.from_angle(1.0))]
+        for sol, inc in zip(solve_incidents(square_scene, incs, mesh), incs):
+            assert sol.incident is inc
+            single = solve_scattering(square_scene, inc, mesh)
+            np.testing.assert_allclose(sol.density, single.density, rtol=0, atol=1e-13 * np.max(np.abs(single.density)))
+
     def test_source_inside_obstacle_rejected(self, square_scene, monkeypatch):
         # before anything is assembled, wherever the source sits in the list
         monkeypatch.setattr(forward, "_assemble", lambda mesh, k: pytest.fail("assembled"))
