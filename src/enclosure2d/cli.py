@@ -55,9 +55,9 @@ EXIT_SOLVER = 4
 EXIT_RECONSTRUCTION = 5
 
 LSM_MAX_POINTS = 2**16  # lsm's grid-n^2 sampling points, one CSV row each: a 256 x 256 grid
-# hull's --directions, one sample product and one fit each: 4096 take 1.8 s
-# and 145 MB at the default flags, 64x the largest a test, demo or bench
-# run fits
+# hull's --directions, all sampled in one product and fitted as arrays: on
+# the square at the default flags 4096 take 1.3 s and a 144 MB process peak
+# (2-core VM, 2 BLAS threads), 16x the largest a test, demo or bench run fits
 HULL_MAX_DIRECTIONS = 2**12
 # farfield's and lsm's --directions, an n x n operator from n right-hand
 # sides and its SVD, 4x the largest operator a test, demo or bench run
@@ -231,6 +231,7 @@ def cmd_farfield(args) -> int:
         "no_plateau": report.no_plateau,
         "singular_values": report.singular_values.tolist(),
         "picard": report.picard.tolist(),
+        "resolved_modes": report.resolved_modes,
     })
     return EXIT_OK
 

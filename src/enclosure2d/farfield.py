@@ -13,7 +13,8 @@ One SVD U diag(s) V^H of B = sqrt(w_o) w_i F serves every alpha and every
 sample point: g = V diag(s / (s^2 + alpha w_i)) U^H c with c = sqrt(w_o) b,
 and s with the Picard coefficients |U^H c| is the discrete Picard evidence.
 The sampling map forms only the norms over the r resolved modes,
-s_m > max(N_obs, N_inc) eps s_0: per block of points one product U_r^H c,
+s_m > max(N_obs, N_inc) eps s_0 (``FarFieldOperator.resolved_modes``, which
+the sweep reports): per block of points one product U_r^H c,
 with c from per-axis factors e^{-ik x cos phi} e^{-ik y sin phi} where the
 points repeat coordinates (a tensor grid).  The sweep keeps all modes for
 its Picard report, and forms the residual from c - U U^H c.
@@ -73,6 +74,15 @@ class FarFieldOperator:
     def svd(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """(U, s, V^H) of sqrt(w_o) w_i F, computed on first use and kept."""
         return np.linalg.svd(math.sqrt(self.obs_weight) * self.inc_weight * self.matrix, full_matrices=False)
+
+    @property
+    def resolved_modes(self) -> int:
+        """r = #{s_m > max(N_obs, N_inc) eps s_0}, ``np.linalg.matrix_rank``'s tolerance: 0 for a zero operator.
+
+        Only these leading modes are fixed by the data; past them U and s hold round-off.
+        """
+        s = self.svd[1]
+        return int(np.count_nonzero(s > max(self.matrix.shape) * np.finfo(float).eps * s[0]))
 
     def reciprocity_defect(self) -> float:
         """max |F(phi, d) - F(-d, -phi)| when both grids close under negation."""
@@ -168,6 +178,7 @@ class GrowthReport:
     no_plateau: bool
     singular_values: np.ndarray  # s_i of sqrt(w_o) w_i F, non-increasing
     picard: np.ndarray           # |u_i^H sqrt(w_o) b| for the sample point
+    resolved_modes: int          # the leading modes the data fix; later Picard coefficients are round-off
 
 
 def unsolvability_diagnostic(op: FarFieldOperator, y, alphas) -> GrowthReport:
@@ -205,19 +216,19 @@ def unsolvability_diagnostic(op: FarFieldOperator, y, alphas) -> GrowthReport:
         no_plateau=bool(increasing and ratio_per_decade > 2.0),
         singular_values=s,
         picard=np.abs(coeffs[:, 0]),
+        resolved_modes=op.resolved_modes,
     )
 
 
 def lsm_indicator_map(op: FarFieldOperator, points) -> np.ndarray:
     """1 / ||g_alpha(y)|| at alpha = 1e-6 max |F|^2 over a grid of sample points (larger ~ inside).
 
-    Reads the modes above ``np.linalg.matrix_rank``'s tolerance; a zero operator has none: an infinite map.
+    Reads the operator's ``resolved_modes``; a zero operator has none: an infinite map.
     """
     alpha = max(1e-6 * float(np.max(np.abs(op.matrix))) ** 2, 1e-300)
     if not math.isfinite(alpha):  # a non-finite operator
         raise DomainError("the map's alpha, 1e-6 max |F|^2, must be finite")
-    u, s, _ = op.svd
-    u_h = u[:, : np.count_nonzero(s > max(op.matrix.shape) * np.finfo(float).eps * s[0])].conj().T
+    u_h = op.svd[0][:, : op.resolved_modes].conj().T
     points = np.atleast_2d(np.asarray(points, dtype=float))
     norms = np.empty(len(points))
     for block, c in _weighted_rhs(op, points):

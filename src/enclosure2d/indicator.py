@@ -11,7 +11,8 @@ at a time the Wronskian of J_n and H_n turns the rest into one sum over
 the modes a_n of u - u_inc (``trace.circle_modes``).  All of that sum
 but the direction, the (T x N) factor e^{n eta - tau R} / H_n(kR) with
 its norm ||g(tau)||_2, is the trace's ``probe_table``, built once per tau
-grid, so each direction costs one (T x N) product with a_n e^{i n beta}.
+grid, so all directions take one (T x N) by (N x directions) product with
+the stacked a_n e^{i n beta_j}.
 The table is the probe's one definition over the grid, and ``check_tau_grid``
 holds every rule a grid must meet; it runs before any table is built.
 Its magnitude behaves like e^{tau h} / s^{lambda} with
@@ -38,7 +39,11 @@ Second, when the trimmed residual stays large, a two-exponential
 complex model is fitted to the full (magnitude and phase) indicator by
 variable projection, by one batched projected Levenberg-Marquardt solve
 for all of ``estimate_supports``' directions, and the height of the
-dominant exponent is used instead.
+dominant exponent is used instead.  Both fits run as array operations
+over all directions: the envelope's trimming passes over masked
+(directions x T) arrays, each row with its own stop rules, and the
+refine's set-up (unwrap, slopes, weights) and final amplitudes over the
+padded problems.
 
 The hull is built from the fitted data alone: every direction is fitted
 in one ``estimate_supports`` call, and those whose fit stays poor are
@@ -47,15 +52,15 @@ edge attains the support value, are fitted like any other direction:
 their two end corners beat against each other, which is the case the
 two-exponential fit models.
 
-``compute_samples`` is the one sampling entry point and
-``estimate_supports`` the one fit entry point; ``estimate_support`` is
-its batch of one.
+``sample_directions`` is the one sampling entry point, and
+``compute_samples`` its batch of one; ``estimate_supports`` is the one fit
+entry point, and ``estimate_support`` its batch of one.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -67,6 +72,7 @@ __all__ = [
     "IndicatorSamples",
     "SupportEstimate",
     "check_tau_grid",
+    "sample_directions",
     "compute_samples",
     "estimate_support",
     "estimate_supports",
@@ -117,7 +123,7 @@ def check_tau_grid(taus) -> np.ndarray:
     taus = np.asarray(taus, dtype=float)
     if taus.ndim != 1 or len(taus) < 8:
         raise DomainError(f"need a 1-D grid of at least 8 tau samples (got shape {taus.shape})")
-    if not np.all(np.isfinite(taus) & (taus > 0)) or np.any(np.diff(taus) <= 0):
+    if not (np.isfinite(taus) & (taus > 0)).all() or (taus[1:] <= taus[:-1]).any():
         raise DomainError("tau grid must be finite, positive and strictly increasing")
     if taus[-1] / taus[0] < 3.0:
         raise DomainError("tau grid must span at least a factor of 3")
@@ -148,8 +154,8 @@ class IndicatorSamples:
         object.__setattr__(self, "taus", check_tau_grid(self.taus))
 
 
-def compute_samples(trace: TraceData, omega: Direction, taus, t_ref: float | None = None) -> IndicatorSamples:
-    """Scaled indicator values and their noise floors over a tau grid, from the trace's modes.
+def sample_directions(trace: TraceData, directions, taus, t_ref: float | None = None) -> list[IndicatorSamples]:
+    """Scaled indicator values and their noise floors over a tau grid, one ``IndicatorSamples`` per direction.
 
     With a_n the modes, eta = asinh(tau/k), kappa = sqrt(tau^2 + k^2) and c
     the circle's centre, J e^{-tau t_ref} is
@@ -157,12 +163,13 @@ def compute_samples(trace: TraceData, omega: Direction, taus, t_ref: float | Non
     each g_n = e^{n eta - tau R} / H_n(kR) is formed in exponent arithmetic.
     Everything but the direction is the trace's ``probe_table``, built once
     per tau grid (ResolutionError for a trace of fewer than 2 kappa R nodes
-    at the largest tau), so a direction costs one (T x N) product with
-    a_n e^{i n beta}.  If every w_n carries independent noise of the tail
-    level delta, J has rms 4 delta ||g||_2: that is the floor, and samples
-    less than NOISE_SNR times above it are unusable.  ``t_ref`` (default:
-    the circle radius) enters as an exact affine shift.  The grid is checked
-    by ``check_tau_grid`` once on every call, before the table is looked up.
+    at the largest tau), so every direction's series comes from one (T x N)
+    by (N x directions) product with the stacked a_n e^{i n beta_j}.  If
+    every w_n carries independent noise of the tail level delta, J has rms
+    4 delta ||g||_2: that is the floor, and samples less than NOISE_SNR
+    times above it are unusable.  ``t_ref`` (default: the circle radius)
+    enters as an exact affine shift.  The grid is checked by
+    ``check_tau_grid`` once per call, before the table is looked up.
     """
     taus = check_tau_grid(taus)
     t_ref = float(trace.radius if t_ref is None else t_ref)
@@ -170,26 +177,33 @@ def compute_samples(trace: TraceData, omega: Direction, taus, t_ref: float | Non
         raise DomainError("t_ref must be finite")
     table = trace.probe_table(taus)
 
+    directions = list(directions)
+    angle, along, across = np.array([(omega.angle, trace.center @ omega.vec, trace.center @ omega.perp)
+                                     for omega in directions]).reshape(-1, 3).T
     modes = trace.modes
-    series = table.scale @ (modes.a * np.exp(1j * omega.angle * modes.orders))
-    shift = taus * (trace.center @ omega.vec + trace.radius - t_ref)
+    turns = np.exp(np.multiply.outer(modes.orders, 1j * angle))
+    series = np.ascontiguousarray((table.scale @ (modes.a[:, None] * turns)).T)  # (directions, T)
+    shift = np.multiply.outer(along + trace.radius - t_ref, taus)
+    carrier = np.exp(1j * np.multiply.outer(across, table.kappa))
     with np.errstate(divide="ignore"):
         log_mag = np.log(4 * np.abs(series)) + shift
         log_floor = np.log(4 * modes.tail * table.g_norm) + shift
+    phases = np.angle(1j * series * carrier)
+    usable = np.isfinite(log_mag) & (log_mag > log_floor + math.log(NOISE_SNR))
     # the grid passed check_tau_grid above, so the fields are set past the
-    # constructor, which would check it a second time
-    samples = object.__new__(IndicatorSamples)
-    samples.__dict__.update(
-        omega=omega,
-        t_ref=t_ref,
-        taus=taus,
-        log_magnitudes=log_mag,
-        phases=np.angle(1j * series * np.exp(1j * table.kappa * (trace.center @ omega.perp))),
-        usable=np.isfinite(log_mag) & (log_mag > log_floor + math.log(NOISE_SNR)),
-        s=table.s,
-        log_noise_floors=log_floor,
-    )
-    return samples
+    # constructor, which would check it once per direction
+    batch = []
+    for i, omega in enumerate(directions):
+        samples = object.__new__(IndicatorSamples)
+        samples.__dict__.update(omega=omega, t_ref=t_ref, taus=taus, log_magnitudes=log_mag[i], phases=phases[i],
+                                usable=usable[i], s=table.s, log_noise_floors=log_floor[i])
+        batch.append(samples)
+    return batch
+
+
+def compute_samples(trace: TraceData, omega: Direction, taus, t_ref: float | None = None) -> IndicatorSamples:
+    """The samples of one direction: ``sample_directions`` for ``[omega]``."""
+    return sample_directions(trace, [omega], taus, t_ref)[0]
 
 
 @dataclass(frozen=True)
@@ -203,60 +217,63 @@ class SupportEstimate:
     fit_path: str  # "envelope" or "two_term": the fit whose h_hat is reported; "none" below 8 usable samples
 
 
-def _fit_weights(samples: IndicatorSamples, mask: np.ndarray) -> np.ndarray:
-    """Per-sample weights 1 / hypot(SIGMA0, e^{floor - L}), scaled to rms 1."""
-    rel_noise = np.exp(samples.log_noise_floors[mask] - samples.log_magnitudes[mask])
-    w = 1.0 / np.hypot(SIGMA0, rel_noise)
-    return w / np.sqrt(np.mean(w**2))
+def _envelope_fits(x: np.ndarray, q: np.ndarray):
+    """One weighted fit of L = a tau + b log s + c per row, b held in [B_MIN, B_MAX]: (a, b, residuals).
+
+    ``x`` (k, 3, T) holds each row's tau, log s and L, and ``q`` (k, T) its
+    squared weights, zero off the samples fitted.  From the weighted means
+    and the centred (3 x 3) moments, b = (S_tt S_sL - S_ts S_tL) / (S_tt S_ss - S_ts^2),
+    clamped to its window, and a = (S_tL - b S_ts) / S_tt, the least-squares
+    a for that b, whether or not it was clamped.  Residuals L - a tau -
+    b log s - c cover every sample of the row.
+    """
+    xc = x - np.matmul(x, q[:, :, None]) / q.sum(axis=1)[:, None, None]
+    m = np.matmul(xc * q[:, None], xc.swapaxes(1, 2))
+    stt, sts, stl, sss, ssl = m[:, 0, 0], m[:, 0, 1], m[:, 0, 2], m[:, 1, 1], m[:, 1, 2]
+    b = np.minimum(np.maximum((stt * ssl - sts * stl) / (stt * sss - sts * sts), B_MIN), B_MAX)
+    a = (stl - b * sts) / stt
+    return a, b, xc[:, 2] - a[:, None] * xc[:, 0] - b[:, None] * xc[:, 1]
 
 
-def _weighted_rms(r: np.ndarray, w: np.ndarray) -> float:
-    return float(np.sqrt(np.sum((w * r) ** 2) / np.sum(w**2)))
-
-
-def _weighted_lstsq(design: np.ndarray, y: np.ndarray, w: np.ndarray) -> np.ndarray:
-    return np.linalg.lstsq(design * w[:, None], y * w, rcond=None)[0]
-
-
-def _clamped_fit(design: np.ndarray, L: np.ndarray, w: np.ndarray) -> np.ndarray:
-    """Weighted [a, b, c] fit; a b outside [B_MIN, B_MAX] is held at the nearer end."""
-    coeffs = _weighted_lstsq(design, L, w)
-    b = min(max(coeffs[1], B_MIN), B_MAX)
-    if b != coeffs[1]:
-        a, c = _weighted_lstsq(design[:, [0, 2]], L - b * design[:, 1], w)
-        coeffs = np.array([a, b, c])
-    return coeffs
-
-
-def _trimmed_envelope_fit(t: np.ndarray, L: np.ndarray, s: np.ndarray, wt: np.ndarray):
-    """One weighted fit of a tau + b log s + c with asymmetric trimming.
+def _trimmed_envelopes(x: np.ndarray, q: np.ndarray, far: np.ndarray):
+    """Each row's weighted fit of a tau + b log s + c with asymmetric trimming: (a, b, rms).
 
     Interference between same-height boundary contributions only pushes
     log |J| *down* (toward the nulls of the beat pattern), so residuals
-    far below the model are discarded while the upper envelope is kept.
-    b stays in its admissible window in every pass.  For clean
-    single-corner data no point is trimmed and the fit reduces to
-    weighted least squares with the sample weights ``wt``.
+    more than TRIM_SIGMA sigma below the model are discarded, sigma the
+    weighted rms of the kept positive residuals, while the upper envelope
+    is kept.  Every row starts from its samples ``far`` and keeps its own
+    stop rules: a pass that trims nothing new ends it with that pass's fit;
+    a pass that would keep fewer than 6 samples sends it back to all of
+    ``far`` for one final fit, and a sixth pass that still trims is
+    followed by one final fit on what it kept.  Each pass is one ``_envelope_fits`` call over the rows still fitting,
+    final fits included, so there are at most 7 calls whatever the row
+    count.  b stays in its admissible window in every pass.  For clean
+    single-corner data no point is trimmed and the fit reduces to weighted
+    least squares with the squared sample weights ``q``.
     """
-    design = np.column_stack([t, np.log(s), np.ones_like(t)])
-    w = np.ones(len(t), dtype=bool)
-    for _ in range(6):
-        coeffs = _clamped_fit(design[w], L[w], wt[w])
-        r = L - design @ coeffs
-        pos = w & (r > 0)
-        sigma = max(_weighted_rms(r[pos], wt[pos]) if pos.any() else 1e-3, 1e-3)
-        w_new = r > -TRIM_SIGMA * sigma
-        if np.count_nonzero(w_new) < 6:
-            w = np.ones(len(t), dtype=bool)
-            coeffs = _clamped_fit(design[w], L[w], wt[w])
-            break
-        if np.array_equal(w_new, w):  # coeffs is already the fit on w
-            break
-        w = w_new
-    else:
-        coeffs = _clamped_fit(design[w], L[w], wt[w])
-    rms = _weighted_rms(L[w] - design[w] @ coeffs, wt[w])
-    return float(coeffs[0]), float(coeffs[1]), rms
+    a, b, rms = np.empty((3, len(x)))
+    rows, kept, final = np.arange(len(x)), far, np.zeros(len(x), dtype=bool)
+    for n_pass in range(7):
+        qk = q * kept
+        a_pass, b_pass, r = _envelope_fits(x, qk)
+        qp = qk * (r > 0)
+        sigma = np.maximum(np.sqrt((qp * r * r).sum(axis=1) / np.maximum(qp.sum(axis=1), _TINY)), 1e-3)
+        trimmed = far & (r > -TRIM_SIGMA * sigma[:, None])
+        few = trimmed.sum(axis=1) < 6
+        # a pass that trims nothing new has already fitted kept: it ends its row
+        go = ~final & (few | (trimmed != kept).any(axis=1))
+        if not go.all():
+            stop, done = ~go, rows[~go]
+            a[done], b[done] = a_pass[stop], b_pass[stop]
+            rms[done] = np.sqrt((qk[stop] * r[stop] ** 2).sum(axis=1) / qk[stop].sum(axis=1))
+            if not go.any():
+                break
+            rows, x, q, far, kept, trimmed, few, final = (
+                v[go] for v in (rows, x, q, far, kept, trimmed, few, final))
+        kept = np.where(few[:, None], far, trimmed)
+        final = few | (n_pass == 5)
+    return a, b, rms
 
 
 def _two_term_basis(rows: np.ndarray, t: np.ndarray, log_s: np.ndarray) -> np.ndarray:
@@ -423,104 +440,55 @@ def _levenberg_marquardt(evaluate, x: np.ndarray):
 _STARTS = np.array([[0.0, 0.0, ddh, dp, -0.75] for dp in np.linspace(-1.2, 1.2, 13) for ddh in (0.0, -0.15)])
 
 
-def _two_exponential_refines(problems):
-    """Variable-projection fits of J = s^b (c1 e^{z1 tau} + c2 e^{z2 tau}), one per problem.
+def _two_exponential_refines(t, L, phase, s, wt, used):
+    """Variable-projection fits of J = s^b (c1 e^{z1 tau} + c2 e^{z2 tau}), one per row.
 
-    Each problem is (t, L, phase, s, wt) of one direction.  Used when two
-    boundary points of nearly equal height beat against each other; the
-    heights are the real parts of the exponents and the estimate is the
-    larger one among components with non-negligible amplitude.  Every
-    problem's 26 starting exponents are ranked by their projected misfit
-    in one ``_projected_residuals`` call, and one bounded solve runs from
-    each best start: all in one ``_levenberg_marquardt`` loop, whose
-    rounds are one ``_residuals_and_jacobians`` call each.  Shorter
-    problems are padded to the longest with tau = 0, log s = _PAD_LOG_S
-    (which zeroes the basis there, as b < 0) and J0 = wt = 0, so padding
-    adds exact zeros.  Each sample's residual carries its weight ``wt``;
-    the final amplitudes come from one least-squares solve at each
-    solution.  Returns one (h, b, log_rms) per problem, with h on the same
-    scale as the envelope's a, or None where the solve failed.
+    Each row of (t, L, phase, s, wt) holds one direction's samples, and
+    ``used`` marks those the fit reads.  Used when two boundary points of
+    nearly equal height beat against each other; the heights are the real
+    parts of the exponents and the estimate is the larger one among
+    components with non-negligible amplitude.  The set-up is one pass over
+    all rows: each row's used samples move to its front, padded to the
+    longest with tau = 0, log s = _PAD_LOG_S (which zeroes the basis there,
+    as b < 0) and J0 = wt = 0, so padding adds exact zeros; then the phase
+    unwrap, the least-squares slopes a0 of L and p0 of the phase, which
+    divide the dominant growth out of J0, and the weights.  Every row's 26
+    starting exponents are ranked by their projected misfit in one
+    ``_projected_residuals`` call, and one bounded solve runs from each best
+    start: all in one ``_levenberg_marquardt`` loop, whose rounds are one
+    ``_residuals_and_jacobians`` call each.  Each sample's residual carries
+    its weight ``wt``.  The final amplitudes come from one ``_two_column_qr``
+    of the bases at the solutions.  Returns the arrays (h, b, log_rms),
+    with h on the same scale as the envelope's a and log_rms NaN where the
+    solve failed.
     """
-    n_max = max(len(t) for t, *_ in problems)
-    T, LOG_S = np.zeros((len(problems), n_max)), np.full((len(problems), n_max), _PAD_LOG_S)
-    J0, W = np.zeros((len(problems), n_max), dtype=complex), np.zeros((len(problems), n_max))
-    a0 = np.zeros(len(problems))
-    for i, (t, L, phase, s, wt) in enumerate(problems):
-        # remove the dominant growth so the data is O(1)
-        phase = np.unwrap(phase)
-        a0[i] = np.polyfit(t, L, 1)[0]
-        p0 = float(np.polyfit(t, phase, 1)[0])
-        j0 = np.exp(L - a0[i] * t + 1j * (phase - p0 * t))
-        n = len(t)
-        T[i, :n], LOG_S[i, :n], J0[i, :n], W[i, :n] = t, np.log(s), j0, wt / np.mean(np.abs(j0))
+    count = used.sum(axis=1)
+    order = np.argsort(~used, axis=1, kind="stable")[:, : count.max()]
+    used = np.take_along_axis(used, order, axis=1)
+    packed = np.take_along_axis(np.stack([t, L, phase, s, wt]), order[None], axis=2)
+    T, L, phase, s, wt = np.where(used, packed, np.array([0.0, 0.0, 0.0, 1.0, 0.0])[:, None, None])
+    # remove the dominant growth so the data is O(1)
+    phase = np.unwrap(phase, axis=1)
+    tc = np.where(used, T - (T.sum(axis=1) / count)[:, None], 0.0)
+    a0, p0 = np.vecdot(tc, np.stack([L, phase])) / np.vecdot(tc, tc)
+    LOG_S = np.where(used, np.log(s), _PAD_LOG_S)
+    J0 = np.where(used, np.exp((L + 1j * phase) - (a0 + 1j * p0)[:, None] * T), 0.0)
+    W = wt / (np.abs(J0).sum(axis=1) / count)[:, None]
 
-    starts = np.broadcast_to(_STARTS, (len(problems), *_STARTS.shape))
+    starts = np.broadcast_to(_STARTS, (len(T), *_STARTS.shape))
     ranked = _projected_residuals(starts, T[:, None], LOG_S[:, None], J0[:, None]) * W[:, None]
     best = np.argmin(np.vecdot(ranked, ranked).real, axis=1)
-    solutions, ok = _levenberg_marquardt(
+    x, ok = _levenberg_marquardt(
         lambda x, rows: _residuals_and_jacobians(x, T[rows], LOG_S[rows], J0[rows], W[rows]), _STARTS[best])
-    refined = []
-    for x, solved, (t, L, phase, s, wt), a, j0 in zip(solutions, ok, problems, a0, J0):
-        if not solved:
-            refined.append(None)
-            continue
-        j0 = j0[: len(t)]
-        basis = _two_term_basis(x, t, np.log(s)).T
-        c = np.linalg.lstsq(basis, j0, rcond=None)[0]
-        mag = np.abs(basis @ c)
-        log_rms = _weighted_rms(np.log(np.maximum(mag, 1e-300)) - np.log(np.abs(j0)), wt)
-        amps = np.abs(c)
-        heights = [a + dh for dh, amp in ((x[0], amps[0]), (x[2], amps[1])) if amp > 1e-3 * amps.max()]
-        refined.append((max(heights), float(x[4]), log_rms))
-    return refined
-
-
-def _envelope_estimate(samples: IndicatorSamples):
-    """The envelope fit of one direction, and the refine's inputs when it must run.
-
-    Returns (estimate, problem): ``problem`` is (t, L, phase, s, wt) for
-    ``_two_exponential_refines`` when the trimmed residual exceeds the
-    trigger or b sits at B_MIN, else None.
-    """
-    mask = samples.usable & np.isfinite(samples.log_magnitudes)
-    n_used = int(np.count_nonzero(mask))
-    if n_used < 8:
-        return SupportEstimate(
-            omega=samples.omega,
-            h_hat=math.nan,
-            log_s_coefficient=math.nan,
-            residual_rms=math.nan,
-            n_used=n_used,
-            usable=False,
-            fit_path="none",
-        ), None
-    t, L, s = samples.taus[mask], samples.log_magnitudes[mask], samples.s[mask]
-    wt = _fit_weights(samples, mask)
-    far = s >= S_SINGLE_MIN
-    if np.count_nonzero(far) < 8:
-        far = np.ones(len(t), dtype=bool)
-    a, b, rms = _trimmed_envelope_fit(t[far], L[far], s[far], wt[far])
-    estimate = SupportEstimate(
-        omega=samples.omega,
-        h_hat=a + samples.t_ref,
-        log_s_coefficient=b,
-        residual_rms=rms,
-        n_used=n_used,
-        usable=rms < RMS_USABLE_THRESHOLD,
-        fit_path="envelope",
-    )
-    if rms > TWO_TERM_TRIGGER or b <= B_MIN:
-        return estimate, (t, L, samples.phases[mask], s, wt)
-    return estimate, None
-
-
-def _keep_better(samples: IndicatorSamples, estimate: SupportEstimate, refined) -> SupportEstimate:
-    """The two-term fit in place of the envelope's when it exists and its log rms is lower."""
-    if refined is not None and refined[2] < estimate.residual_rms:
-        h, b, rms = refined
-        return replace(estimate, h_hat=h + samples.t_ref, log_s_coefficient=b, residual_rms=rms,
-                       usable=rms < RMS_USABLE_THRESHOLD, fit_path="two_term")
-    return estimate
+    q, r11, r12, r22 = _two_column_qr(_two_term_basis(x, T, LOG_S))
+    z = np.vecdot(q, J0[:, None])  # Q^H J0, so B c = Q z and R c = z
+    c2 = z[:, 1] / r22  # 0 at rank 1, where r22 is inf
+    amps = np.abs(np.stack([(z[:, 0] - r12 * c2) / r11, c2], axis=1))
+    mag = np.abs(np.matmul(z[:, None], q)[:, 0])
+    misfit = np.log(np.maximum(mag, 1e-300)) - np.log(np.abs(J0), out=np.zeros_like(T), where=used)
+    log_rms = np.sqrt(np.vecdot(W * misfit, W * misfit) / np.vecdot(W, W))
+    heights = np.where(amps > 1e-3 * np.max(amps, axis=1, keepdims=True), a0[:, None] + x[:, [0, 2]], -np.inf)
+    return np.max(heights, axis=1), x[:, 4], np.where(ok, log_rms, np.nan)
 
 
 def estimate_support(samples: IndicatorSamples) -> SupportEstimate:
@@ -541,20 +509,57 @@ def estimate_support(samples: IndicatorSamples) -> SupportEstimate:
 
 
 def estimate_supports(samples_seq) -> list[SupportEstimate]:
-    """Fit every direction as ``estimate_support`` does, with all their two-term refines in one solve.
+    """Fit every direction as ``estimate_support`` does, each stage as one array operation over all of them.
 
-    The refines run as one batch, so a failed refine (a non-finite
+    The samples are stacked into (directions, T) arrays, padded where grids
+    differ in length; the trimmed envelope fits run as one
+    ``_trimmed_envelopes`` call and the two-term refines as one
+    ``_two_exponential_refines`` call.  So a failed refine (a non-finite
     residual, say) leaves its own direction on its envelope fit and the
     others unchanged.  Batching rounds differently from one direction at
     a time, so an ``h_hat`` can differ from that direction's fit alone in
     the last digits, more where the fit's valley is flat.
     """
     samples_seq = list(samples_seq)
-    staged = [_envelope_estimate(samples) for samples in samples_seq]
-    problems = [problem for _, problem in staged if problem is not None]
-    refined = iter(_two_exponential_refines(problems) if problems else [])
-    return [estimate if problem is None else _keep_better(samples, estimate, next(refined))
-            for samples, (estimate, problem) in zip(samples_seq, staged)]
+    k = len(samples_seq)
+    n = max((len(samples.taus) for samples in samples_seq), default=0)
+    t, s, L, phase, floor = np.zeros((5, k, n))
+    s[:] = 1.0  # so a pad's log s is 0
+    usable = np.zeros((k, n), dtype=bool)
+    for i, samples in enumerate(samples_seq):
+        m = len(samples.taus)
+        t[i, :m], s[i, :m], L[i, :m], phase[i, :m] = samples.taus, samples.s, samples.log_magnitudes, samples.phases
+        floor[i, :m], usable[i, :m] = samples.log_noise_floors, samples.usable
+    used = usable & np.isfinite(L)
+    n_used = used.sum(axis=1)
+    h, b, rms = np.full((3, k), np.nan)
+    two_term = np.zeros(k, dtype=bool)
+    fit = n_used >= 8
+    if fit.any():
+        if not fit.all():
+            t, s, L, phase, floor, used = (v[fit] for v in (t, s, L, phase, floor, used))
+        L, floor = np.where(used, L, 0.0), np.where(used, floor, -np.inf)
+        # weights 1 / hypot(SIGMA0, e^{floor - L}), scaled to rms 1 over the used samples
+        w = used / np.hypot(SIGMA0, np.exp(floor - L))
+        wt = w / np.sqrt((w * w).sum(axis=1) / n_used[fit])[:, None]
+        far = used & (s >= S_SINGLE_MIN)
+        far = np.where(far.sum(axis=1)[:, None] < 8, used, far)
+        a_env, b_env, rms_env = _trimmed_envelopes(np.stack([t, np.log(s), L], axis=1), wt * wt, far)
+        h[fit], b[fit], rms[fit] = a_env, b_env, rms_env
+        refine = (rms_env > TWO_TERM_TRIGGER) | (b_env <= B_MIN)
+        if refine.any():
+            refined = _two_exponential_refines(t[refine], L[refine], phase[refine], s[refine], wt[refine],
+                                               used[refine])
+            rows = np.flatnonzero(fit)[refine]
+            better = refined[2] < rms[rows]  # False where the refine failed: its log rms is NaN
+            h[rows[better]], b[rows[better]], rms[rows[better]] = (v[better] for v in refined)
+            two_term[rows[better]] = True
+    h += [samples.t_ref for samples in samples_seq]
+    return [SupportEstimate(omega=samples.omega, h_hat=h_i, log_s_coefficient=b_i, residual_rms=rms_i,
+                            n_used=n_i, usable=rms_i < RMS_USABLE_THRESHOLD,
+                            fit_path="none" if n_i < 8 else "two_term" if tt else "envelope")
+            for samples, h_i, b_i, rms_i, n_i, tt
+            in zip(samples_seq, h.tolist(), b.tolist(), rms.tolist(), n_used.tolist(), two_term.tolist())]
 
 
 def classify_threshold(samples: IndicatorSamples, t: float) -> str:
@@ -588,7 +593,7 @@ def reconstruct_hull(trace: TraceData, directions, taus):
     ReconstructionError when fewer than 3 directions are usable or their
     half-planes do not intersect.
     """
-    estimates = estimate_supports([compute_samples(trace, omega, taus) for omega in directions])
+    estimates = estimate_supports(sample_directions(trace, directions, taus))
     used = [(est.omega, est.h_hat) for est in estimates if est.usable]
     if len(used) < 3:
         raise ReconstructionError(f"only {len(used)} usable directions (need 3)")

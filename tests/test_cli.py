@@ -373,6 +373,8 @@ class TestFarfieldAndLsm:
         assert len(sweep["alphas"]) == len(sweep["norms"])
         assert len(sweep["singular_values"]) == len(sweep["picard"]) == 32
         assert np.all(np.diff(sweep["singular_values"]) <= 0)
+        s = np.array(sweep["singular_values"])
+        assert sweep["resolved_modes"] == np.count_nonzero(s > 32 * np.finfo(float).eps * s[0])
 
     def test_lsm_heatmap(self, scene_file, tmp_path):
         out = tmp_path / "lsm"

@@ -410,6 +410,22 @@ class TestNormsOnly:
         with pytest.raises(DomainError):
             unsolvability_diagnostic(op, (0.0, 0.0), np.geomspace(1e-2, 1e-8, 7))
 
+    def test_sweep_marks_the_modes_the_map_reads(self, monkeypatch):
+        # bench farfield-map's square: 128 directions at 64 nodes per edge, 17 resolved modes.  The
+        # sweep reports the count the map sums over, so its later Picard coefficients read as round-off
+        op = assemble_far_field_operator(make_scene(SQUARE_VERTS), 128, 128, nodes_per_edge=64)
+        report = unsolvability_diagnostic(op, (0.0, 0.0), np.geomspace(1e-3, 1e-9, 7))
+        read = []
+        norms = farfield._norms
+        monkeypatch.setattr(farfield, "_norms", lambda op, alphas, power: read.append(len(power)) or
+                            norms(op, alphas, power))
+        lsm_indicator_map(op, self.GRID)
+        assert report.resolved_modes == self.resolved(op)[0] == 17
+        assert set(read) == {17} and len(report.picard) == 128
+
+    def test_zero_operator_resolves_no_mode(self, empty_scene):
+        assert assemble_far_field_operator(empty_scene, 16, 16).resolved_modes == 0
+
     @pytest.mark.parametrize("which", ["square_op", "l_op", "tall_square_op"])
     def test_sweep_is_bitwise_the_reference(self, request, which):
         op = request.getfixturevalue(which)

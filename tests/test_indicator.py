@@ -389,10 +389,26 @@ class TestFit:
     def test_converged_pass_is_not_repeated(self, taus, monkeypatch):
         # clean single-corner data trims nothing: one pass, whose fit is the result
         calls = []
-        fit = indicator._clamped_fit
-        monkeypatch.setattr(indicator, "_clamped_fit", lambda *args: calls.append(1) or fit(*args))
+        fit = indicator._envelope_fits
+        monkeypatch.setattr(indicator, "_envelope_fits", lambda *args: calls.append(1) or fit(*args))
         assert estimate_support(synthetic_samples(taus)).fit_path == "envelope"
         assert len(calls) == 1
+
+    def test_trimming_to_fewer_than_6_refits_every_sample(self, monkeypatch):
+        # two deep nulls and a shallow one on 8 samples: the passes trim one
+        # null each, the third would keep 5, so the fourth and last pass fits
+        # all 8 again (b clamped at B_MIN), not the 5 clean samples
+        calls = []
+        fit = indicator._envelope_fits
+        monkeypatch.setattr(indicator, "_envelope_fits", lambda x, q: calls.append(q.sum()) or fit(x, q))
+        taus = np.geomspace(8.0, 40.0, 8)
+        log_s = np.log(np.hypot(taus, 2.0) + taus)
+        x = np.stack([taus, log_s, 0.5 * taus - 0.7 * log_s + 1.0 + np.array([0, 0, -2.45, -2.75, 0, 0, -0.1, 0])])
+        (a,), (b,), (rms,) = indicator._trimmed_envelopes(x[None], np.ones((1, 8)), np.ones((1, 8), dtype=bool))
+        assert calls == [8, 7, 6, 8]
+        a_all, b_all, r_all = fit(x[None], np.ones((1, 8)))
+        assert (a, b) == (a_all[0], b_all[0]) and b == B_MIN
+        assert rms == pytest.approx(np.sqrt(np.mean(r_all**2)), rel=1e-12)
 
     def test_noisy_data(self, taus):
         est = estimate_support(synthetic_samples(taus, noise=1e-3, seed=4))
@@ -445,16 +461,24 @@ class TestFit:
         assert abs(estimates[0.3].h_hat - support_function([SQUARE], om)) <= 0.01
 
     @pytest.mark.parametrize("j", [3, 12])
-    def test_b_at_window_edge_runs_refine(self, square_trace, j):
+    def test_b_at_window_edge_runs_refine(self, square_trace, j, monkeypatch):
         # criterion 8's offset directions 3 and 12 on the quadrature's
         # samples: the envelope's rms stays under TWO_TERM_TRIGGER but b
         # sits at B_MIN, 0.03 off in h_hat.  (On the modes' samples no
         # square direction ends at B_MIN.)
         om = Direction.from_angle((j + 0.5) * 2 * np.pi / 64)
         samples = quadrature_samples(square_trace, om, np.geomspace(4.0, 40.0, 64))
-        envelope, _ = indicator._envelope_estimate(samples)
-        assert envelope.log_s_coefficient == B_MIN and envelope.residual_rms < indicator.TWO_TERM_TRIGGER
+        envelopes = []
+        trimmed = indicator._trimmed_envelopes
+
+        def record(*args):
+            envelopes.append(trimmed(*args))
+            return envelopes[-1]
+
+        monkeypatch.setattr(indicator, "_trimmed_envelopes", record)
         est = estimate_support(samples)
+        [(_, [b], [rms])] = envelopes
+        assert b == B_MIN and rms < indicator.TWO_TERM_TRIGGER
         assert abs(est.h_hat - support_function([SQUARE], om)) <= 0.01
 
 
@@ -485,15 +509,17 @@ def lstsq_two_exponential_refine(t, L, phase, s, wt):
     dh1, p1, dh2, p2, b = best.x
     r, c = projected(best.x)
     mag = np.abs(J0 + r)  # |B c|, the model
-    log_rms = indicator._weighted_rms(np.log(np.maximum(mag, 1e-300)) - np.log(np.abs(J0)), wt)
+    misfit = wt * (np.log(np.maximum(mag, 1e-300)) - np.log(np.abs(J0)))
+    log_rms = float(np.sqrt(np.sum(misfit**2) / np.sum(wt**2)))
     amps = np.abs(c)
     heights = [a0 + dh for dh, amp in ((dh1, amps[0]), (dh2, amps[1])) if amp > 1e-3 * amps.max()]
     return max(heights), float(b), log_rms
 
 
-def lstsq_two_exponential_refines(problems):
-    """The reference refine in place of the batched one: one solve per problem."""
-    return [lstsq_two_exponential_refine(*problem) for problem in problems]
+def lstsq_two_exponential_refines(t, L, phase, s, wt, used):
+    """The reference refine in place of the batched one: one solve per row, on its used samples."""
+    rows = [lstsq_two_exponential_refine(*(v[m] for v in row)) for *row, m in zip(t, L, phase, s, wt, used)]
+    return tuple(np.array(column) for column in zip(*rows))
 
 
 def refine_inputs(samples):
@@ -704,6 +730,121 @@ class TestBatchedRefine:
             if est.fit_path == "two_term":
                 assert est.h_hat == pytest.approx(ref.h_hat, abs=1e-6)
                 assert est.log_s_coefficient == pytest.approx(ref.log_s_coefficient, abs=1e-6)
+
+
+CLI_DIRECTIONS = [Direction.from_angle(2 * np.pi * i / 64) for i in range(64)]
+CLI_TAUS = np.geomspace(8.0, 40.0, 16)
+
+
+def _lit_trace(verts, source_deg):
+    """The trace of the CLI's default solve: source on the circle of radius 6 at ``source_deg``."""
+    scene = Scene(obstacles=(Polygon(verts),), radius_R=2.0, radius_R1=6.0, wavenumber_k=2.0,
+                  source_y=6.0 * np.array([np.cos(np.radians(source_deg)), np.sin(np.radians(source_deg))]))
+    sol = solve_scattering(scene, PointSource(scene.source_y), build_mesh(scene, nodes_per_edge=64))
+    return trace_direct(sol, scene.radius_R, 512)
+
+
+# criterion 8's three traces on its grid, and three CLI default scenes on the CLI's
+EQUIVALENCE_CASES = {
+    **{f"criterion8-{name}": (verts, 0, CRITERION_8_DIRECTIONS, CRITERION_8_TAUS)
+       for name, verts in (("square", SQUARE_VERTS), ("triangle", TRIANGLE_VERTS), ("L", L_VERTS))},
+    "cli-square-120": (SQUARE_VERTS, 120, CLI_DIRECTIONS, CLI_TAUS),
+    "cli-triangle-240": (TRIANGLE_VERTS, 240, CLI_DIRECTIONS, CLI_TAUS),
+    "cli-L-120": (L_VERTS, 120, CLI_DIRECTIONS, CLI_TAUS),
+}
+
+
+def _same_estimate(a: SupportEstimate, b: SupportEstimate, tol: float = 1e-12) -> bool:
+    """Equal direction, count and flags, and h_hat, b and rms within ``tol``, NaN matching NaN."""
+    fits = [(a.h_hat, b.h_hat), (a.log_s_coefficient, b.log_s_coefficient), (a.residual_rms, b.residual_rms)]
+    return ((a.omega, a.n_used, a.usable, a.fit_path) == (b.omega, b.n_used, b.usable, b.fit_path)
+            and all(abs(x - y) <= tol or (np.isnan(x) and np.isnan(y)) for x, y in fits))
+
+
+class TestBatchedStages:
+    @pytest.mark.parametrize("case", EQUIVALENCE_CASES)
+    def test_hull_matches_one_direction_at_a_time(self, case):
+        # the hull samples and fits all directions as arrays; one direction at
+        # a time takes the batch of one at every stage.  Only round-off may differ
+        verts, source_deg, directions, taus = EQUIVALENCE_CASES[case]
+        trace = _lit_trace(verts, source_deg)
+        _, batch = reconstruct_hull(trace, directions, taus)
+        single = [estimate_support(compute_samples(trace, om, taus)) for om in directions]
+        assert [e.fit_path for e in batch] == [e.fit_path for e in single]
+        assert [e.usable for e in batch] == [e.usable for e in single]
+        h_batch, h_single = (np.array([e.h_hat for e in ests]) for ests in (batch, single))
+        np.testing.assert_array_equal(np.isnan(h_batch), np.isnan(h_single))
+        assert np.nanmax(np.abs(h_batch - h_single)) <= 1e-6
+
+    def test_one_sample_product_per_hull(self, square_trace, monkeypatch):
+        # a work count, not a clock: every direction's series comes from one
+        # product of the probe table with the stacked a_n e^{i n beta_j}
+        products = []
+
+        class CountedScale(np.ndarray):
+            def __matmul__(self, other):
+                products.append(other.shape)
+                return np.asarray(self) @ other
+
+        build = trace_module._build_probe_table
+
+        def counted(trace, taus):
+            table = build(trace, taus)
+            return dataclasses.replace(table, scale=table.scale.view(CountedScale))
+
+        monkeypatch.setattr(trace_module, "_build_probe_table", counted)
+        trace = dataclasses.replace(square_trace)  # a copy that has built no table
+        reconstruct_hull(trace, CRITERION_8_DIRECTIONS, CRITERION_8_TAUS)
+        assert products == [(trace.n, 64)]
+
+    @pytest.mark.parametrize("count", [1, 8, 64, 256])
+    def test_envelope_passes_do_not_grow_with_the_direction_count(self, square_trace, count, monkeypatch):
+        # a work count, not a clock: every pass of the trimmed envelope fit is
+        # one call over the directions still fitting, at most 6 passes and
+        # one final fit whatever the direction count
+        calls = []
+        fits = indicator._envelope_fits
+        monkeypatch.setattr(indicator, "_envelope_fits", lambda x, q: calls.append(len(x)) or fits(x, q))
+        directions = [Direction.from_angle(2 * np.pi * (j + 0.25) / count) for j in range(count)]
+        estimate_supports(indicator.sample_directions(square_trace, directions, CRITERION_8_TAUS))
+        assert calls[0] == count and 1 <= len(calls) <= 7
+        assert calls == sorted(calls, reverse=True)
+
+    def test_refine_runs_no_per_problem_solve(self, square_trace, monkeypatch):
+        # the refine's slopes come from one masked product over all problems
+        # and its final amplitudes from one batched QR: no polyfit, no lstsq
+        def never(*args, **kwargs):
+            raise AssertionError("a per-problem solve ran")
+
+        refines = []
+        refine = indicator._two_exponential_refines
+        monkeypatch.setattr(indicator, "_two_exponential_refines", lambda *args: refines.append(len(args[0])) or
+                            refine(*args))
+        monkeypatch.setattr(np, "polyfit", never)
+        monkeypatch.setattr(np.linalg, "lstsq", never)
+        samples = [compute_samples(square_trace, om, CRITERION_8_TAUS) for om in CRITERION_8_DIRECTIONS]
+        two_term = sum(e.fit_path == "two_term" for e in estimate_supports(samples))
+        assert two_term >= 10 and len(refines) == 1 and refines[0] >= two_term
+
+    def test_awkward_rows_match_their_batches_of_one(self, square_trace):
+        # one batch holds a direction with 5 usable samples, one with -inf
+        # floors, one whose NaN phase fails its refine, and a 16-tau grid
+        # padded to the others' 64.  pyproject.toml turns RuntimeWarning into
+        # an error, so an inf or NaN made in the padding fails here.  Padding
+        # adds exact zeros, but sums over longer rows may group their terms
+        # differently, so the fits agree to round-off (5e-16 here)
+        square = compute_samples(square_trace, CRITERION_8_DIRECTIONS[0], CRITERION_8_TAUS)
+        few = dataclasses.replace(square, usable=square.usable & (np.cumsum(square.usable) <= 5))
+        floorless = dataclasses.replace(square, log_noise_floors=np.full(64, -np.inf))
+        beat = beat_samples(*BEAT_GRIDS[0])
+        nan_phase = dataclasses.replace(beat, phases=np.where(np.arange(64) == 3, np.nan, beat.phases))
+        short = beat_samples(*BEAT_GRIDS[1])
+        rows = [few, floorless, nan_phase, short]
+        batch = estimate_supports(rows)
+        assert [e.fit_path for e in batch] == ["none", "two_term", "envelope", "two_term"]
+        assert batch[0].n_used == 5
+        for est, samples in zip(batch, rows):
+            assert _same_estimate(est, estimate_support(samples))
 
 
 class TestLevenbergMarquardt:
