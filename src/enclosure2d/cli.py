@@ -242,9 +242,9 @@ def cmd_lsm(args) -> int:
     if n * n > LSM_MAX_POINTS:
         raise ResolutionError(f"a {n} x {n} sampling grid passes {LSM_MAX_POINTS} points")
     op = _far_field_operator(scene, args)
-    half = scene.radius_R
-    xs = np.linspace(-half, half, n)
-    grid = np.stack(np.meshgrid(xs, xs), axis=-1).reshape(-1, 2)  # row by row in y, x fastest
+    xs = np.linspace(-scene.radius_R, scene.radius_R, n)
+    # the square around B_R, about the scene's centre; row by row in y, x fastest
+    grid = np.stack(np.meshgrid(scene.center[0] + xs, scene.center[1] + xs), axis=-1).reshape(-1, 2)
     values = lsm_indicator_map(op, grid)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)

@@ -199,7 +199,9 @@ def solve_incidents(scene: Scene, incidents, mesh: BoundaryMesh) -> list[Scatter
     inverse or one LU solve.
 
     Raises DomainError for a point source inside an obstacle, then
-    ResolutionError past SYSTEM_MAX_ENTRIES, before anything is assembled;
+    ResolutionError past SYSTEM_MAX_ENTRIES, then NearFieldError for a
+    point source within 3 panel lengths of the boundary (the rule of
+    ``scattered_field``'s evaluation points), before anything is assembled;
     then SolverError when the condition is not finite (a singular or NaN
     matrix) or marks k as near a spurious interior resonance of the
     single-layer ansatz, or when a discrete residual exceeds RESIDUAL_TOL
@@ -214,6 +216,10 @@ def solve_incidents(scene: Scene, incidents, mesh: BoundaryMesh) -> list[Scatter
     if mesh.n_nodes**2 > SYSTEM_MAX_ENTRIES:
         raise ResolutionError(f"a mesh of {mesh.n_nodes} nodes needs an N x N system of more than "
                               f"{SYSTEM_MAX_ENTRIES} entries; use fewer nodes per edge")
+    sources = np.array([inc.y for inc in incidents if isinstance(inc, PointSource)]).reshape(-1, 2)
+    if mesh.n_nodes and len(sources):
+        dx, dy = (sources[:, c, None] - mesh.nodes[None, :, c] for c in (0, 1))
+        _check_far_from_boundary(mesh, np.sqrt(dx * dx + dy * dy), "point source")
     condition = 1.0
     densities = np.zeros((0, len(incidents)), dtype=complex)
     residuals = np.zeros(len(incidents))
@@ -261,12 +267,12 @@ def solve_scattering(scene: Scene, incident, mesh: BoundaryMesh) -> ScatterSolut
     return solve_incidents(scene, [incident], mesh)[0]
 
 
-def _check_far_from_boundary(mesh: BoundaryMesh, r: np.ndarray) -> None:
+def _check_far_from_boundary(mesh: BoundaryMesh, r: np.ndarray, what: str = "evaluation point") -> None:
     """Raise NearFieldError if a point's nearest node, by the rows of distances r, is within 3 of its panel lengths."""
     nearest = np.argmin(r, axis=1)
     if np.any(r[np.arange(len(r)), nearest] < 3.0 * mesh.panel_sizes[nearest]):
         raise NearFieldError(
-            "evaluation point within 3 panel lengths of the boundary; "
+            f"{what} within 3 panel lengths of the boundary; "
             "the plain Nystrom quadrature is not valid there"
         )
 

@@ -6,7 +6,11 @@ Points are length-2 float arrays.  Polygons store their vertices in
 counterclockwise order.  A direction ``omega`` carries its perpendicular
 ``omega_perp = (omega_y, -omega_x)``, chosen so that the ordered pair
 (omega_perp, omega) has the orientation of the standard basis (e1, e2):
-det[omega_perp | omega] = +1.
+det[omega_perp | omega] = +1.  A ring is a closed chain of vertices whose
+last vertex joins the first.  Two primitives answer every segment question:
+``_crossing``, whether an edge of one ring properly crosses one of another's
+(polygon validation, obstacle separation), and ``_ring_distance``, the
+distance from points to a ring (obstacle separation, Hausdorff).
 """
 
 from __future__ import annotations
@@ -64,15 +68,38 @@ def _signed_area(vertices: np.ndarray) -> float:
     return 0.5 * float(np.sum(x * np.roll(y, -1) - np.roll(x, -1) * y))
 
 
-def _segments_intersect(p1, p2, q1, q2) -> bool:
-    """Proper intersection test for open segments (shared endpoints excluded)."""
+def _orient(a, b, c):
+    """Twice the signed area of the triangle (a, b, c), over trailing point axes."""
+    return (b[..., 0] - a[..., 0]) * (c[..., 1] - a[..., 1]) - (b[..., 1] - a[..., 1]) * (c[..., 0] - a[..., 0])
 
-    def orient(a, b, c):
-        return (b[0] - a[0]) * (c[1] - a[1]) - (b[1] - a[1]) * (c[0] - a[0])
 
-    d1, d2 = orient(q1, q2, p1), orient(q1, q2, p2)
-    d3, d4 = orient(p1, p2, q1), orient(p1, p2, q2)
-    return (d1 * d2 < 0) and (d3 * d4 < 0)
+def _crossing(p: np.ndarray, q: np.ndarray) -> bool:
+    """Whether an edge of closed ring p properly crosses an edge of closed ring q.
+
+    One edge of p at a time against all of q's.  Edges that only touch do
+    not cross: an edge against itself or a neighbour sharing its endpoint
+    has an orientation product of exactly 0.
+    """
+    c, d = q, np.roll(q, -1, axis=0)
+    for a, b in zip(p, np.roll(p, -1, axis=0)):
+        if np.any((_orient(c, d, a) * _orient(c, d, b) < 0) & (_orient(a, b, c) * _orient(a, b, d) < 0)):
+            return True
+    return False
+
+
+def _ring_distance(points: np.ndarray, ring: np.ndarray) -> np.ndarray:
+    """Distance from each point to the closed ring's boundary, one edge of the ring at a time."""
+    best = np.full(len(points), np.inf)
+    for a, b in zip(ring, np.roll(ring, -1, axis=0)):
+        ab = b - a
+        t = np.clip((points - a) @ ab / (ab @ ab), 0.0, 1.0)
+        best = np.minimum(best, np.linalg.norm(points - (a + t[:, None] * ab), axis=1))
+    return best
+
+
+def _diameter(v: np.ndarray) -> float:
+    """Largest distance between two of the points (0 for none)."""
+    return float(np.max(np.linalg.norm(v[:, None, :] - v[None, :, :], axis=-1), initial=0.0))
 
 
 @dataclass(frozen=True)
@@ -86,18 +113,12 @@ class Polygon:
         object.__setattr__(self, "vertices", v)
         if v.ndim != 2 or v.shape[1] != 2 or v.shape[0] < 3 or not np.all(np.isfinite(v)):
             raise GeometryError("polygon needs at least 3 finite planar vertices")
-        d = np.linalg.norm(v - np.roll(v, -1, axis=0), axis=1)
-        if np.any(d < 1e-12):
+        if np.any(np.linalg.norm(v - np.roll(v, -1, axis=0), axis=1) < 1e-12):
             raise GeometryError("consecutive vertices coincide")
         if _signed_area(v) <= 0:
             raise GeometryError("vertices must be counterclockwise (signed area > 0)")
-        n = len(v)
-        for i in range(n):
-            for j in range(i + 1, n):
-                if j == i + 1 or (i == 0 and j == n - 1):
-                    continue  # adjacent edges share a vertex only
-                if _segments_intersect(v[i], v[(i + 1) % n], v[j], v[(j + 1) % n]):
-                    raise GeometryError("polygon is self-intersecting")
+        if _crossing(v, v):
+            raise GeometryError("polygon is self-intersecting")
 
     @property
     def n_vertices(self) -> int:
@@ -105,17 +126,19 @@ class Polygon:
 
     @property
     def diameter(self) -> float:
-        v = self.vertices
-        return float(np.max(np.linalg.norm(v[:, None, :] - v[None, :, :], axis=-1)))
+        return _diameter(self.vertices)
 
     def edges(self):
-        """Yield (start, end) vertex pairs in counterclockwise order."""
-        v = self.vertices
-        for i in range(len(v)):
-            yield v[i], v[(i + 1) % len(v)]
+        """(start, end) vertex pairs in counterclockwise order, the last closing the ring."""
+        return zip(self.vertices, np.roll(self.vertices, -1, axis=0))
 
     def contains(self, point) -> bool:
-        """Even-odd ray test; points on the boundary count as inside."""
+        """Even-odd test along the ray to +x, half-open on the boundary.
+
+        A boundary point counts as inside where the interior lies just past
+        it in +x, or in +y on a horizontal edge: a box holds its left and
+        bottom sides, not its right and top.
+        """
         x, y = float(point[0]), float(point[1])
         # plain floats: unpacking numpy scalars from edges() cost ~10x the arithmetic
         v = self.vertices.tolist()
@@ -129,26 +152,10 @@ class Polygon:
 
 
 def _min_boundary_distance(p: Polygon, q: Polygon) -> float:
-    """Minimum distance between the boundaries of two polygons."""
-
-    def seg_dist(a, b, c, d):
-        if _segments_intersect(a, b, c, d):
-            return 0.0
-        return min(
-            _point_segment_distance(a, c, d),
-            _point_segment_distance(b, c, d),
-            _point_segment_distance(c, a, b),
-            _point_segment_distance(d, a, b),
-        )
-
-    return min(seg_dist(a, b, c, d) for a, b in p.edges() for c, d in q.edges())
-
-
-def _point_segment_distance(p, a, b) -> float:
-    p, a, b = np.asarray(p, float), np.asarray(a, float), np.asarray(b, float)
-    ab = b - a
-    t = np.clip(np.dot(p - a, ab) / np.dot(ab, ab), 0.0, 1.0)
-    return float(np.linalg.norm(p - (a + t * ab)))
+    """Minimum distance between the boundaries of two polygons: 0 where edges cross, else vertex to ring."""
+    if _crossing(p.vertices, q.vertices):
+        return 0.0
+    return float(min(np.min(_ring_distance(p.vertices, q.vertices)), np.min(_ring_distance(q.vertices, p.vertices))))
 
 
 @dataclass(frozen=True)
@@ -179,13 +186,9 @@ class Scene:
             raise GeometryError("radius_R1 must exceed radius_R")
         r1 = float(np.linalg.norm(self.source_y - self.center))
         if abs(r1 - self.radius_R1) > 1e-10:
-            raise GeometryError(
-                f"source must lie on the circle of radius {self.radius_R1}, |y - c| = {r1}"
-            )
-        for obs in self.obstacles:
-            d = np.linalg.norm(obs.vertices - self.center, axis=1)
-            if np.any(d >= self.radius_R):
-                raise GeometryError("obstacle vertices must lie strictly inside B_R")
+            raise GeometryError(f"source must lie on the circle of radius {self.radius_R1}, |y - c| = {r1}")
+        if np.any(np.linalg.norm(self.all_vertices - self.center, axis=1) >= self.radius_R):
+            raise GeometryError("obstacle vertices must lie strictly inside B_R")
         for i, p in enumerate(self.obstacles):
             for q in self.obstacles[i + 1 :]:
                 if _min_boundary_distance(p, q) <= 0 or p.contains(q.vertices[0]) or q.contains(p.vertices[0]):
@@ -194,24 +197,17 @@ class Scene:
     @property
     def diameter(self) -> float:
         """Diameter of the union of the obstacles (0 if empty)."""
-        if not self.obstacles:
-            return 0.0
-        v = self.all_vertices
-        return float(np.max(np.linalg.norm(v[:, None, :] - v[None, :, :], axis=-1)))
+        return _diameter(self.all_vertices)
 
     @property
     def condition_1_1_holds(self) -> bool:
         """diam D < dist(D, boundary of the source circle)."""
-        if not self.obstacles:
-            return True
-        dist = self.radius_R1 - float(np.max(np.linalg.norm(self.all_vertices - self.center, axis=1)))
+        dist = self.radius_R1 - float(np.max(np.linalg.norm(self.all_vertices - self.center, axis=1), initial=0.0))
         return self.diameter < dist
 
     @property
     def all_vertices(self) -> np.ndarray:
-        if not self.obstacles:
-            return np.zeros((0, 2))
-        return np.vstack([o.vertices for o in self.obstacles])
+        return np.vstack([np.zeros((0, 2)), *(o.vertices for o in self.obstacles)])
 
     def to_dict(self) -> dict:
         return {
@@ -277,24 +273,21 @@ def support_function(obstacles, omega: Direction) -> float:
     obstacles = list(obstacles)
     if not obstacles:
         raise DomainError("support function of an empty obstacle list")
-    w = omega.vec
-    return max(float(np.max(o.vertices @ w)) for o in obstacles)
+    return max(float(np.max(o.vertices @ omega.vec)) for o in obstacles)
 
 
 def _clip_halfplane(poly: np.ndarray, w: np.ndarray, h: float) -> np.ndarray:
-    """Sutherland-Hodgman clip of a convex polygon against {x . w <= h}."""
+    """Sutherland-Hodgman clip of a convex polygon against {x . w <= h}.
+
+    Each vertex a, with b its successor, gives a if it is kept, then the
+    crossing a + t (b - a) if the edge changes side strictly.
+    """
     vals = poly @ w - h
-    out = []
-    n = len(poly)
-    for i in range(n):
-        a, b = poly[i], poly[(i + 1) % n]
-        va, vb = vals[i], vals[(i + 1) % n]
-        if va <= 0:
-            out.append(a)
-        if (va < 0 < vb) or (vb < 0 < va):
-            t = va / (va - vb)
-            out.append(a + t * (b - a))
-    return np.array(out) if out else np.zeros((0, 2))
+    nxt = np.roll(vals, -1)
+    cross = ((vals < 0) & (0 < nxt)) | ((nxt < 0) & (0 < vals))
+    t = np.divide(vals, vals - nxt, out=np.zeros_like(vals), where=cross)
+    points = np.stack([poly, poly + t[:, None] * (np.roll(poly, -1, axis=0) - poly)], axis=1)
+    return points[np.stack([vals <= 0, cross], axis=1)]
 
 
 def _dedupe_ring(poly: np.ndarray, tol: float) -> np.ndarray:
@@ -319,9 +312,8 @@ def convex_hull_from_supports(samples, clip_radius: float, center=(0.0, 0.0)) ->
     samples = list(samples)
     if len(samples) < 3:
         raise DomainError("need at least 3 support samples")
-    center = np.asarray(center, float)
     ang = np.linspace(0, 2 * math.pi, 256, endpoint=False)
-    poly = center + clip_radius * np.column_stack([np.cos(ang), np.sin(ang)])
+    poly = np.asarray(center, float) + clip_radius * np.column_stack([np.cos(ang), np.sin(ang)])
     for omega, h in samples:
         poly = _clip_halfplane(poly, omega.vec, float(h))
         if len(poly) == 0:
@@ -330,28 +322,12 @@ def convex_hull_from_supports(samples, clip_radius: float, center=(0.0, 0.0)) ->
 
 
 def _boundary_points(vertices: np.ndarray, per_edge: int = 64) -> np.ndarray:
-    pts = []
-    n = len(vertices)
     t = np.linspace(0.0, 1.0, per_edge, endpoint=False)[:, None]
-    for i in range(n):
-        a, b = vertices[i], vertices[(i + 1) % n]
-        pts.append(a + t * (b - a))
-    return np.vstack(pts)
+    a, b = vertices[:, None, :], np.roll(vertices, -1, axis=0)[:, None, :]
+    return (a + t * (b - a)).reshape(-1, 2)
 
 
 def hausdorff_distance(vertices_a: np.ndarray, vertices_b: np.ndarray) -> float:
     """Hausdorff distance between two polygon boundaries (dense sampling)."""
     pa, pb = _boundary_points(vertices_a), _boundary_points(vertices_b)
-
-    def directed(p, q_vertices):
-        m = len(q_vertices)
-        best = np.full(len(p), np.inf)
-        for i in range(m):
-            a, b = q_vertices[i], q_vertices[(i + 1) % m]
-            ab = b - a
-            t = np.clip((p - a) @ ab / (ab @ ab), 0.0, 1.0)
-            proj = a + t[:, None] * ab
-            best = np.minimum(best, np.linalg.norm(p - proj, axis=1))
-        return float(np.max(best))
-
-    return max(directed(pa, vertices_b), directed(pb, vertices_a))
+    return max(float(np.max(_ring_distance(pa, vertices_b))), float(np.max(_ring_distance(pb, vertices_a))))

@@ -31,7 +31,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import DomainError, ResolutionError
-from .fields import ModulatedPlane, PlaneWave, PointSource
+from .fields import ModulatedPlane, PlaneWave, PointSource, normal_derivatives
 from .forward import ScatterSolution, circle_field, circle_nodes
 from .specialfun import hankel1_orders
 
@@ -231,8 +231,7 @@ def recover_neumann(u_values, k: float, y, radius: float, center=(0.0, 0.0)) -> 
     # a_n k H'_n = w_n k H'_n / H_n: the power-of-two scales cancel
     de_dn = np.fft.ifft(modes.w * (k * (modes.dh / modes.h))) * n
     pts, nu = circle_nodes(np.asarray(center, dtype=float), radius, n)
-    dphi0_dn = np.einsum("ic,ic->i", source.gradient(k, pts), nu.astype(complex))
-    return dphi0_dn + de_dn
+    return normal_derivatives([source], k, pts, nu)[:, 0] + de_dn
 
 
 def trace_to_csv(trace: TraceData, header_lines=()) -> str:

@@ -216,6 +216,13 @@ class TestExitCodes:
         assert main(["solve", "--scene", str(path), "--out", str(tmp_path / "o")]) == 4
         assert "error[solver]" in capsys.readouterr().err
 
+    def test_source_near_the_boundary_is_solver_error(self, tmp_path, capsys):
+        # the source circle passes 0.5 from the square's side, within 3 of its 0.23-long middle panels
+        path = tmp_path / "scene.json"
+        path.write_text(json.dumps(scene_dict(R=0.9, R1=1.0, source=[1.0, 0.0])))
+        assert main(["solve", "--scene", str(path), "--out", str(tmp_path / "o")]) == 4
+        assert "error[solver]: point source within 3 panel lengths" in capsys.readouterr().err
+
     def test_mesh_past_the_system_budget(self, scene_file, tmp_path, capsys):
         # 262,144 nodes: a 1 TiB dense system, refused before assembly
         code = main(["solve", "--scene", str(scene_file), "--out", str(tmp_path / "o"), "--mesh-nodes", "65536"])
@@ -408,6 +415,20 @@ class TestFarfieldAndLsm:
         np.testing.assert_array_equal(heat[:, :2], grid)
         np.testing.assert_array_equal(heat[:, 2], lsm_indicator_map(op, grid))
         assert np.all(np.isfinite(heat[:, 2]) & (heat[:, 2] > 0))
+
+    def test_lsm_grid_is_centred_on_the_scene(self, tmp_path):
+        # the square moved to x in [2.5, 3.5]: the map spans the scene's B_R, not the origin's
+        center = np.array([3.0, 0.0])
+        data = scene_dict(obstacles=[(SQUARE_VERTS + center).tolist()], center=center.tolist(), source=[9.0, 0.0])
+        path, out = tmp_path / "scene.json", tmp_path / "lsm"
+        path.write_text(json.dumps(data))
+        assert main(["lsm", "--scene", str(path), "--out", str(out), "--directions", "8", "--grid-n", "5"]) == 0
+        rows = [l for l in (out / "heatmap.csv").read_text().splitlines() if not l.startswith("#")]
+        heat = np.array([[float(v) for v in r.split(",")] for r in rows[1:]])
+        xs = np.linspace(-2.0, 2.0, 5)
+        np.testing.assert_array_equal(heat[:, :2], [[3.0 + x, y] for y in xs for x in xs])
+        op = assemble_far_field_operator(Scene.from_dict(data), 8, 8)
+        np.testing.assert_array_equal(heat[:, 2], lsm_indicator_map(op, heat[:, :2]))
 
 
 class TestJsonOutput:

@@ -268,6 +268,19 @@ class TestSolve:
         with pytest.raises(DomainError):
             solve_incidents(square_scene, incidents, build_mesh(square_scene, nodes_per_edge=32))
 
+    @pytest.mark.parametrize("y, error", [
+        ((-0.5, 0.1), DomainError),  # left and bottom sides: inside by contains' half-open rule
+        ((0.1, -0.5), DomainError),
+        ((0.5, 0.1), NearFieldError),  # right and top sides: outside by that rule, but on the boundary
+        ((0.1, 0.5), NearFieldError),
+        ((0.52, 0.1), NearFieldError),  # just outside: its 64-node total field is 8.5e-2 off a 256-node one
+    ], ids=["left", "bottom", "right", "top", "near"])
+    def test_source_on_or_near_the_boundary_rejected(self, square_scene, monkeypatch, y, error):
+        # evaluation points' rule, 3 panel lengths, before anything is assembled
+        monkeypatch.setattr(forward, "_assemble", lambda mesh, k: pytest.fail("assembled"))
+        with pytest.raises(error):
+            solve_scattering(square_scene, PointSource(np.array(y)), build_mesh(square_scene, nodes_per_edge=64))
+
     def test_no_incident_field_assembles_nothing(self, square_scene, monkeypatch):
         monkeypatch.setattr(forward, "_assemble", lambda mesh, k: pytest.fail("assembled"))
         assert solve_incidents(square_scene, [], build_mesh(square_scene, nodes_per_edge=32)) == []

@@ -1,7 +1,11 @@
+import math
+import tracemalloc
+
 import numpy as np
 import pytest
 from scipy.spatial import ConvexHull
 
+from enclosure2d import geometry
 from enclosure2d.errors import DomainError, GeometryError
 from enclosure2d.geometry import (
     Direction,
@@ -248,3 +252,159 @@ def test_hausdorff_symmetry_and_zero():
     b = TRIANGLE_VERTS
     assert hausdorff_distance(a, a) == pytest.approx(0.0, abs=1e-15)
     assert hausdorff_distance(a, b) == pytest.approx(hausdorff_distance(b, a))
+
+
+# The scalar segment helpers that the ring primitives replaced, kept as references.
+
+def reference_segments_intersect(p1, p2, q1, q2) -> bool:
+    """Proper intersection test for open segments (shared endpoints excluded)."""
+
+    def orient(a, b, c):
+        return (b[0] - a[0]) * (c[1] - a[1]) - (b[1] - a[1]) * (c[0] - a[0])
+
+    d1, d2 = orient(q1, q2, p1), orient(q1, q2, p2)
+    d3, d4 = orient(p1, p2, q1), orient(p1, p2, q2)
+    return (d1 * d2 < 0) and (d3 * d4 < 0)
+
+
+def reference_point_segment_distance(p, a, b) -> float:
+    ab = b - a
+    t = np.clip(np.dot(p - a, ab) / np.dot(ab, ab), 0.0, 1.0)
+    return float(np.linalg.norm(p - (a + t * ab)))
+
+
+def reference_self_intersecting(v) -> bool:
+    """Polygon validation's pair loop, adjacent edges skipped."""
+    n = len(v)
+    return any(reference_segments_intersect(v[i], v[(i + 1) % n], v[j], v[(j + 1) % n])
+               for i in range(n) for j in range(i + 2, n) if not (i == 0 and j == n - 1))
+
+
+def reference_boundary_distance(p, q) -> float:
+    """Edge pairs of two rings: 0 where they cross, else the endpoint-to-segment minimum."""
+
+    def seg_dist(a, b, c, d):
+        if reference_segments_intersect(a, b, c, d):
+            return 0.0
+        return min(reference_point_segment_distance(a, c, d), reference_point_segment_distance(b, c, d),
+                   reference_point_segment_distance(c, a, b), reference_point_segment_distance(d, a, b))
+
+    return min(seg_dist(a, b, c, d) for a, b in p.edges() for c, d in q.edges())
+
+
+def reference_hull(samples, clip_radius, center=(0.0, 0.0)):
+    """convex_hull_from_supports with the vertex-by-vertex Sutherland-Hodgman clip."""
+    ang = np.linspace(0, 2 * math.pi, 256, endpoint=False)
+    poly = np.asarray(center, float) + clip_radius * np.column_stack([np.cos(ang), np.sin(ang)])
+    for omega, h in samples:
+        vals = poly @ omega.vec - float(h)
+        out = []
+        for i in range(len(poly)):
+            a, b = poly[i], poly[(i + 1) % len(poly)]
+            va, vb = vals[i], vals[(i + 1) % len(poly)]
+            if va <= 0:
+                out.append(a)
+            if (va < 0 < vb) or (vb < 0 < va):
+                out.append(a + va / (va - vb) * (b - a))
+        if not out:
+            return np.zeros((0, 2))
+        poly = np.array(out)
+    return geometry._dedupe_ring(poly, 1e-12 * clip_radius)
+
+
+def reference_hausdorff(vertices_a, vertices_b) -> float:
+    def sample(v):
+        t = np.linspace(0.0, 1.0, 64, endpoint=False)[:, None]
+        return np.vstack([v[i] + t * (v[(i + 1) % len(v)] - v[i]) for i in range(len(v))])
+
+    def directed(p, q):
+        best = np.full(len(p), np.inf)
+        for i in range(len(q)):
+            a, b = q[i], q[(i + 1) % len(q)]
+            ab = b - a
+            t = np.clip((p - a) @ ab / (ab @ ab), 0.0, 1.0)
+            best = np.minimum(best, np.linalg.norm(p - (a + t[:, None] * ab), axis=1))
+        return float(np.max(best))
+
+    return max(directed(sample(vertices_a), vertices_b), directed(sample(vertices_b), vertices_a))
+
+
+def _random_ccw(rng, n, shuffled):
+    """n points about the origin, oriented counterclockwise: shuffled, or in angle order with gaps under pi (simple)."""
+    t = 2 * np.pi / n * (np.arange(n) + rng.uniform(0, 0.45, n))
+    v = np.column_stack([np.cos(t), np.sin(t)]) * rng.uniform(0.2, 1.0, (n, 1))
+    v = rng.permutation(v) if shuffled else v
+    x, y = v[:, 0], v[:, 1]
+    return v if np.sum(x * np.roll(y, -1) - np.roll(x, -1) * y) > 0 else v[::-1]
+
+
+def _support_sets(count):
+    rng = np.random.default_rng(11)
+    for _ in range(count):
+        n = int(rng.integers(3, 80))
+        ang = rng.uniform(0, 2 * np.pi, n)
+        center = rng.normal(0, 0.2, 2)
+        h = rng.uniform(0.2, 1.0, n) + np.cos(ang) * center[0] + np.sin(ang) * center[1]
+        yield [(Direction.from_angle(a), v) for a, v in zip(ang, h)], center
+
+
+class TestRingPrimitives:
+    def test_validation_matches_the_pair_loop(self):
+        rng = np.random.default_rng(3)
+        verdicts = []
+        for trial in range(300):
+            v = _random_ccw(rng, int(rng.integers(4, 14)), shuffled=trial % 2 == 1)
+            try:
+                Polygon(v)
+                verdicts.append(False)
+            except GeometryError as exc:
+                assert "self-intersecting" in str(exc)
+                verdicts.append(True)
+            assert verdicts[-1] == reference_self_intersecting(v)
+        assert 50 < sum(verdicts) < 250  # both verdicts are exercised
+        # a vertex on a non-adjacent edge touches it without crossing: accepted, as by the pair loop
+        pinched = np.array([[0.0, 0.0], [4.0, 0.0], [4.0, 4.0], [3.0, 4.0], [2.0, 0.0], [1.0, 4.0], [0.0, 4.0]])
+        assert not reference_self_intersecting(pinched)
+        Polygon(pinched)
+
+    @pytest.mark.parametrize("placement", ["touch", "cross", "apart"])
+    def test_separation_matches_the_edge_pair_loop(self, placement):
+        rng = np.random.default_rng(["touch", "cross", "apart"].index(placement))
+        zero = 0
+        for _ in range(100):
+            p = Polygon(_random_ccw(rng, int(rng.integers(3, 9)), shuffled=False))
+            q = _random_ccw(rng, int(rng.integers(3, 9)), shuffled=False)
+            if placement == "touch":  # p turned half a turn about its first vertex shares that vertex
+                q = 2 * p.vertices[0] - p.vertices
+            elif placement == "apart":
+                q = q + (2.5, rng.uniform(-1, 1))
+            q = Polygon(q)
+            got, want = geometry._min_boundary_distance(p, q), reference_boundary_distance(p, q)
+            assert (got == 0) == (want == 0)
+            assert abs(got - want) <= 1e-15
+            zero += got == 0
+        assert {"touch": zero == 100, "cross": zero > 50, "apart": zero == 0}[placement]
+
+    def test_hull_matches_the_vertex_loop_clip(self):
+        for samples, center in _support_sets(200):
+            got, want = convex_hull_from_supports(samples, 2.0, center), reference_hull(samples, 2.0, center)
+            assert got.shape == want.shape and np.array_equal(got, want)
+
+    def test_hausdorff_matches_the_directed_loop(self):
+        rng = np.random.default_rng(5)
+        for samples, center in _support_sets(100):
+            hull = convex_hull_from_supports(samples, 2.0, center)
+            target = _random_ccw(rng, int(rng.integers(3, 12)), shuffled=False)
+            assert hausdorff_distance(hull, target) == reference_hausdorff(hull, target)
+            assert hausdorff_distance(target, hull) == reference_hausdorff(target, hull)
+
+    def test_validating_1024_vertices_forms_no_n_squared_array(self):
+        t = np.linspace(0, 2 * np.pi, 1024, endpoint=False)
+        v = np.column_stack([np.cos(t), np.sin(t)])
+        tracemalloc.start()
+        try:
+            Polygon(v)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * 1024**2 // 16  # a sixteenth of one 1024 x 1024 float array
