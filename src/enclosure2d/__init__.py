@@ -20,7 +20,7 @@ from .errors import (
     SolverError,
 )
 from .geometry import Direction, Polygon, Scene, support_function
-from .fields import PlaneWave, PointSource, ModulatedPlane
+from .fields import PlaneWave, PointSource
 from .forward import build_mesh, solve_incidents, solve_scattering, DiscSeriesSolution
 from .trace import TraceData, trace_direct, recover_neumann
 from .indicator import (compute_samples, sample_directions, estimate_support, estimate_supports,

@@ -208,7 +208,7 @@ def _far_field_operator(scene, args):
     if args.directions > OPERATOR_MAX_DIRECTIONS:
         raise ResolutionError(f"{args.directions} directions pass {OPERATOR_MAX_DIRECTIONS} for an n x n operator")
     if args.disc_radius is not None:
-        return disc_far_field_operator(args.disc_radius, scene.wavenumber_k, args.directions)
+        return disc_far_field_operator(args.disc_radius, scene.wavenumber_k, args.directions, scene.center)
     return assemble_far_field_operator(scene, args.directions, args.directions, nodes_per_edge=args.mesh_nodes)
 
 
@@ -288,7 +288,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--alpha-max", type=_finite_float, default=1e-2, dest="alpha_max")
     p.add_argument("--sample-point", type=_finite_float, nargs=2, default=(0.0, 0.0), dest="sample_point")
     p.add_argument("--disc-radius", type=_finite_float, default=None, dest="disc_radius",
-                   help="use the disc-series operator instead of the polygon solver")
+                   help="use the series operator of a disc about the scene's center, not the polygon solver")
     p.set_defaults(func=cmd_farfield)
 
     p = sub.add_parser("lsm", help="sampling-point heatmap 1/||g_alpha||")

@@ -111,15 +111,20 @@ def assemble_far_field_operator(scene: Scene, n_obs: int, n_inc: int, nodes_per_
     return FarFieldOperator(matrix=matrix, obs_angles=obs_angles, inc_angles=inc_angles, k=k)
 
 
-def disc_far_field_operator(radius: float, k: float, n: int) -> FarFieldOperator:
-    """Far-field operator of a sound-hard disc at the origin on n equal directions, via the series.
+def disc_far_field_operator(radius: float, k: float, n: int, center=(0.0, 0.0)) -> FarFieldOperator:
+    """Far-field operator of a sound-hard disc about ``center`` on n equal directions, via the series.
 
-    Rotation invariance gives F(phi_i, d_j) = F_0(phi_i - d_j), the pattern at incidence 0 on the
-    grid angle of (i - j) mod n: one series on the n angles fills the circulant matrix.
+    Rotation invariance gives F(phi_i, d_j) = F_0(phi_i - d_j) for the disc at the origin, the pattern
+    at incidence 0 on the grid angle of (i - j) mod n: one series on the n angles fills the circulant
+    matrix.  Moving the disc to c multiplies it by e^{-ik phi_i.c} on the left and e^{ik d_j.c} on the
+    right, both exactly 1 at the origin.
     """
     angles = 2 * np.pi * np.arange(n) / n
     pattern = DiscSeriesSolution((0.0, 0.0), radius, k, PlaneWave(Direction.from_angle(0.0))).far_field(angles)
     matrix = pattern[np.subtract.outer(np.arange(n), np.arange(n)) % n]
+    center = np.asarray(center, dtype=float)
+    phase = np.exp(-1j * k * (np.cos(angles) * center[0] + np.sin(angles) * center[1]))
+    matrix *= np.outer(phase, phase.conj())
     return FarFieldOperator(matrix=matrix, obs_angles=angles, inc_angles=angles, k=k)
 
 

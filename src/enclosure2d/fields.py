@@ -1,9 +1,8 @@
 """Incident fields.
 
-Three incident fields drive the forward solver: a plane wave
-e^{ik x.d}, the point source (i/4) H^(1)_0(k|x - y|), and the linearly
-modulated plane field (x0 - x).theta e^{-ik x.d} with theta chosen so
-that theta_perp = d.  ``normal_derivatives`` is the solver's Neumann data.
+Two incident fields drive the forward solver: a plane wave e^{ik x.d}
+and the point source (i/4) H^(1)_0(k|x - y|).  ``normal_derivatives`` is
+the solver's Neumann data.
 """
 
 from __future__ import annotations
@@ -14,12 +13,11 @@ import numpy as np
 
 from .errors import DomainError
 from .geometry import Direction
-from .specialfun import hankel1, hankel1_prime
+from .specialfun import hankel1
 
 __all__ = [
     "PlaneWave",
     "PointSource",
-    "ModulatedPlane",
     "normal_derivatives",
 ]
 
@@ -67,34 +65,8 @@ class PointSource:
         r = np.linalg.norm(diff, axis=-1)
         if np.any(r == 0):
             raise DomainError("point source gradient at its singularity")
-        radial = 0.25j * k * hankel1_prime(0, k * r) / r
+        radial = -0.25j * k * hankel1(1, k * r) / r  # (H_0)' = -H_1
         return _one_point(radial[..., None] * diff)
-
-
-@dataclass(frozen=True)
-class ModulatedPlane:
-    """Field (x0 - x).theta e^{-ik x.d} with theta_perp = d."""
-
-    x0: np.ndarray
-    d: Direction
-
-    def __post_init__(self):
-        object.__setattr__(self, "x0", np.asarray(self.x0, dtype=float))
-
-    @property
-    def theta(self) -> np.ndarray:
-        # theta = (-d_y, d_x) satisfies theta_perp = (theta_y, -theta_x) = d
-        return np.array([-self.d.y, self.d.x])
-
-    def value(self, k: float, x):
-        x = _points(x)
-        return _one_point(((self.x0 - x) @ self.theta) * np.exp(-1j * k * (x @ self.d.vec)))
-
-    def gradient(self, k: float, x):
-        x = _points(x)
-        phase = np.exp(-1j * k * (x @ self.d.vec))
-        amp = (self.x0 - x) @ self.theta
-        return _one_point(phase[..., None] * (-self.theta - 1j * k * amp[..., None] * self.d.vec))
 
 
 def normal_derivatives(incidents, k: float, x, normals) -> np.ndarray:

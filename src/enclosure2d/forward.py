@@ -37,7 +37,21 @@ goes to numpy's OpenBLAS.  scipy loads its own OpenBLAS copy, and after a
 call to it that pool's threads keep spinning next to numpy's: at 2 BLAS
 threads on 2 cores every later numpy stage ran about 1.4x slower.  Larger
 systems keep scipy's LU and its condition estimate, where the inverse's
-extra flops would cost more than that contention.
+extra flops would cost more than that contention.  scipy is imported
+inside that branch, so a pipeline of at most INVERSE_MAX_NODES nodes never
+loads it; the first larger solve in a process pays its import, about
+0.2 s.
+
+The H_1 kernel is numpy's own (``specialfun.hankel1``).  Assembly times on
+16-gon, 32-gon and 128-gon meshes of 16 nodes per edge, k = 2, as the range
+of three alternating in-process runs, each the median of 15-40 assemblies
+(2-core Xeon VM, 2 OpenBLAS threads), against scipy's Cephes j1/y1 in
+parentheses: 256 nodes 2.4-3.3 ms (2.1-2.7 ms),
+512 nodes 9.5-10.3 ms (8.8-12.1 ms), 2048 nodes 170-187 ms (159-184 ms).
+Those meshes' 32-row blocks span two edges, so ``_assemble`` skips no
+same-edge columns there; on the square at 64 nodes per edge (256 nodes,
+median of 200) it takes 2.05-2.22 ms (1.87-2.01 ms), and on the L
+(384 nodes) 4.7-4.9 ms (4.2-4.4 ms).
 """
 
 from __future__ import annotations
@@ -47,13 +61,11 @@ from dataclasses import dataclass
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
-from scipy.linalg import lu_factor, lu_solve
-from scipy.linalg.lapack import zgecon
 
 from .errors import DomainError, GeometryError, NearFieldError, ResolutionError, SolverError
-from .fields import ModulatedPlane, PlaneWave, PointSource, normal_derivatives
-from .geometry import Direction, Scene
-from .specialfun import bessel_j_orders, bessel_j_prime, hankel1, hankel1_orders, hankel1_prime
+from .fields import PlaneWave, PointSource, normal_derivatives
+from .geometry import Scene
+from .specialfun import bessel_j_orders, hankel1, hankel1_orders
 
 __all__ = [
     "BoundaryMesh",
@@ -65,7 +77,6 @@ __all__ = [
     "circle_nodes",
     "circle_field",
     "eval_total",
-    "modulated_nonvanishing_check",
     "DiscSeriesSolution",
 ]
 
@@ -156,10 +167,14 @@ def _assemble(mesh: BoundaryMesh, k: float) -> np.ndarray:
     A block's differences, distances and kernel stay in cache, and no
     N x N array but the matrix is allocated.  r is exactly symmetric
     (dx_ji = -dx_ij), so H_1 is evaluated on the block's part of the upper
-    triangle and mirrored, unscaled, into the rows of later blocks.
+    triangle and mirrored, unscaled, into the rows of later blocks.  When
+    all of a block's rows lie on one edge, that part starts past the run of
+    columns on the same edge, whose entries vanish: a third of the H_1
+    evaluations on the square at 64 nodes per edge.
     """
     n = mesh.n_nodes
     x, y = mesh.nodes[:, 0], mesh.nodes[:, 1]
+    edge_ids = mesh.edge_ids
     kernel = np.empty((n, n), dtype=complex)
     for lo in range(0, n, 32):
         hi = min(lo + 32, n)
@@ -167,12 +182,17 @@ def _assemble(mesh: BoundaryMesh, k: float) -> np.ndarray:
         r = np.sqrt(dx * dx + dy * dy)
         r[np.arange(hi - lo), np.arange(lo, hi)] = 1.0  # dummy; overwritten by the same-edge zero
         block = kernel[lo:hi]
-        block[:, lo:] = hankel1(1, k * r[:, lo:])
+        start = lo
+        if np.all(edge_ids[lo:hi] == edge_ids[lo]):
+            others = np.flatnonzero(edge_ids[lo:] != edge_ids[lo])
+            start = lo + others[0] if len(others) else n
+        block[:, lo:start] = 0.0
+        block[:, start:] = hankel1(1, k * r[:, start:])
         kernel[hi:, lo:hi] = block[:, hi:].T
         block *= -0.25j * k
         block *= dx * mesh.normals[lo:hi, 0, None] + dy * mesh.normals[lo:hi, 1, None]
         block /= r
-        block[mesh.edge_ids[lo:hi, None] == mesh.edge_ids] = 0.0
+        block[edge_ids[lo:hi, None] == edge_ids] = 0.0
         block *= mesh.weights
     kernel.flat[:: n + 1] -= 0.5
     return kernel
@@ -234,6 +254,9 @@ def solve_incidents(scene: Scene, incidents, mesh: BoundaryMesh) -> list[Scatter
             except np.linalg.LinAlgError:  # exactly singular
                 condition = np.inf
         else:
+            from scipy.linalg import lu_factor, lu_solve  # loaded by systems this large only
+            from scipy.linalg.lapack import zgecon
+
             lu = lu_factor(matrix, check_finite=False)  # a NaN reaches the guard below
             rcond, info = zgecon(lu[0], anorm)
             condition = np.inf if rcond == 0 or info != 0 else 1.0 / rcond
@@ -375,23 +398,9 @@ def eval_total(sol: ScatterSolution, x):
     return sol.incident.value(sol.scene.wavenumber_k, x) + scattered_field(sol, x)[0]
 
 
-def modulated_nonvanishing_check(scene, x0, d: Direction, nodes_per_edge: int = 64):
-    """Total modulated field (1.3)-style value at the scene's source point.
-
-    Solves the scattering problem for the linearly modulated plane field
-    anchored at the vertex ``x0`` and evaluates the total field at
-    ``scene.source_y``; a nonzero value verifies the hypothesis under
-    which the point-source support formula holds without the far-source
-    condition.
-    """
-    x0 = np.asarray(x0, dtype=float)
-    vertices = scene.all_vertices
-    if len(vertices) and np.min(np.linalg.norm(vertices - x0, axis=1)) > 1e-9:
-        raise DomainError("x0 must be a vertex of the scene")
-    incident = ModulatedPlane(x0=x0, d=d)
-    mesh = build_mesh(scene, nodes_per_edge=nodes_per_edge)
-    sol = solve_scattering(scene, incident, mesh)
-    return eval_total(sol, scene.source_y)
+def _ldexp(z, exps):
+    """z 2^exps for complex z, exact where nothing overflows or underflows."""
+    return np.ldexp(z.real, exps) + 1j * np.ldexp(z.imag, exps)
 
 
 class DiscSeriesSolution:
@@ -408,7 +417,13 @@ class DiscSeriesSolution:
     and theta0 the angle of d for a plane wave, and a_n = (i/4) H_n(k rho)
     and theta0 the angle of y - c for a point source at |y - c| = rho.
     The scattered field is w = sum_m b_m H_|m|(k r) e^{i m theta} with
-    b_m = -J'_|m|(ka) / H'_|m|(ka) * a_|m| * e^{-i m theta0}.
+    b_m = -J'_|m|(ka) / H'_|m|(ka) * a_|m| * e^{-i m theta0}, for the
+    ``orders`` m = -N..N and their ``coefficients`` b_m.
+
+    Every order comes from ``hankel1_orders`` and ``bessel_j_orders`` at the
+    power-of-two scales of H_n(ka), with J'_n = (n/x) J_n - J_{n+1}, so no
+    factor overflows; N is the first n > ka + 8 whose boundary term
+    |b_n H_n(ka)| is below TAIL_TOL.
     """
 
     TAIL_TOL = 1e-12
@@ -418,37 +433,46 @@ class DiscSeriesSolution:
         self.center = np.asarray(center, dtype=float)
         self.a, self.k = float(a), float(k)
         self.incident = incident
+        n = np.arange(self.MAX_MODES + 1)
         if isinstance(incident, PointSource):
             rel = incident.y - self.center
             rho = np.linalg.norm(rel)
             if rho <= a:
                 raise DomainError("point source must lie outside the disc")
             theta0 = np.arctan2(rel[1], rel[0])
-            amplitude = lambda n: 0.25j * hankel1(n, self.k * rho)
+            h_rho, _, amplitude_exps = hankel1_orders(self.MAX_MODES, self.k * rho)
+            amplitude = 0.25j * h_rho  # a_n = amplitude[n] 2^amplitude_exps[n]
         elif isinstance(incident, PlaneWave):
             theta0 = incident.d.angle
-            shift = np.exp(1j * self.k * (self.center @ incident.d.vec))
-            amplitude = lambda n: (1j**n) * shift
+            amplitude = np.array([1, 1j, -1, -1j])[n % 4] * np.exp(1j * self.k * (self.center @ incident.d.vec))
+            amplitude_exps = 0
         else:
             raise DomainError("disc series supports PlaneWave and PointSource only")
         ka = self.k * self.a
-        coeffs = []  # b_n for n = 0..N, before the angular phase
-        for n in range(self.MAX_MODES + 1):
-            coeffs.append(-bessel_j_prime(n, ka) / hankel1_prime(n, ka) * amplitude(n))
-            # worst-case term magnitude on the boundary r = a
-            if n > ka + 8 and abs(coeffs[-1]) * abs(hankel1(n, ka)) < self.TAIL_TOL:
-                break
-        else:
+        h, dh, exps = hankel1_orders(self.MAX_MODES + 1, ka)
+        j = bessel_j_orders(np.array([ka]), exps)[:, 0]  # J_n(ka) 2^exps[n]
+        dj = (n / ka) * j[:-1] - np.ldexp(j[1:], exps[:-1] - exps[1:])  # J'_n(ka) 2^exps[n]
+        scaled = -dj / dh[:-1] * amplitude  # b_n 2^(2 exps[n] - amplitude_exps)
+        boundary = np.ldexp(np.abs(scaled * h[:-1]), amplitude_exps - exps[:-1])  # |b_n H_n(ka)|
+        stop = (n > ka + 8) & (boundary < self.TAIL_TOL)
+        if not stop.any():
             raise SolverError("disc series did not reach the tail tolerance")
-        self._orders = np.arange(-n, n + 1)
-        self._coeffs = np.array(coeffs[:0:-1] + coeffs) * np.exp(-1j * self._orders * theta0)
+        top = int(np.argmax(stop))
+        b = _ldexp(scaled, amplitude_exps - 2 * exps[:-1])[: top + 1]
+        self.orders = np.arange(-top, top + 1)
+        self.coefficients = np.concatenate([b[:0:-1], b]) * np.exp(-1j * self.orders * theta0)
 
     def eval_scattered(self, x):
-        """sum_m b_m H_|m|(k r) e^{i m theta} at x."""
+        """sum_m b_m H_|m|(k r) e^{i m theta} at x, with one order recursion per distinct radius."""
         rel = np.atleast_2d(np.asarray(x, dtype=float)) - self.center
         r, theta = np.linalg.norm(rel, axis=-1), np.arctan2(rel[:, 1], rel[:, 0])
-        z = np.array([hankel1(n, self.k * r) for n in range(self._orders[-1] + 1)])
-        out = (np.exp(1j * theta[:, None] * self._orders) * z[np.abs(self._orders)].T) @ self._coeffs
+        radii, which = np.unique(self.k * r, return_inverse=True)
+        m = np.abs(self.orders)
+        terms = np.empty((len(radii), len(m)), dtype=complex)  # b_m H_|m|(k r) per radius
+        for i, kr in enumerate(radii):
+            h, _, exps = hankel1_orders(self.orders[-1], kr)
+            terms[i] = _ldexp(self.coefficients * h[m], exps[m])
+        out = np.einsum("pm,pm->p", np.exp(1j * theta[:, None] * self.orders), terms[which])
         return out[0] if np.asarray(x).ndim == 1 else out
 
     def eval_total(self, x):
@@ -458,7 +482,7 @@ class DiscSeriesSolution:
         """Far-field pattern of the scattered series at observation angles of any shape."""
         angles = np.atleast_1d(np.asarray(angles, dtype=float))
         const = np.sqrt(2.0 / (np.pi * self.k)) * np.exp(-0.25j * np.pi)
-        out = np.exp(1j * angles[..., None] * self._orders) @ (self._coeffs * (-1j) ** np.abs(self._orders))
+        out = np.exp(1j * angles[..., None] * self.orders) @ (self.coefficients * (-1j) ** np.abs(self.orders))
         # center offset shifts the far-field phase by e^{-ik phi.c}
         phase = np.exp(-1j * self.k * (np.cos(angles) * self.center[0] + np.sin(angles) * self.center[1]))
         return const * out * phase

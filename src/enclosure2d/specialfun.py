@@ -1,20 +1,27 @@
-"""Integer-order Bessel and Hankel functions with domain guards.
+"""Hankel functions of the first kind and the Bessel orders of the circle series, in numpy.
 
-Thin wrappers over scipy.special, which meets the 1e-10 relative accuracy
-budget everywhere we evaluate.  Only real arguments and integer orders are
-supported; the derivative identities for the Hankel function of the first
-kind are exposed as helpers because the solver and the circle-harmonic
-extension both need them.
+H^(1)_0 and H^(1)_1 are the kernels of the Nystrom matrix, the single-layer
+field and the point source.  ``hankel1`` evaluates them from the polynomial
+expansions of ``hankel_table``, which tools/fit_hankel_table.py fits in
+mpmath: for 0 < x <= X0 = 4, J and Y as polynomials in x^2 once the
+logarithm and the pole of Y are split off (Abramowitz & Stegun 9.1.12-13),
+of degree 11; past X0, the modulus-phase form
+sqrt(2 / (pi x)) e^{ix} G_n(X0 / x) (A&S 9.2.5-10), G_n of degree 20.
+Horner's rule runs on both parts of a chunk of arguments at once, in
+elementwise passes only, so a value does not depend on its place in the
+array.  e^{ix} is taken of x itself, not of x - (2n + 1) pi/4, whose
+rounding would cost ulp(x) of phase.
 
-H^(1)_0 and H^(1)_1 are the kernels of the Nystrom matrix, the
-single-layer field and the point source.  They are built as J + iY from
-scipy's real-argument Cephes routines j0/y0/j1/y1, which agree with the
-general complex-argument routine special.hankel1 to about 1e-14 relative
-and are several times faster; higher orders, used only by the disc series,
-go through special.hankel1.  The assembly evaluates H_1 once per
-symmetric node pair: at 2048 nodes that is 52 ms of a 159 ms assembly,
-next to 0.32-0.35 s of LU; at 256 nodes 0.7 ms of 2.1 ms, next to 6 ms
-for numpy's inverse (2-core Xeon VM, 2 OpenBLAS threads).
+The accuracy gate is 1e-14 relative to mpmath over every argument the
+package evaluates for k <= 10, from node pairs 1e-8 apart at graded
+corners to x = 1e4 (tests/test_specialfun.py); the largest error there is
+7.5e-16.  The assembly evaluates H_1 once per symmetric node pair, all of
+them below X0 on the bench's 2048-node 128-gon: there H_1 takes 49-59 ms
+of the assembly, where scipy's Cephes j1/y1 took 46-49 ms (2-core Xeon VM,
+2 OpenBLAS threads; the assembly times are in ``forward``'s docstring).
+On a warm 5300-argument block, one call costs 118-123 us against Cephes'
+110 us; a call on a few hundred arguments costs 30-65 us more than Cephes,
+numpy's per-pass overhead.
 
 The measurement-circle series needs every order at once: ``hankel1_orders``
 gives H_m(kR) and H'_m(kR) by the upward ratio recursion and
@@ -22,8 +29,8 @@ gives H_m(kR) and H'_m(kR) by the upward ratio recursion and
 recurrence, both scaled by the same powers of two so that their products
 stay finite where H_m overflows.  On the 2048-node 128-gon (k = 2, R = 2,
 33 orders, 512 circle nodes) the whole circle trace takes 2.2 ms, of
-which Miller's recurrence is 1.0 ms and the Hankel orders 0.05 ms.  This
-module is the one place that calls scipy's Bessel and Hankel routines.
+which Miller's recurrence is 1.0 ms and the Hankel orders 0.05 ms.  The
+disc series takes its orders from the same two recurrences.
 """
 
 from __future__ import annotations
@@ -31,19 +38,35 @@ from __future__ import annotations
 import math
 
 import numpy as np
-from scipy import special
 
 from .errors import DomainError
+from .hankel_table import FAR, NEAR, X0
 
 __all__ = [
-    "bessel_j",
     "bessel_j_orders",
-    "bessel_j_prime",
-    "bessel_y",
     "hankel1",
     "hankel1_orders",
-    "hankel1_prime",
 ]
+
+
+def _split(rows) -> list:
+    """Horner columns, highest first, of the even and odd powers of each row as polynomials in s^2.
+
+    Rows of coefficients c_0, c_1, ... become 2r rows (the even ones, then the odd ones); column
+    views are cut once here, so a pass of ``_polynomial`` indexes nothing.
+    """
+    rows = np.array(rows, dtype=float)
+    if rows.shape[1] % 2:
+        rows = np.pad(rows, ((0, 0), (0, 1)))
+    split = np.concatenate([rows[:, 0::2], rows[:, 1::2]])
+    return [split[:, k, None] for k in range(split.shape[1] - 1, -1, -1)]
+
+
+_NEAR = [_split(rows) for rows in NEAR]
+_FAR = [_split(rows) for rows in FAR]
+# arguments per pass: on the 2048-node assembly (32 x 2048 per call) chunks took 201-212 ms against
+# 233-249 ms whole, and a 1M-argument call 105 ms and 17 MiB against 189 ms and 88 MiB (2-core VM)
+_CHUNK = 2**14
 
 
 def _check_order(n) -> int:
@@ -52,66 +75,83 @@ def _check_order(n) -> int:
     return int(n)
 
 
-def bessel_j(n: int, x):
-    """J_n(x) for x >= 0."""
-    n = _check_order(n)
-    x = np.asarray(x, dtype=float)
-    if np.any(x < 0):
-        raise DomainError("bessel_j requires x >= 0")
-    return special.jv(n, x)
+def _polynomial(columns: list, s: np.ndarray) -> np.ndarray:
+    """sum_k c_k s^k for each row that ``_split`` cut into ``columns``, all rows at once.
+
+    Horner's rule in s^2 on the even and odd powers together, then even + s odd: half the
+    passes of Horner in s, at the same flops.  Elementwise passes only, so a value does not
+    depend on its neighbours or its place in the array; a product with a basis of powers went
+    through BLAS kernels that round by position.
+    """
+    s2 = s * s
+    out = np.empty((len(columns[0]), len(s)))
+    out[:] = columns[0]
+    for column in columns[1:]:
+        out *= s2
+        out += column
+    half = len(out) // 2
+    odd = out[half:]
+    odd *= s
+    even = out[:half]
+    even += odd
+    return even
 
 
-def bessel_j_prime(n: int, x):
-    """d/dx J_n(x) for x >= 0."""
-    n = _check_order(n)
-    x = np.asarray(x, dtype=float)
-    if np.any(x < 0):
-        raise DomainError("bessel_j_prime requires x >= 0")
-    return special.jvp(n, x)
+def _near(n: int, x: np.ndarray, out: np.ndarray) -> None:
+    """H_n(x) into out for 0 < x <= X0: J_0 = A_0, Y_0 = (2/pi) ln(x/2) J_0 + B_0, J_1 = x A_1,
+    Y_1 = (2/pi) (ln(x/2) J_1 - 1/x) + x B_1, with A_n and B_n functions of x^2."""
+    u = x * x
+    u -= X0**2 / 2
+    a, b = _polynomial(_NEAR[n], u)
+    log_term = np.log(0.5 * x)
+    log_term *= 2.0 / np.pi
+    if n:
+        a *= x  # J_1
+        b *= x
+        b -= (2.0 / np.pi) / x
+    out.real = a
+    log_term *= a
+    np.add(log_term, b, out=out.imag)
 
 
-def bessel_y(n: int, x):
-    """Y_n(x) for x > 0 (logarithmic singularity at 0)."""
-    n = _check_order(n)
-    x = np.asarray(x, dtype=float)
-    if np.any(x <= 0):
-        raise DomainError("bessel_y requires x > 0")
-    return special.yv(n, x)
-
-
-# real-argument (J_n, Y_n) pairs for the orders the kernels use
-_LOW_ORDER = {0: (special.j0, special.y0), 1: (special.j1, special.y1)}
+def _far(n: int, x: np.ndarray, out: np.ndarray) -> None:
+    """H_n(x) into out for x > X0: sqrt(2 / (pi x)) e^{ix} (Re G_n + i Im G_n), G_n a function of X0 / x."""
+    s = (2.0 * X0) / x
+    s -= 1.0
+    g = _polynomial(_FAR[n], s)
+    g *= np.sqrt((2.0 / np.pi) / x)
+    g_re, g_im = g
+    cos, sin = np.cos(x), np.sin(x)
+    np.multiply(cos, g_re, out=out.real)
+    out.real -= sin * g_im
+    np.multiply(sin, g_re, out=out.imag)
+    out.imag += cos * g_im
 
 
 def hankel1(n: int, x):
-    """H^(1)_n(x) = J_n(x) + i Y_n(x) for x > 0."""
+    """H^(1)_n(x) = J_n(x) + i Y_n(x) for n = 0, 1 and x > 0; a 0-d input gives a scalar."""
     n = _check_order(n)
+    if n > 1:
+        raise DomainError(f"hankel1 evaluates orders 0 and 1; order {n} comes from hankel1_orders")
     x = np.asarray(x, dtype=float)
-    if np.any(x <= 0):
-        raise DomainError("hankel1 requires x > 0")
-    if n in _LOW_ORDER:
-        j, y = _LOW_ORDER[n]
-        # written into one complex array: no N^2 float temporaries, and a
-        # 0-d input gives a scalar, as from special.hankel1
-        out = np.empty(x.shape, dtype=complex)
-        j(x, out=out.real)
-        y(x, out=out.imag)
-        return out[()]
-    return special.hankel1(n, x)
-
-
-def hankel1_prime(n: int, x):
-    """d/dx H^(1)_n(x).
-
-    Uses (H_0)' = -H_1 and (H_n)' = H_{n-1} - (n/x) H_n for n >= 1.
-    """
-    n = _check_order(n)
-    x = np.asarray(x, dtype=float)
-    if np.any(x <= 0):
-        raise DomainError("hankel1_prime requires x > 0")
-    if n == 0:
-        return -hankel1(1, x)
-    return hankel1(n - 1, x) - (n / x) * hankel1(n, x)
+    flat = x.ravel()
+    out = np.empty(flat.shape, dtype=complex)
+    for lo in range(0, len(flat), _CHUNK):
+        part, dest = flat[lo:lo + _CHUNK], out[lo:lo + _CHUNK]
+        smallest, largest = part.min(), part.max()
+        if smallest <= 0:
+            raise DomainError("hankel1 requires x > 0")
+        if largest <= X0:  # the assembly's case: no gather or scatter
+            _near(n, part, dest)
+        elif smallest > X0:  # fields at the source and the measurement circle
+            _far(n, part, dest)
+        else:
+            near = part <= X0
+            for branch, mask in ((_near, near), (_far, ~near)):
+                values = np.empty(np.count_nonzero(mask), dtype=complex)
+                branch(n, part[mask], values)
+                dest[mask] = values
+    return out.reshape(x.shape)[()]
 
 
 def hankel1_orders(m_max: int, x: float):

@@ -17,7 +17,7 @@ the density on the mesh against n samples of u, so their agreement
 modes and that the incident part splits off exactly.  Both take H_m and
 H'_m from ``specialfun.hankel1_orders``, so the tests pin the density
 series to the direct single-layer sum (``forward.scattered_field``) and
-the helper to ``hankel1``.
+the helper to scipy's Hankel functions of every order.
 """
 
 from __future__ import annotations
@@ -31,7 +31,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import DomainError, ResolutionError
-from .fields import ModulatedPlane, PlaneWave, PointSource, normal_derivatives
+from .fields import PlaneWave, PointSource, normal_derivatives
 from .forward import ScatterSolution, circle_field, circle_nodes
 from .specialfun import hankel1_orders
 
@@ -153,7 +153,7 @@ class TraceData:
     u: np.ndarray      # (N,) complex
     dudn: np.ndarray   # (N,) complex, outward radial derivative
     k: float
-    incident: PointSource | PlaneWave | ModulatedPlane
+    incident: PointSource | PlaneWave
 
     def __post_init__(self):
         _check_trace_size(len(self.u))

@@ -394,6 +394,18 @@ class TestFarfieldAndLsm:
                 if not l.startswith("#")]
         assert len(rows) == 1 + 25
 
+    def test_disc_radius_follows_the_scene_center(self, tmp_path):
+        # the map spans B_R about the centre, so the disc must sit there too
+        path = tmp_path / "scene.json"
+        path.write_text(json.dumps(scene_dict(obstacles=[], center=[3.0, 0.0], source=[9.0, 0.0])))
+        out = tmp_path / "lsm"
+        assert main(["lsm", "--scene", str(path), "--out", str(out), "--disc-radius", "0.5",
+                     "--directions", "32", "--grid-n", "21"]) == 0
+        rows = [l.split(",") for l in (out / "heatmap.csv").read_text().splitlines() if not l.startswith("#")]
+        x, y, value = np.array([[float(v) for v in r] for r in rows[1:]]).T
+        peak = np.argmax(value)
+        assert np.hypot(x[peak] - 3.0, y[peak]) < 0.5
+
     def test_polygon_operator_without_disc_radius(self, scene_file, tmp_path):
         ff, lsm = tmp_path / "ff", tmp_path / "lsm"
         assert main(["farfield", "--scene", str(scene_file), "--out", str(ff), "--directions", "8"]) == 0

@@ -155,6 +155,23 @@ class TestOperator:
         ref = series.far_field(disc_op.obs_angles[:, None] - disc_op.inc_angles[None, :])
         assert np.max(np.abs(disc_op.matrix - ref)) < 1e-14 * np.max(np.abs(ref))
 
+    def test_disc_operator_about_a_center_is_the_series_there(self):
+        # the phases on either side of the circulant against one series per incidence about c
+        center = np.array([3.0, -1.0])
+        op = disc_far_field_operator(DISC_R, K, 16, center)
+        ref = np.column_stack([
+            DiscSeriesSolution(center, DISC_R, K, PlaneWave(Direction.from_angle(d))).far_field(op.obs_angles)
+            for d in op.inc_angles])
+        assert np.max(np.abs(op.matrix - ref)) < 1e-13 * np.max(np.abs(ref))
+
+    def test_disc_operator_at_the_origin_is_the_bare_circulant(self, disc_op):
+        # both phases are exactly 1 there, so the origin's operator.csv does not move with them
+        n = len(disc_op.inc_angles)
+        pattern = DiscSeriesSolution((0.0, 0.0), DISC_R, K, PlaneWave(Direction.from_angle(0.0))).far_field(
+            disc_op.obs_angles)
+        circulant = pattern[np.subtract.outer(np.arange(n), np.arange(n)) % n]
+        assert disc_op.matrix.tobytes() == circulant.tobytes()
+
     def test_disc_operator_forms_no_orders_tensor(self):
         # one series on n angles: an (n, n, orders) phase array at n = 512 traced 202 MiB
         tracemalloc.start()

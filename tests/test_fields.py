@@ -3,7 +3,6 @@ import pytest
 
 from enclosure2d.errors import DomainError
 from enclosure2d.fields import (
-    ModulatedPlane,
     PlaneWave,
     PointSource,
     normal_derivatives,
@@ -17,7 +16,6 @@ from test_specialfun import j_series, y0_series
 ALL_FIELDS = [
     PlaneWave(Direction.from_angle(0.4)),
     PointSource(np.array([3.0, -1.0])),
-    ModulatedPlane(x0=np.array([0.5, 0.5]), d=Direction.from_angle(1.1)),
 ]
 
 
@@ -25,15 +23,6 @@ class TestValues:
     def test_plane_wave_period(self):
         v = PlaneWave(Direction(1.0, 0.0)).value(2.0, np.array([np.pi, 0.0]))
         assert v == pytest.approx(1.0, abs=1e-12)
-
-    def test_modulated_vanishes_at_anchor(self):
-        f = ModulatedPlane(x0=np.array([0.2, -0.7]), d=Direction.from_angle(2.2))
-        assert f.value(3.0, f.x0) == pytest.approx(0.0, abs=1e-300)
-
-    def test_modulated_theta_orientation(self):
-        f = ModulatedPlane(x0=np.zeros(2), d=Direction.from_angle(0.9))
-        # (theta_y, -theta_x) = d
-        np.testing.assert_allclose([f.theta[1], -f.theta[0]], f.d.vec)
 
     def test_point_source_series_value(self):
         # (i/4) H_0(1) pinned by an independent series oracle
@@ -104,7 +93,6 @@ class TestNormalDerivatives:
     def test_mixed_kinds_keep_their_column_order(self):
         mesh, k = build_mesh(make_scene(SQUARE_VERTS), nodes_per_edge=32), 2.0
         fields = [PointSource(np.array([6.0, 0.0])), PlaneWave(Direction.from_angle(0.3)),
-                  ModulatedPlane(x0=np.array([0.5, 0.5]), d=Direction.from_angle(1.1)),
                   PlaneWave(Direction.from_angle(2.0)), PointSource(np.array([0.0, -5.0]))]
         grouped = normal_derivatives(fields, k, mesh.nodes, mesh.normals)
         for j, field in enumerate(fields):

@@ -1,6 +1,10 @@
 """Package modules use each other through public names only."""
 
 import ast
+import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "enclosure2d"
@@ -66,9 +70,40 @@ def _modules_importing_scipy(submodule: str) -> list[str]:
 
 
 def test_bessel_kernels_come_from_specialfun_only():
-    # one definition of H0/H1: every other module goes through specialfun
-    offenders = [name for name in _modules_importing_scipy("special") if name != "specialfun.py"]
-    assert not offenders, f"scipy.special used outside specialfun.py: {offenders}"
+    # one definition of H0/H1, specialfun's own expansions: no module reads scipy.special
+    offenders = _modules_importing_scipy("special")
+    assert not offenders, f"scipy.special imported by: {offenders}"
+
+
+SCIPY_FREE_RUN = """
+import sys
+from pathlib import Path
+
+def scipy_modules():
+    return sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
+
+import enclosure2d.cli
+after_import = scipy_modules()
+scene, out = Path(sys.argv[1]), Path(sys.argv[2])
+scene.write_text('{"obstacles": [[[-0.5, -0.5], [0.5, -0.5], [0.5, 0.5], [-0.5, 0.5]]], '
+                 '"R": 2.0, "R1": 6.0, "source": [6.0, 0.0], "k": 2.0}')
+code = enclosure2d.cli.main(["hull", "--scene", str(scene), "--out", str(out)])
+print(repr((code, after_import, scipy_modules())))
+"""
+
+
+def test_commands_load_no_scipy(tmp_path):
+    # scipy's LU serves systems above INVERSE_MAX_NODES only; importing the CLI and a
+    # default hull (the square's 256 nodes) start on numpy alone, in a fresh interpreter
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([str(PACKAGE.parent), os.environ.get("PYTHONPATH", "")])}
+    done = subprocess.run([sys.executable, "-c", SCIPY_FREE_RUN, str(tmp_path / "square.json"), str(tmp_path / "hull")],
+                          env=env, capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    code, after_import, after_hull = ast.literal_eval(done.stdout.strip().splitlines()[-1])
+    assert code == 0
+    assert after_import == [], f"import enclosure2d.cli loaded {after_import}"
+    assert after_hull == [], f"a default hull loaded {after_hull}"
+    assert json.loads((tmp_path / "hull" / "diagnostics.json").read_text())["usable"] > 0
 
 
 def test_no_module_imports_scipy_optimize():
@@ -109,11 +144,6 @@ UNCALLED_API = {
     "classify_threshold",
     # reads the trace file that `enclosure2d solve` writes; ROADMAP item 3 gives `hull --trace`
     "trace_from_csv",
-    # the non-vanishing hypothesis (1.3); ROADMAP item 7 gives it a sweep or deletes it
-    "modulated_nonvanishing_check",
-    # the accurate J_n and Y_n that the Hankel kernels are tested against
-    "bessel_j",
-    "bessel_y",
 }
 
 
