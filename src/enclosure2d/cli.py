@@ -156,6 +156,7 @@ def cmd_solve(args) -> int:
     cross = float(np.max(np.abs(recovered - trace.dudn)) / np.max(np.abs(trace.dudn)))
     _write_json(out / "solver.json", args, {
         "condition_estimate": sol.condition_estimate,
+        "factorization": sol.factorization,
         "residual_norm": sol.residual_norm,
         "neumann_route_max_rel_diff": cross,
         "condition_1_1_holds": scene.condition_1_1_holds,

@@ -31,16 +31,33 @@ check.
 factorisation and condition check per scene and mesh, shared by every
 incident field passed with it.  ``solve_scattering`` is its batch of one.
 
-Systems of at most INVERSE_MAX_NODES nodes are inverted with numpy, so
-their condition number is exact and every BLAS call of a small pipeline
-goes to numpy's OpenBLAS.  scipy loads its own OpenBLAS copy, and after a
-call to it that pool's threads keep spinning next to numpy's: at 2 BLAS
-threads on 2 cores every later numpy stage ran about 1.4x slower.  Larger
-systems keep scipy's LU and its condition estimate, where the inverse's
-extra flops would cost more than that contention.  scipy is imported
-inside that branch, so a pipeline of at most INVERSE_MAX_NODES nodes never
-loads it; the first larger solve in a process pays its import, about
-0.2 s.
+``solve_incidents`` takes one of three branches, which
+``ScatterSolution.factorization`` names:
+
+- "inverse": systems of at most INVERSE_MAX_NODES nodes are inverted with
+  numpy, so their condition number is exact and every BLAS call of a small
+  pipeline goes to numpy's OpenBLAS.  scipy loads its own OpenBLAS copy,
+  and after a call to it that pool's threads keep spinning next to numpy's:
+  at 2 BLAS threads on 2 cores every later numpy stage ran about 1.4x
+  slower.  scipy is imported only by the two larger branches, so a pipeline
+  of at most INVERSE_MAX_NODES nodes never loads it; the first larger solve
+  in a process pays its import, about 0.2 s.
+- "single-refined": a larger system is cast once to complex64, as its
+  transpose in Fortran order (the matrix's own memory order), and
+  LU-factorised in place; its condition comes from cgecon, and the
+  complex64 solve is refined against the complex128 matrix until LAPACK
+  zcgesv's test ||r||_inf <= sqrt(N) 2^-53 ||A||_inf ||x||_inf holds
+  (Langou et al., SC'06): two corrections on the square at 544 nodes and on
+  the 128-gon at 2048.  The factor takes half the memory of a complex128
+  one and about two thirds of its time (213 against 326 ms at 2048 nodes,
+  medians of 5 and 3, 2-core VM, 2 OpenBLAS threads).
+- "double": a system the single factor cannot vouch for, one whose
+  condition estimate passes SINGLE_CONDITION_LIMIT (condition * 2^-24 past
+  1e-2; a zero pivot or a NaN reads infinite) or whose refinement has not
+  converged after REFINE_MAX_STEPS corrections, is factorised again by
+  scipy's complex128 LU, with zgecon's condition estimate.  So a near-
+  resonant or singular system raises exactly as it would without the
+  single branch.
 
 The H_1 kernel is numpy's own (``specialfun.hankel1``).  Assembly times on
 16-gon, 32-gon and 128-gon meshes of 16 nodes per edge, k = 2, as the range
@@ -57,6 +74,7 @@ median of 200) it takes 2.05-2.22 ms (1.87-2.01 ms), and on the L
 from __future__ import annotations
 
 import math
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -86,6 +104,19 @@ GRADING_RATIO = 2.0**-4  # the graded breakpoints shrink by this factor per leve
 CONDITION_LIMIT = 1e10
 RESIDUAL_TOL = 1e-8
 INVERSE_MAX_NODES = 512
+# complex64's unit round-off, and double's (LAPACK's dlamch("E"), which sets
+# zcgesv's stopping test)
+SINGLE_ROUNDOFF = 2.0**-24
+DOUBLE_ROUNDOFF = 2.0**-53
+# refinement from a complex64 LU shrinks the error by about
+# condition * SINGLE_ROUNDOFF a step, so the single factor is trusted while
+# that product is at most 1e-2 (a condition of 1.7e5; the square at k = 2
+# reads 2.3e3): two digits a step or better
+SINGLE_CONDITION_LIMIT = 1e-2 / SINGLE_ROUNDOFF
+# at two digits a step the single solve's error, at most 1e-2, reaches
+# DOUBLE_ROUNDOFF in 7 corrections; 10 leave room for the constant in front
+# of condition * SINGLE_ROUNDOFF
+REFINE_MAX_STEPS = 10
 # the most (orders + 1) x N entries circle_field's terms array may hold,
 # 128 MB of complex: 4x the largest series a test, demo or bench run forms
 # (2048 orders over 1024 nodes, a circle 2% outside the fine square's
@@ -93,8 +124,10 @@ INVERSE_MAX_NODES = 512
 # the circle
 SERIES_MAX_ENTRIES = 2**23
 # the most entries the dense N x N system may hold, 256 MB of complex (its
-# inverse or LU as much again): 4x the largest a test, demo or bench run
-# forms (forward-large's 2048 nodes); --mesh-nodes has no bound of its own
+# inverse as much again up to INVERSE_MAX_NODES, its complex64 LU half again
+# above, or as much again where the complex128 LU takes over): 4x the
+# largest a test, demo or bench run forms (forward-large's 2048 nodes);
+# --mesh-nodes has no bound of its own
 SYSTEM_MAX_ENTRIES = 2**24
 
 
@@ -206,6 +239,77 @@ class ScatterSolution:
     density: np.ndarray
     condition_estimate: float
     residual_norm: float
+    factorization: str  # "inverse", "single-refined" or "double": see solve_incidents
+
+
+def _check_condition(condition: float) -> None:
+    if not condition <= CONDITION_LIMIT:  # also catches a NaN condition
+        raise SolverError(
+            f"near-resonant boundary system (condition ~ {condition:.2e}); "
+            "k is close to a spurious interior Dirichlet eigenvalue of the "
+            "single-layer ansatz -- perturb k slightly"
+        )
+
+
+def _residuals(matrix: np.ndarray, densities: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+    return np.linalg.norm(matrix @ densities - rhs, np.inf, axis=0)
+
+
+def _inverse_solve(matrix: np.ndarray, rhs: np.ndarray):
+    """numpy's inverse: densities, residuals and the exact 1-norm condition."""
+    try:
+        inverse = np.linalg.inv(matrix)
+        condition = np.linalg.norm(matrix, 1) * np.linalg.norm(inverse, 1)
+    except np.linalg.LinAlgError:  # exactly singular
+        condition = np.inf
+    _check_condition(condition)
+    densities = inverse @ rhs
+    return densities, _residuals(matrix, densities, rhs), condition
+
+
+def _double_solve(matrix: np.ndarray, rhs: np.ndarray, anorm: float):
+    """scipy's complex128 LU: densities, residuals and zgecon's condition estimate."""
+    from scipy.linalg import lu_factor, lu_solve  # loaded by systems this large only
+    from scipy.linalg.lapack import zgecon
+
+    lu = lu_factor(matrix, check_finite=False)  # a NaN reaches the guard below
+    rcond, info = zgecon(lu[0], anorm)
+    condition = np.inf if rcond == 0 or info != 0 else 1.0 / rcond
+    _check_condition(condition)
+    densities = lu_solve(lu, rhs)
+    return densities, _residuals(matrix, densities, rhs), condition
+
+
+def _single_refined_solve(matrix, rhs, anorm: float, anorm_inf: float):
+    """complex64 LU refined in double, as LAPACK's zcgesv: densities, residuals and cgecon's condition.
+
+    None for a system the single factor cannot vouch for (see
+    ``solve_incidents``).  The residuals are those of the returned densities.
+    """
+    from scipy.linalg import LinAlgWarning, lu_factor, lu_solve
+    from scipy.linalg.lapack import cgecon
+
+    # the factor is of A^T, whose Fortran order is A's own C order: the cast
+    # is one contiguous pass (a Fortran-ordered copy of A took 5x as long at
+    # 2048 nodes), factorised in place, and A x = b is its transposed solve
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", LinAlgWarning)  # a zero pivot reads rcond 0 below
+        lu = lu_factor(matrix.astype(np.complex64).T, overwrite_a=True, check_finite=False)
+    rcond, info = cgecon(lu[0], anorm, norm="I")  # ||A^T||_inf ||A^-T||_inf = ||A||_1 ||A^-1||_1
+    condition = np.inf if rcond == 0 or info != 0 else 1.0 / rcond
+    if not condition <= SINGLE_CONDITION_LIMIT:
+        return None
+    _check_condition(condition)
+    tolerance = math.sqrt(len(matrix)) * DOUBLE_ROUNDOFF * anorm_inf
+    densities = np.zeros_like(rhs)
+    residuals = rhs
+    for _ in range(1 + REFINE_MAX_STEPS):
+        densities += lu_solve(lu, residuals.astype(np.complex64), trans=1, check_finite=False)
+        residuals = rhs - matrix @ densities
+        norms = np.linalg.norm(residuals, np.inf, axis=0)
+        if np.all(norms <= tolerance * np.linalg.norm(densities, np.inf, axis=0)):
+            return densities, norms, condition
+    return None
 
 
 def solve_incidents(scene: Scene, incidents, mesh: BoundaryMesh) -> list[ScatterSolution]:
@@ -213,10 +317,15 @@ def solve_incidents(scene: Scene, incidents, mesh: BoundaryMesh) -> list[Scatter
 
     Assembles the Nystrom system once and inverts it with numpy up to
     INVERSE_MAX_NODES nodes, where the condition is the exact
-    ||A||_1 ||A^-1||_1 (zgecon's Hager-Higham estimate is a lower bound),
-    or LU-factorises it with scipy above, where the condition is zgecon's
-    estimate.  All right-hand sides go through one product with the
-    inverse or one LU solve.
+    ||A||_1 ||A^-1||_1 (zgecon's Hager-Higham estimate is a lower bound).
+    Above, it factorises a complex64 copy with scipy, reads cgecon's
+    estimate, and refines the solve in double until zcgesv's stopping test
+    holds; a condition estimate past SINGLE_CONDITION_LIMIT (2^-24 times it
+    past 1e-2), a zero pivot, a NaN, or no convergence within
+    REFINE_MAX_STEPS corrections sends the system to scipy's complex128 LU
+    and zgecon's estimate instead.  The branch taken is each solution's
+    ``factorization``.  All right-hand sides go through one product with
+    the inverse or one LU solve per step.
 
     Raises DomainError for a point source inside an obstacle, then
     ResolutionError past SYSTEM_MAX_ENTRIES, then NearFieldError for a
@@ -240,35 +349,24 @@ def solve_incidents(scene: Scene, incidents, mesh: BoundaryMesh) -> list[Scatter
     if mesh.n_nodes and len(sources):
         dx, dy = (sources[:, c, None] - mesh.nodes[None, :, c] for c in (0, 1))
         _check_far_from_boundary(mesh, np.sqrt(dx * dx + dy * dy), "point source")
-    condition = 1.0
+    condition, factorization = 1.0, "inverse"
     densities = np.zeros((0, len(incidents)), dtype=complex)
     residuals = np.zeros(len(incidents))
     if mesh.n_nodes:
         matrix = _assemble(mesh, scene.wavenumber_k)
-        anorm = np.linalg.norm(matrix, 1)
-        inverse = lu = None
-        if mesh.n_nodes <= INVERSE_MAX_NODES:
-            try:
-                inverse = np.linalg.inv(matrix)
-                condition = anorm * np.linalg.norm(inverse, 1)
-            except np.linalg.LinAlgError:  # exactly singular
-                condition = np.inf
-        else:
-            from scipy.linalg import lu_factor, lu_solve  # loaded by systems this large only
-            from scipy.linalg.lapack import zgecon
-
-            lu = lu_factor(matrix, check_finite=False)  # a NaN reaches the guard below
-            rcond, info = zgecon(lu[0], anorm)
-            condition = np.inf if rcond == 0 or info != 0 else 1.0 / rcond
-        if not condition <= CONDITION_LIMIT:  # also catches a NaN condition
-            raise SolverError(
-                f"near-resonant boundary system (condition ~ {condition:.2e}); "
-                "k is close to a spurious interior Dirichlet eigenvalue of the "
-                "single-layer ansatz -- perturb k slightly"
-            )
         rhs = -normal_derivatives(incidents, scene.wavenumber_k, mesh.nodes, mesh.normals)
-        densities = inverse @ rhs if lu is None else lu_solve(lu, rhs)
-        residuals = np.linalg.norm(matrix @ densities - rhs, np.inf, axis=0)
+        if mesh.n_nodes <= INVERSE_MAX_NODES:
+            solved = _inverse_solve(matrix, rhs)
+        else:
+            absolute = np.abs(matrix)  # both norms from one pass, each bitwise np.linalg.norm's
+            anorm, anorm_inf = absolute.sum(axis=0).max(), absolute.sum(axis=1).max()
+            del absolute
+            factorization = "single-refined"
+            solved = _single_refined_solve(matrix, rhs, anorm, anorm_inf)
+            if solved is None:
+                factorization = "double"
+                solved = _double_solve(matrix, rhs, anorm)
+        densities, residuals, condition = solved
         scale = np.maximum(np.linalg.norm(rhs, np.inf, axis=0), 1e-300)
         if np.any(residuals > RESIDUAL_TOL * scale):
             raise SolverError(f"discrete residual {np.max(residuals):.2e} exceeds tolerance")
@@ -280,6 +378,7 @@ def solve_incidents(scene: Scene, incidents, mesh: BoundaryMesh) -> list[Scatter
             density=densities[:, j],
             condition_estimate=condition,
             residual_norm=float(residuals[j]),
+            factorization=factorization,
         )
         for j, incident in enumerate(incidents)
     ]

@@ -64,6 +64,17 @@ class TestSolve:
         assert solver["neumann_route_max_rel_diff"] < 1e-4
         assert solver["condition_1_1_holds"] is True
 
+    @pytest.mark.parametrize("mesh_nodes, factorization", [(64, "inverse"), (136, "single-refined")])
+    def test_solver_json_names_the_factorization(self, scene_file, tmp_path, mesh_nodes, factorization):
+        # 256 nodes are inverted, whose condition is exact; 544 take the
+        # complex64 LU, whose condition is cgecon's estimate
+        out = tmp_path / "out"
+        assert main(["solve", "--scene", str(scene_file), "--out", str(out), "--mesh-nodes", str(mesh_nodes)]) == 0
+        solver = json.loads((out / "solver.json").read_text())
+        assert solver["factorization"] == factorization
+        assert np.isfinite(solver["condition_estimate"])
+        assert solver["residual_norm"] < 1e-8
+
     def test_deterministic_output(self, scene_file, tmp_path):
         out1, out2 = tmp_path / "a", tmp_path / "b"
         # identical configuration must give byte-identical artifacts

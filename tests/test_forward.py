@@ -387,9 +387,24 @@ SOLVER_PATHS = pytest.mark.parametrize("nodes_per_edge", [64, 136], ids=["invers
 # single-layer system reads condition 6.6e8 (inverse) and 7.8e9 (LU) here,
 # against 6.9e3 and 2.3e3 at k = 2
 RESONANT_K = np.pi * np.sqrt(2.0)
-# scipy's LU routines, which forward imports inside its large-system branch
-LU_ROUTINES = [(scipy.linalg, "lu_factor"), (scipy.linalg, "lu_solve"), (scipy.linalg.lapack, "zgecon")]
+# scipy's LU routines, which forward imports inside its large-system branches
+LU_ROUTINES = [
+    (scipy.linalg, "lu_factor"),
+    (scipy.linalg, "lu_solve"),
+    (scipy.linalg.lapack, "zgecon"),
+    (scipy.linalg.lapack, "cgecon"),
+]
 LOWERED_CONDITION_LIMIT = 1e6
+
+
+def complex128_lu_reference(scene, mesh, incidents):
+    """Densities from scipy's complex128 LU and zgecon's condition estimate."""
+    matrix = forward._assemble(mesh, scene.wavenumber_k)
+    lu = lu_factor(matrix)
+    rhs = -forward.normal_derivatives(incidents, scene.wavenumber_k, mesh.nodes, mesh.normals)
+    rcond, info = zgecon(lu[0], np.linalg.norm(matrix, 1))
+    assert info == 0
+    return scipy.linalg.lu_solve(lu, rhs), 1.0 / rcond
 
 
 class TestFactorization:
@@ -477,8 +492,108 @@ class TestFactorization:
         mesh = build_mesh(square_scene, nodes_per_edge=136)
         assert mesh.n_nodes > INVERSE_MAX_NODES
         sol = solve_scattering(square_scene, PointSource(square_scene.source_y), mesh)
-        assert called == {"lu_factor", "lu_solve", "zgecon"}
+        assert called == {"lu_factor", "lu_solve", "cgecon"}
         assert sol.residual_norm < 1e-8
+
+    @pytest.mark.parametrize("scene, nodes_per_edge", [
+        (make_scene(SQUARE_VERTS), 136),
+        (regular_polygon_scene(64), 16),
+    ], ids=["square-544", "64-gon-1024"])
+    def test_single_refined_matches_the_double_lu(self, scene, nodes_per_edge):
+        mesh = build_mesh(scene, nodes_per_edge=nodes_per_edge)
+        assert mesh.n_nodes > INVERSE_MAX_NODES
+        incidents = [PointSource(scene.source_y), PlaneWave(Direction.from_angle(0.3))]
+        solutions = solve_incidents(scene, incidents, mesh)
+        reference, condition = complex128_lu_reference(scene, mesh, incidents)
+        for j, sol in enumerate(solutions):
+            assert sol.factorization == "single-refined"
+            assert np.max(np.abs(sol.density - reference[:, j])) <= 1e-13 * np.max(np.abs(reference[:, j]))
+            assert sol.condition_estimate == pytest.approx(condition, rel=1e-5)
+
+    @pytest.mark.parametrize("verts, nodes_per_edge", [(SQUARE_VERTS, 136), (L_VERTS, 96)], ids=["square", "L"])
+    def test_single_refined_norms_are_numpys(self, verts, nodes_per_edge, monkeypatch):
+        # the 1- and inf-norms come from one |A| pass, bitwise np.linalg.norm's
+        seen = []
+        single_refined_solve = forward._single_refined_solve
+
+        def recorded(matrix, rhs, anorm, anorm_inf):
+            seen.append((np.linalg.norm(matrix, 1), np.linalg.norm(matrix, np.inf), anorm, anorm_inf))
+            return single_refined_solve(matrix, rhs, anorm, anorm_inf)
+
+        monkeypatch.setattr(forward, "_single_refined_solve", recorded)
+        scene = make_scene(verts)
+        mesh = build_mesh(scene, nodes_per_edge=nodes_per_edge)
+        assert mesh.n_nodes > INVERSE_MAX_NODES
+        solve_scattering(scene, PointSource(scene.source_y), mesh)
+        (norm_1, norm_inf, anorm, anorm_inf), = seen
+        assert (anorm, anorm_inf) == (norm_1, norm_inf)
+
+    @pytest.mark.parametrize("constant, value", [("SINGLE_CONDITION_LIMIT", 1.0), ("REFINE_MAX_STEPS", 0)])
+    def test_unvouched_system_goes_to_the_double_lu(self, square_scene, monkeypatch, constant, value):
+        # a condition past the single bound, or a refinement that has not met
+        # zcgesv's test, leaves the solve to the complex128 LU and zgecon
+        monkeypatch.setattr(forward, constant, value)
+        mesh = build_mesh(square_scene, nodes_per_edge=136)
+        sol = solve_scattering(square_scene, PointSource(square_scene.source_y), mesh)
+        reference, condition = complex128_lu_reference(square_scene, mesh, [sol.incident])
+        assert sol.factorization == "double"
+        assert np.array_equal(sol.density, reference[:, 0])
+        assert sol.condition_estimate == condition
+
+    def test_factorization_names_the_inverse(self, square_sol):
+        assert square_sol.mesh.n_nodes <= INVERSE_MAX_NODES
+        assert square_sol.factorization == "inverse"
+
+    def test_resonant_system_goes_to_zgecon_and_fails_its_residual(self, square_scene, monkeypatch):
+        # condition 7.8e9 passes CONDITION_LIMIT but not the single bound, so
+        # the complex128 LU solves it, and its residual, 4.6e-8 of the
+        # right-hand side, fails RESIDUAL_TOL
+        called = []
+        original = scipy.linalg.lapack.zgecon
+
+        def counted(*args, **kwargs):
+            called.append("zgecon")
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(scipy.linalg.lapack, "zgecon", counted)
+        resonant = dataclasses.replace(square_scene, wavenumber_k=RESONANT_K)
+        mesh = build_mesh(resonant, nodes_per_edge=136)
+        with pytest.raises(SolverError, match="discrete residual"):
+            solve_scattering(resonant, PointSource(resonant.source_y), mesh)
+        assert called == ["zgecon"]
+
+    def test_zero_pivot_in_single_precision_goes_to_the_double_lu(self, square_scene, monkeypatch):
+        # a column that underflows to zero in complex64 but not in complex128:
+        # the single factor's zero pivot must not escape as scipy's
+        # LinAlgWarning (an error under pytest's warning filters), and the
+        # double factor reads the column's 1e-50 as near-resonance
+        assemble = forward._assemble
+
+        def tiny_column(mesh, k):
+            matrix = assemble(mesh, k)
+            matrix[:, 3] = 0.0
+            matrix[3, 3] = 1e-50
+            return matrix
+
+        monkeypatch.setattr(forward, "_assemble", tiny_column)
+        mesh = build_mesh(square_scene, nodes_per_edge=136)
+        with pytest.raises(SolverError, match="near-resonant"):
+            solve_scattering(square_scene, PointSource(square_scene.source_y), mesh)
+
+    def test_large_solve_peak_memory(self, square_scene):
+        # the matrix, then its complex64 factor: 1.5 complex N x N arrays,
+        # where the complex128 LU's copy made 2.0
+        mesh = build_mesh(square_scene, nodes_per_edge=136)
+        n = mesh.n_nodes
+        source = PointSource(square_scene.source_y)
+        solve_scattering(square_scene, source, mesh)  # scipy's imports are not the solve's memory
+        tracemalloc.start()
+        try:
+            solve_scattering(square_scene, source, mesh)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.6 * 16 * n * n
 
 
 class TestDiscSeries:

@@ -144,7 +144,7 @@ class TestSeriesMatchesDirectSum:
         mesh = build_mesh(scene, nodes_per_edge=32)
         rng = np.random.default_rng(3)
         density = rng.normal(size=mesh.n_nodes) + 1j * rng.normal(size=mesh.n_nodes)
-        sol = ScatterSolution(scene, PointSource(scene.source_y), mesh, density, 1.0, 0.0)
+        sol = ScatterSolution(scene, PointSource(scene.source_y), mesh, density, 1.0, 0.0, "single-refined")
         assert_matches_direct_sum(sol, 2.0, 64)
 
     def test_does_not_evaluate_the_pair_sum(self, square_sol, square_scene, monkeypatch):
