@@ -82,10 +82,10 @@ def _load_scene(path: str) -> Scene:
 
 
 def _config_hash(args: argparse.Namespace) -> str:
-    # the hash covers the scientific configuration, not where it is written
+    # the hash covers the scientific configuration, the scene by its JSON: not the scene's path or the output's
     payload = json.dumps(
         {k: v for k, v in sorted(vars(args).items()) if k not in ("func", "out")},
-        default=str,
+        default=Scene.to_json,
     )
     return hashlib.sha256(payload.encode()).hexdigest()[:16]
 
@@ -145,7 +145,7 @@ def _solve_with_trace(scene, args, incident):
 
 
 def cmd_solve(args) -> int:
-    scene = _load_scene(args.scene)
+    scene = args.scene
     if not scene.obstacles:
         raise ConfigError("solve requires at least one obstacle")
     sol, trace = _solve_with_trace(scene, args, PointSource(scene.source_y))
@@ -165,7 +165,7 @@ def cmd_solve(args) -> int:
 
 
 def cmd_hull(args) -> int:
-    scene = _load_scene(args.scene)
+    scene = args.scene
     if not scene.obstacles:
         raise ConfigError("hull requires at least one obstacle")
     taus = _tau_grid(args)
@@ -214,7 +214,7 @@ def _far_field_operator(scene, args):
 
 
 def cmd_farfield(args) -> int:
-    scene = _load_scene(args.scene)
+    scene = args.scene
     alphas = _alpha_sweep(args)
     op = _far_field_operator(scene, args)
     out = Path(args.out)
@@ -238,7 +238,7 @@ def cmd_farfield(args) -> int:
 
 
 def cmd_lsm(args) -> int:
-    scene = _load_scene(args.scene)
+    scene = args.scene
     n = args.grid_n
     if n * n > LSM_MAX_POINTS:
         raise ResolutionError(f"a {n} x {n} sampling grid passes {LSM_MAX_POINTS} points")
@@ -305,6 +305,7 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        args.scene = _load_scene(args.scene)  # the commands and the config hash read the scene, not its path
         return args.func(args)
     except (ConfigError, DomainError) as exc:
         # every DomainError here comes from a flag or the scene file

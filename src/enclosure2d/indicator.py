@@ -17,14 +17,15 @@ The table is the probe's one definition over the grid, and ``check_tau_grid``
 holds every rule a grid must meet; it runs before any table is built.
 Its magnitude behaves like e^{tau h} / s^{lambda} with
 s = sqrt(tau^2 + k^2) + tau (the table's ``s``) and h
-the support function value in the probe direction, so log |J e^{-tau t_ref}|
-is fitted with the three-parameter model a tau + b log s + c; a + t_ref
-estimates h and b is a corner-angle diagnostic (close to -pi/Theta for
-the extreme corner).  Each sample carries a noise floor, the rms that the
-trace's tail level delta (noise or round-off in every mode) gives J;
-samples near it are unusable, and the fits weight the rest by their
-distance above it, so a sample just above the floor, whose log carries an
-error of order e^{floor - log|J|}, cannot steer the slope.
+the support function value in the probe direction, so log |J e^{-tau R}|,
+R the circle's radius, is fitted with the three-parameter model
+a tau + b log s + c; a + R estimates h and b is a corner-angle diagnostic
+(close to -pi/Theta for the extreme corner).  Each sample carries a
+noise floor, the rms that the trace's tail level delta (noise or
+round-off in every mode) gives J; samples near it are unusable, and the
+fits weight the rest by their distance above it, so a sample just above
+the floor, whose log carries an error of order e^{floor - log|J|},
+cannot steer the slope.
 
 Two refinements make the fit robust when several boundary points share
 nearly the same height in the probe direction (directions close to a
@@ -52,7 +53,8 @@ edge attains the support value, are fitted like any other direction:
 their two end corners beat against each other, which is the case the
 two-exponential fit models.
 
-``sample_directions`` is the one sampling entry point, and
+``sample_directions`` is the one sampling entry point, which returns every
+direction over one tau grid as one ``IndicatorSamples`` batch, and
 ``compute_samples`` its batch of one; ``estimate_supports`` is the one fit
 entry point, and ``estimate_support`` its batch of one.
 """
@@ -132,34 +134,40 @@ def check_tau_grid(taus) -> np.ndarray:
 
 @dataclass(frozen=True)
 class IndicatorSamples:
-    """Scaled indicator values over a tau grid that ``check_tau_grid`` admits.
+    """Scaled indicator values of D directions over one tau grid that ``check_tau_grid`` admits, as one batch.
 
-    ``s`` is the probe's sqrt(tau^2 + k^2) + tau at each tau.
-    ``log_noise_floors`` holds each sample's noise floor, the rms that the
-    trace's tail level gives J, on the same scale as ``log_magnitudes``;
-    samples whose floor is -inf (noise-free data) all weigh the same in the
-    fit.
+    ``taus`` and ``s``, the probe's sqrt(tau^2 + k^2) + tau, are (T,); the
+    samples of direction ``omegas[i]`` are row i of the (D, T) arrays.
+    Their log magnitudes are those of J e^{-tau reference_height}, so a
+    fitted slope a gives h = a + reference_height.  ``log_noise_floors``
+    holds each sample's noise floor, the rms that the trace's tail level
+    gives J, on the scale of ``log_magnitudes``; samples whose floor is
+    -inf (noise-free data) all weigh the same in the fit.
     """
 
-    omega: Direction
-    t_ref: float
+    omegas: tuple[Direction, ...]
     taus: np.ndarray
+    s: np.ndarray
     log_magnitudes: np.ndarray
     phases: np.ndarray
     usable: np.ndarray
-    s: np.ndarray
     log_noise_floors: np.ndarray
+    reference_height: float
 
     def __post_init__(self):
-        object.__setattr__(self, "taus", check_tau_grid(self.taus))
+        taus = check_tau_grid(self.taus)
+        object.__setattr__(self, "taus", taus)
+        shapes = {np.shape(v) for v in (self.log_magnitudes, self.phases, self.usable, self.log_noise_floors)}
+        if np.shape(self.s) != taus.shape or shapes != {(len(self.omegas), len(taus))}:
+            raise DomainError(f"need s of shape {taus.shape} and samples of shape {(len(self.omegas), len(taus))}")
 
 
-def sample_directions(trace: TraceData, directions, taus, t_ref: float | None = None) -> list[IndicatorSamples]:
-    """Scaled indicator values and their noise floors over a tau grid, one ``IndicatorSamples`` per direction.
+def sample_directions(trace: TraceData, directions, taus) -> IndicatorSamples:
+    """Scaled indicator values and their noise floors over a tau grid, every direction in one batch.
 
-    With a_n the modes, eta = asinh(tau/k), kappa = sqrt(tau^2 + k^2) and c
-    the circle's centre, J e^{-tau t_ref} is
-    4i e^{tau (c.omega + R - t_ref) + i kappa c.omega_perp} sum_n a_n e^{n eta - tau R} e^{i n beta};
+    With a_n the modes, eta = asinh(tau/k), kappa = sqrt(tau^2 + k^2), R
+    the circle's radius and c its centre, J e^{-tau R} is
+    4i e^{tau c.omega + i kappa c.omega_perp} sum_n a_n e^{n eta - tau R} e^{i n beta};
     each g_n = e^{n eta - tau R} / H_n(kR) is formed in exponent arithmetic.
     Everything but the direction is the trace's ``probe_table``, built once
     per tau grid (ResolutionError for a trace of fewer than 2 kappa R nodes
@@ -167,43 +175,37 @@ def sample_directions(trace: TraceData, directions, taus, t_ref: float | None = 
     by (N x directions) product with the stacked a_n e^{i n beta_j}.  If
     every w_n carries independent noise of the tail level delta, J has rms
     4 delta ||g||_2: that is the floor, and samples less than NOISE_SNR
-    times above it are unusable.  ``t_ref`` (default: the circle radius)
-    enters as an exact affine shift.  The grid is checked by
-    ``check_tau_grid`` once per call, before the table is looked up.
+    times above it are unusable.  The batch's reference height is R.  The
+    grid is checked by ``check_tau_grid`` before the table is looked up.
     """
     taus = check_tau_grid(taus)
-    t_ref = float(trace.radius if t_ref is None else t_ref)
-    if not math.isfinite(t_ref):
-        raise DomainError("t_ref must be finite")
     table = trace.probe_table(taus)
 
-    directions = list(directions)
+    directions = tuple(directions)
     angle, along, across = np.array([(omega.angle, trace.center @ omega.vec, trace.center @ omega.perp)
                                      for omega in directions]).reshape(-1, 3).T
     modes = trace.modes
     turns = np.exp(np.multiply.outer(modes.orders, 1j * angle))
     series = np.ascontiguousarray((table.scale @ (modes.a[:, None] * turns)).T)  # (directions, T)
-    shift = np.multiply.outer(along + trace.radius - t_ref, taus)
+    shift = np.multiply.outer(along, taus)
     carrier = np.exp(1j * np.multiply.outer(across, table.kappa))
     with np.errstate(divide="ignore"):
         log_mag = np.log(4 * np.abs(series)) + shift
         log_floor = np.log(4 * modes.tail * table.g_norm) + shift
     phases = np.angle(1j * series * carrier)
     usable = np.isfinite(log_mag) & (log_mag > log_floor + math.log(NOISE_SNR))
-    # the grid passed check_tau_grid above, so the fields are set past the
-    # constructor, which would check it once per direction
-    batch = []
-    for i, omega in enumerate(directions):
-        samples = object.__new__(IndicatorSamples)
-        samples.__dict__.update(omega=omega, t_ref=t_ref, taus=taus, log_magnitudes=log_mag[i], phases=phases[i],
-                                usable=usable[i], s=table.s, log_noise_floors=log_floor[i])
-        batch.append(samples)
-    return batch
+    return IndicatorSamples(omegas=directions, taus=taus, s=table.s, log_magnitudes=log_mag, phases=phases,
+                            usable=usable, log_noise_floors=log_floor, reference_height=trace.radius)
 
 
-def compute_samples(trace: TraceData, omega: Direction, taus, t_ref: float | None = None) -> IndicatorSamples:
+def compute_samples(trace: TraceData, omega: Direction, taus) -> IndicatorSamples:
     """The samples of one direction: ``sample_directions`` for ``[omega]``."""
-    return sample_directions(trace, [omega], taus, t_ref)[0]
+    return sample_directions(trace, [omega], taus)
+
+
+def _check_one_direction(samples: IndicatorSamples) -> None:
+    if len(samples.omegas) != 1:
+        raise DomainError(f"need a batch of one direction (got {len(samples.omegas)})")
 
 
 @dataclass(frozen=True)
@@ -492,7 +494,7 @@ def _two_exponential_refines(t, L, phase, s, wt, used):
 
 
 def estimate_support(samples: IndicatorSamples) -> SupportEstimate:
-    """Robust fit of log|J_hat| = a tau + b log s + c; h_hat = a + t_ref.
+    """Robust fit of log|J_hat| = a tau + b log s + c for a batch of one; h_hat = a + reference height.
 
     The b log s term absorbs the leading s^{-lambda} decay of the
     indicator.  One fit with asymmetric trimming estimates all three
@@ -503,34 +505,27 @@ def estimate_support(samples: IndicatorSamples) -> SupportEstimate:
     rms is lower.  With fewer than 8 usable samples nothing is fitted:
     the estimate is unusable, with NaN h_hat, b and rms and fit_path
     "none", so the hull drops that direction alone.  This is
-    ``estimate_supports`` for one direction.
+    ``estimate_supports`` for a batch of one, and DomainError for any other.
     """
-    return estimate_supports([samples])[0]
+    _check_one_direction(samples)
+    return estimate_supports(samples)[0]
 
 
-def estimate_supports(samples_seq) -> list[SupportEstimate]:
-    """Fit every direction as ``estimate_support`` does, each stage as one array operation over all of them.
+def estimate_supports(samples: IndicatorSamples) -> list[SupportEstimate]:
+    """Fit every direction of the batch as ``estimate_support`` does, each stage as one array operation over all.
 
-    The samples are stacked into (directions, T) arrays, padded where grids
-    differ in length; the trimmed envelope fits run as one
-    ``_trimmed_envelopes`` call and the two-term refines as one
-    ``_two_exponential_refines`` call.  So a failed refine (a non-finite
+    The fits read the batch's (directions, T) arrays; the trimmed envelope
+    fits run as one ``_trimmed_envelopes`` call and the two-term refines as
+    one ``_two_exponential_refines`` call.  So a failed refine (a non-finite
     residual, say) leaves its own direction on its envelope fit and the
     others unchanged.  Batching rounds differently from one direction at
     a time, so an ``h_hat`` can differ from that direction's fit alone in
     the last digits, more where the fit's valley is flat.
     """
-    samples_seq = list(samples_seq)
-    k = len(samples_seq)
-    n = max((len(samples.taus) for samples in samples_seq), default=0)
-    t, s, L, phase, floor = np.zeros((5, k, n))
-    s[:] = 1.0  # so a pad's log s is 0
-    usable = np.zeros((k, n), dtype=bool)
-    for i, samples in enumerate(samples_seq):
-        m = len(samples.taus)
-        t[i, :m], s[i, :m], L[i, :m], phase[i, :m] = samples.taus, samples.s, samples.log_magnitudes, samples.phases
-        floor[i, :m], usable[i, :m] = samples.log_noise_floors, samples.usable
-    used = usable & np.isfinite(L)
+    k = len(samples.omegas)
+    t, s = np.tile(samples.taus, (k, 1)), np.tile(samples.s, (k, 1))
+    L, phase, floor = samples.log_magnitudes, samples.phases, samples.log_noise_floors
+    used = samples.usable & np.isfinite(L)
     n_used = used.sum(axis=1)
     h, b, rms = np.full((3, k), np.nan)
     two_term = np.zeros(k, dtype=bool)
@@ -554,26 +549,28 @@ def estimate_supports(samples_seq) -> list[SupportEstimate]:
             better = refined[2] < rms[rows]  # False where the refine failed: its log rms is NaN
             h[rows[better]], b[rows[better]], rms[rows[better]] = (v[better] for v in refined)
             two_term[rows[better]] = True
-    h += [samples.t_ref for samples in samples_seq]
-    return [SupportEstimate(omega=samples.omega, h_hat=h_i, log_s_coefficient=b_i, residual_rms=rms_i,
+    h += samples.reference_height
+    return [SupportEstimate(omega=omega, h_hat=h_i, log_s_coefficient=b_i, residual_rms=rms_i,
                             n_used=n_i, usable=rms_i < RMS_USABLE_THRESHOLD,
                             fit_path="none" if n_i < 8 else "two_term" if tt else "envelope")
-            for samples, h_i, b_i, rms_i, n_i, tt
-            in zip(samples_seq, h.tolist(), b.tolist(), rms.tolist(), n_used.tolist(), two_term.tolist())]
+            for omega, h_i, b_i, rms_i, n_i, tt
+            in zip(samples.omegas, h.tolist(), b.tolist(), rms.tolist(), n_used.tolist(), two_term.tolist())]
 
 
 def classify_threshold(samples: IndicatorSamples, t: float) -> str:
-    """'decays' / 'blows_up' / 'inconclusive' for e^{-tau t} |J(tau)|.
+    """'decays' / 'blows_up' / 'inconclusive' for e^{-tau t} |J(tau)|; DomainError unless the batch is of one.
 
     The decision uses the least-squares slope of log(e^{-tau t} |J|) over
     the upper half of the usable tau grid; it is monotone in t by
     construction (the slope is affine in t).
     """
-    mask = samples.usable & np.isfinite(samples.log_magnitudes)
+    _check_one_direction(samples)
+    (log_mag,), (usable,) = samples.log_magnitudes, samples.usable
+    mask = usable & np.isfinite(log_mag)
     if np.count_nonzero(mask) < 8:
         raise ReconstructionError("need at least 8 usable samples to classify")
     taus = samples.taus[mask]
-    g = samples.log_magnitudes[mask] + taus * (samples.t_ref - t)
+    g = log_mag[mask] + taus * (samples.reference_height - t)
     half = len(taus) // 2
     tt, gg = taus[half:], g[half:]
     slope = float(np.polyfit(tt, gg, 1)[0])

@@ -56,19 +56,18 @@ def probe_gradient_factor(omega, tau, k):
     return tau * omega.vec + 1j * np.hypot(tau, k) * omega.perp
 
 
-def quadrature_samples(trace, omega, taus, t_ref=None):
-    """The indicator by trapezoid quadrature of the Cauchy data, with its eps*L1 round-off floor.
+def quadrature_samples(trace, omega, taus):
+    """The indicator by trapezoid quadrature of the Cauchy data, with its eps*L1 round-off floor, as a batch of one.
 
     J(tau) = int (du/dnu v_tau - dv_tau/dnu u) dS over the circle, with the
     probe referenced to t0 = max(x.omega) on the circle so that every
-    integrand term has modulus at most O(|u| tau), then shifted to t_ref
-    (default: the circle radius).  The floor is machine epsilon times the
-    L1 mass of the integrand; a sample is usable NOISE_SNR times above it.
-    It reads du/dn, which the package's indicator does not, so it is an
-    independent reference for it.
+    integrand term has modulus at most O(|u| tau), then shifted to the
+    circle radius, the package's reference height.  The floor is machine
+    epsilon times the L1 mass of the integrand; a sample is usable
+    NOISE_SNR times above it.  It reads du/dn, which the package's
+    indicator does not, so it is an independent reference for it.
     """
     taus = np.asarray(taus, dtype=float)
-    t_ref = trace.radius if t_ref is None else t_ref
     pts, normals = circle_nodes(trace.center, trace.radius, trace.n)
     t0 = float(np.max(pts @ omega.vec))
     v = eval_probe(omega, taus, trace.k, pts, t_ref=t0)
@@ -83,22 +82,22 @@ def quadrature_samples(trace, omega, taus, t_ref=None):
     log_floor_t0 = np.log(np.maximum(l1_mass, 1e-300)) + math.log(np.finfo(float).eps)
     with np.errstate(divide="ignore"):
         log_mag_t0 = np.log(np.abs(j_scaled))
-    shift = taus * (t0 - t_ref)
+    shift = taus * (t0 - trace.radius)
     log_mag = log_mag_t0 + shift
     return IndicatorSamples(
-        omega=omega,
-        t_ref=t_ref,
+        omegas=(omega,),
         taus=taus,
-        log_magnitudes=log_mag,
-        phases=np.angle(j_scaled),
-        usable=np.isfinite(log_mag) & (log_mag_t0 > log_floor_t0 + math.log(NOISE_SNR)),
         s=np.hypot(taus, trace.k) + taus,
-        log_noise_floors=log_floor_t0 + shift,
+        log_magnitudes=log_mag[None],
+        phases=np.angle(j_scaled)[None],
+        usable=(np.isfinite(log_mag) & (log_mag_t0 > log_floor_t0 + math.log(NOISE_SNR)))[None],
+        log_noise_floors=(log_floor_t0 + shift)[None],
+        reference_height=trace.radius,
     )
 
 
-def formula_samples(trace, omega, taus, t_ref=None):
-    """(log|J|, phase, usable, floor) of ``compute_samples`` from its formula, every factor formed afresh.
+def formula_samples(trace, omega, taus):
+    """(log|J|, phase, usable, floor) of ``compute_samples``' one row from its formula, every factor formed afresh.
 
     The probe's expansion e^{n eta - tau R} 2^-exps is rebuilt for this one
     direction, real, so the product with the modes promotes it to complex
@@ -106,14 +105,13 @@ def formula_samples(trace, omega, taus, t_ref=None):
     ``probe_table``.  The two must agree bitwise.
     """
     taus = np.asarray(taus, float)
-    t_ref = float(trace.radius if t_ref is None else t_ref)
     kappa = np.hypot(taus, trace.k)
     modes = trace.modes
     eta = np.arcsinh(taus / trace.k)
     scale = np.exp(eta[:, None] * modes.orders - (taus * trace.radius)[:, None] - math.log(2) * modes.exps)
     series = scale @ (modes.a * np.exp(1j * omega.angle * modes.orders))
     g_norm = np.sqrt(scale**2 @ np.abs(modes.h) ** -2)
-    shift = taus * (trace.center @ omega.vec + trace.radius - t_ref)
+    shift = taus * (trace.center @ omega.vec)
     with np.errstate(divide="ignore"):
         log_mag = np.log(4 * np.abs(series)) + shift
         log_floor = np.log(4 * modes.tail * g_norm) + shift
@@ -121,8 +119,8 @@ def formula_samples(trace, omega, taus, t_ref=None):
     return log_mag, phases, np.isfinite(log_mag) & (log_mag > log_floor + math.log(NOISE_SNR)), log_floor
 
 
-def reference_samples(sol, trace, omega, taus, t_ref=None):
-    """Floor-free reference log|J| and phase of ``compute_samples(trace, omega, taus, t_ref)``.
+def reference_samples(sol, trace, omega, taus):
+    """Floor-free reference log|J| and phase of ``compute_samples(trace, omega, taus)``' one row.
 
     The Nystrom scattered field is a sum of point sources and the incident
     field is regular in the measurement disc, so Green's second identity
@@ -131,13 +129,13 @@ def reference_samples(sol, trace, omega, taus, t_ref=None):
     J, so the sum has no cancellation floor.  It reads the density, which
     is forward-model ground truth: a check for tests, never an inversion.
     The probe is referenced to t0 = max(x.omega) on the circle and shifted
-    to t_ref (default: the circle radius) as compute_samples does.
+    to the circle radius as compute_samples is.
     """
     taus = np.asarray(taus, dtype=float)
     t0 = float(np.max(circle_nodes(trace.center, trace.radius, trace.n)[0] @ omega.vec))
     v = eval_probe(omega, taus, trace.k, sol.mesh.nodes, t_ref=t0)
     j = -v @ (sol.density * sol.mesh.weights)
-    return np.log(np.abs(j)) + taus * (t0 - (trace.radius if t_ref is None else t_ref)), np.angle(j)
+    return np.log(np.abs(j)) + taus * (t0 - trace.radius), np.angle(j)
 
 
 def far_field_pattern(sol, angles):

@@ -454,6 +454,27 @@ class TestFarfieldAndLsm:
         np.testing.assert_array_equal(heat[:, 2], lsm_indicator_map(op, heat[:, :2]))
 
 
+class TestConfigHash:
+    def test_hash_names_the_scene_not_its_path(self, tmp_path):
+        # two copies of the square in two directories hash alike in every
+        # file that hull writes; moving one vertex changes the hash
+        def hashes(name, data):
+            path = tmp_path / name / "scene.json"
+            path.parent.mkdir()
+            path.write_text(json.dumps(data))
+            out = tmp_path / name / "hull"
+            assert main(["hull", "--scene", str(path), "--out", str(out)]) == 0
+            return {p.name: re.findall(r"config.hash\W+(\w+)", p.read_text()) for p in out.iterdir()}
+
+        first = hashes("a", scene_dict())
+        assert sorted(first) == ["diagnostics.json", "hull.json", "supports.csv"]
+        assert len({h for found in first.values() for h in found}) == 1
+        assert all(len(found) == 1 for found in first.values())
+        assert hashes("b", scene_dict()) == first
+        moved = scene_dict(obstacles=[[[-0.5, -0.5], [0.5, -0.5], [0.5, 0.5], [-0.4, 0.5]]])
+        assert hashes("c", moved)["hull.json"] != first["hull.json"]
+
+
 class TestJsonOutput:
     def test_every_json_file_is_strict(self, scene_file, tmp_path):
         # Python's json reads NaN and Infinity; strict parsers do not

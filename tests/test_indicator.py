@@ -82,23 +82,6 @@ class TestGreenNull:
         assert not compute_samples(tr, OM30, taus).usable.any()
 
 
-class TestScaling:
-    def test_t_ref_shift(self, square_trace, taus):
-        grid, delta = np.union1d(taus, [12.0]), 0.37
-        a = compute_samples(square_trace, OM30, grid, t_ref=1.0)
-        b = compute_samples(square_trace, OM30, grid, t_ref=1.0 + delta)
-        shift = b.log_magnitudes - a.log_magnitudes
-        assert np.all(np.abs(shift + grid * delta) <= 1e-12 * grid)
-
-    def test_h_hat_t_ref_independent(self, square_trace, taus):
-        ests = [
-            estimate_support(compute_samples(square_trace, OM30, taus, t_ref=t))
-            for t in (0.0, 1.0, 2.0)
-        ]
-        assert ests[1].h_hat == pytest.approx(ests[0].h_hat, abs=1e-12)
-        assert ests[2].h_hat == pytest.approx(ests[0].h_hat, abs=1e-12)
-
-
 def _per_tau_quadrature(trace, omega, tau):
     """The per-tau quadrature that quadrature_samples runs for all tau at once."""
     points, normals = circle_nodes(trace.center, trace.radius, trace.n)
@@ -178,17 +161,6 @@ def test_off_centre_circle_matches_reference(translated_square):
     assert np.median(np.concatenate(phase_errs)) <= 1e-8
 
 
-class TestReferenceShift:
-    @pytest.mark.parametrize("t_ref", [40, 100])
-    def test_usable_flags_and_h_hat_ignore_t_ref(self, square_trace, taus, t_ref):
-        # t_ref only shifts log|J| by tau (t0 - t_ref); which samples are
-        # usable, and the support estimate, must not depend on it
-        default = compute_samples(square_trace, OM30, taus)
-        shifted = compute_samples(square_trace, OM30, taus, t_ref=t_ref)
-        assert shifted.usable.tolist() == default.usable.tolist()
-        assert estimate_support(shifted).h_hat == pytest.approx(estimate_support(default).h_hat, abs=1e-9)
-
-
 EIGHT_TAUS = np.geomspace(4.0, 40.0, 8)  # a grid that check_tau_grid admits
 
 
@@ -201,8 +173,6 @@ EIGHT_TAUS = np.geomspace(4.0, 40.0, 8)  # a grid that check_tau_grid admits
     pytest.param(lambda trace: compute_samples(trace, OM30, np.append(0.0, EIGHT_TAUS[1:])), id="samples-zero-tau"),
     pytest.param(lambda trace: compute_samples(trace, OM30, np.append(-4.0, EIGHT_TAUS[1:])),
                  id="samples-negative-tau"),
-    pytest.param(lambda trace: compute_samples(trace, OM30, EIGHT_TAUS, t_ref=np.nan), id="samples-nan-t_ref"),
-    pytest.param(lambda trace: compute_samples(trace, OM30, EIGHT_TAUS, t_ref=np.inf), id="samples-inf-t_ref"),
 ])
 def test_non_finite_probe_input_is_domain_error(call, square_trace):
     # nan <= 0 is False, so a bare positivity test lets these through; the
@@ -230,13 +200,40 @@ def test_each_tau_grid_rule(square_trace, taus):
         dataclasses.replace(synthetic_samples(EIGHT_TAUS), taus=taus)
 
 
-def assert_matches_formula(trace, omega, taus, t_ref=None):
-    samples = compute_samples(trace, omega, taus, t_ref)
-    log_mag, phases, usable, log_floor = formula_samples(trace, omega, taus, t_ref)
-    np.testing.assert_array_equal(samples.log_magnitudes, log_mag)
-    np.testing.assert_array_equal(samples.phases, phases)
-    np.testing.assert_array_equal(samples.usable, usable)
-    np.testing.assert_array_equal(samples.log_noise_floors, log_floor)
+class TestBatch:
+    def test_empty_batch(self, square_trace, taus):
+        samples = indicator.sample_directions(square_trace, [], taus)
+        assert samples.omegas == () and samples.log_magnitudes.shape == (0, len(taus))
+        assert estimate_supports(samples) == []
+        with pytest.raises(ReconstructionError):
+            reconstruct_hull(square_trace, [], taus)
+
+    def test_batch_of_one_callers_refuse_other_sizes(self, square_trace, taus):
+        for directions in ([], [OM30, OM30]):
+            samples = indicator.sample_directions(square_trace, directions, taus)
+            with pytest.raises(DomainError):
+                estimate_support(samples)
+            with pytest.raises(DomainError):
+                classify_threshold(samples, 0.7)
+
+    def test_arrays_must_match_the_batch(self):
+        # s is one row of the grid's length, the samples one row per direction
+        samples = synthetic_samples(EIGHT_TAUS)
+        for name in ("s", "log_magnitudes", "phases", "usable", "log_noise_floors"):
+            value = getattr(samples, name)
+            for wrong in (value[..., :-1], value[0] if value.ndim == 2 else value[None]):
+                with pytest.raises(DomainError):
+                    dataclasses.replace(samples, **{name: wrong})
+
+
+def assert_matches_formula(trace, omega, taus):
+    samples = compute_samples(trace, omega, taus)
+    assert samples.omegas == (omega,) and samples.reference_height == trace.radius
+    log_mag, phases, usable, log_floor = formula_samples(trace, omega, taus)
+    np.testing.assert_array_equal(samples.log_magnitudes, log_mag[None])
+    np.testing.assert_array_equal(samples.phases, phases[None])
+    np.testing.assert_array_equal(samples.usable, usable[None])
+    np.testing.assert_array_equal(samples.log_noise_floors, log_floor[None])
 
 
 class TestProbeTable:
@@ -251,8 +248,7 @@ class TestProbeTable:
     def test_one_table_per_trace_and_grid(self, square_trace, monkeypatch):
         # a work count, not a clock: a 64-direction hull builds the
         # direction-independent table once, a later sweep of the same trace
-        # and grid (a copy of it, with another t_ref) builds none, and
-        # another trace builds its own
+        # and grid (a copy of it) builds none, and another trace builds its own
         calls = []
         build = trace_module._build_probe_table
         monkeypatch.setattr(trace_module, "_build_probe_table",
@@ -261,7 +257,7 @@ class TestProbeTable:
         reconstruct_hull(trace, CRITERION_8_DIRECTIONS, CRITERION_8_TAUS)
         assert calls == [(id(trace), 64)]
         for om in CRITERION_8_DIRECTIONS:
-            compute_samples(trace, om, CRITERION_8_TAUS.copy(), t_ref=1.0)
+            compute_samples(trace, om, CRITERION_8_TAUS.copy())
         assert len(calls) == 1
         other = dataclasses.replace(square_trace)
         for om in CRITERION_8_DIRECTIONS:
@@ -281,18 +277,21 @@ class TestProbeTable:
             compute_samples(trace, OM30, np.geomspace(4.0, 40.0, trace_module.PROBE_TABLE_MAX_ENTRIES // 512 + 1))
         assert time.monotonic() - start < 1.0
 
-    def test_one_grid_check_per_direction(self, square_trace, monkeypatch):
-        # the samples are bitwise what their constructor, which checks the
-        # grid again, would hold
+    def test_grid_checks_do_not_grow_with_the_direction_count(self, square_trace, monkeypatch):
+        # a work count, not a clock: a batch of one direction or of eight
+        # checks its grid twice, before the table is looked up and in the
+        # batch's constructor; rebuilding the batch checks it once more and
+        # holds bitwise the same samples
         calls = []
         check = indicator.check_tau_grid
         monkeypatch.setattr(indicator, "check_tau_grid", lambda taus: calls.append(len(taus)) or check(taus))
         trace = dataclasses.replace(square_trace)  # a copy that has built no table
-        for om in self.DIRECTIONS:
-            samples = compute_samples(trace, om, CRITERION_8_TAUS)
-            assert len(calls) == 1
+        for directions in (self.DIRECTIONS[:1], self.DIRECTIONS):
+            samples = indicator.sample_directions(trace, directions, CRITERION_8_TAUS)
+            assert samples.log_magnitudes.shape == (len(directions), 64)
+            assert calls == [64, 64]
             rebuilt = IndicatorSamples(**{f.name: getattr(samples, f.name) for f in dataclasses.fields(samples)})
-            assert len(calls) == 2
+            assert calls == [64, 64, 64]
             calls.clear()
             for f in dataclasses.fields(samples):
                 np.testing.assert_array_equal(getattr(rebuilt, f.name), getattr(samples, f.name))
@@ -303,11 +302,6 @@ class TestProbeTable:
         for taus in (CRITERION_8_TAUS, EIGHT_TAUS, CRITERION_8_TAUS, EIGHT_TAUS):
             for om in self.DIRECTIONS:
                 assert_matches_formula(trace, om, taus)
-
-    @pytest.mark.parametrize("t_ref", [None, 0.0, 40.0])
-    def test_reference_shift(self, square_trace, t_ref):
-        for om in self.DIRECTIONS:
-            assert_matches_formula(square_trace, om, CRITERION_8_TAUS, t_ref)
 
     def test_off_centre_circle(self, translated_square):
         _, trace = translated_square
@@ -331,10 +325,34 @@ class TestOnePass:
             om = Direction.from_angle(ang)
             samples = quadrature_samples(square_trace, om, taus)
             ref = np.array([_per_tau_quadrature(square_trace, om, t) for t in taus])
-            np.testing.assert_allclose(samples.log_magnitudes, ref[:, 0], rtol=0, atol=1e-12)
-            np.testing.assert_allclose(samples.phases, ref[:, 1], rtol=0, atol=1e-12)
-            np.testing.assert_allclose(samples.log_noise_floors, ref[:, 2], rtol=0, atol=1e-12)
-            assert samples.usable.tolist() == (ref[:, 0] > ref[:, 2] + np.log(NOISE_SNR)).tolist()
+            np.testing.assert_allclose(samples.log_magnitudes, ref[None, :, 0], rtol=0, atol=1e-12)
+            np.testing.assert_allclose(samples.phases, ref[None, :, 1], rtol=0, atol=1e-12)
+            np.testing.assert_allclose(samples.log_noise_floors, ref[None, :, 2], rtol=0, atol=1e-12)
+            assert samples.usable.tolist() == [(ref[:, 0] > ref[:, 2] + np.log(NOISE_SNR)).tolist()]
+
+
+def one_direction(taus, s, log_magnitudes, phases):
+    """Noise-free samples of one direction, every one usable, as a batch of one referenced to height 0."""
+    return IndicatorSamples(
+        omegas=(Direction(1.0, 0.0),),
+        taus=taus,
+        s=s,
+        log_magnitudes=log_magnitudes[None],
+        phases=phases[None],
+        usable=np.ones((1, len(taus)), dtype=bool),
+        log_noise_floors=np.full((1, len(taus)), -np.inf),
+        reference_height=0.0,
+    )
+
+
+def stack(batches):
+    """One batch of the rows of ``batches``, which share one tau grid and reference height."""
+    first = batches[0]
+    assert all(np.array_equal(b.taus, first.taus) and np.array_equal(b.s, first.s)
+               and b.reference_height == first.reference_height for b in batches)
+    rows = {name: np.concatenate([getattr(b, name) for b in batches])
+            for name in ("log_magnitudes", "phases", "usable", "log_noise_floors")}
+    return dataclasses.replace(first, omegas=sum((b.omegas for b in batches), ()), **rows)
 
 
 def synthetic_samples(taus, h=0.7, b=-0.5, c=1.2, k=2.0, noise=None, seed=0):
@@ -344,16 +362,7 @@ def synthetic_samples(taus, h=0.7, b=-0.5, c=1.2, k=2.0, noise=None, seed=0):
     if noise is not None:
         rng = np.random.default_rng(seed)
         logs = logs + rng.uniform(-noise, noise, size=len(taus))
-    return IndicatorSamples(
-        omega=Direction(1.0, 0.0),
-        taus=taus,
-        s=s,
-        t_ref=0.0,
-        log_magnitudes=logs,
-        phases=np.zeros_like(taus),
-        usable=np.ones(len(taus), dtype=bool),
-        log_noise_floors=np.full(len(taus), -np.inf),
-    )
+    return one_direction(taus, s, logs, np.zeros_like(taus))
 
 
 BEAT_GRIDS = [((4.0, 40.0, 64), -0.7), ((8.0, 40.0, 16), -0.7), ((8.0, 40.0, 16), 1.0)]
@@ -366,16 +375,13 @@ def beat_samples(grid, p2):
     k = 2.0
     s = np.hypot(taus, k) + taus
     j = s**-0.75 * (np.exp((0.5 + 0.3j) * taus) + 0.8 * np.exp((0.48 + 1j * p2) * taus))
-    return IndicatorSamples(
-        omega=Direction(1.0, 0.0),
-        taus=taus,
-        s=s,
-        t_ref=0.0,
-        log_magnitudes=np.log(np.abs(j)),
-        phases=np.angle(j),
-        usable=np.ones(len(taus), dtype=bool),
-        log_noise_floors=np.full(len(taus), -np.inf),
-    )
+    return one_direction(taus, s, np.log(np.abs(j)), np.angle(j))
+
+
+def padded_beat_rows():
+    """Grid 1's beat three times, as batches of one that keep 16, 12 and 9 usable samples."""
+    base = beat_samples(*BEAT_GRIDS[1])
+    return [dataclasses.replace(base, usable=(np.arange(16) >= drop)[None]) for drop in (0, 4, 7)]
 
 
 class TestFit:
@@ -415,17 +421,7 @@ class TestFit:
         assert est.h_hat == pytest.approx(0.7, abs=1e-2)
 
     def test_too_few_usable(self, taus):
-        samples = synthetic_samples(taus)
-        bad = IndicatorSamples(
-            omega=samples.omega,
-            taus=samples.taus,
-            s=samples.s,
-            t_ref=samples.t_ref,
-            log_magnitudes=samples.log_magnitudes,
-            phases=samples.phases,
-            usable=np.arange(len(samples.taus)) < 5,
-            log_noise_floors=samples.log_noise_floors,
-        )
+        bad = dataclasses.replace(synthetic_samples(taus), usable=(np.arange(len(taus)) < 5)[None])
         est = estimate_support(bad)
         assert not est.usable
         assert est.fit_path == "none"
@@ -527,8 +523,8 @@ def lstsq_two_exponential_refines(t, L, phase, s, wt, used):
 
 def refine_inputs(samples):
     """(t, J0, log s) as the refine sees them: J0 is the data with its mean growth removed."""
-    t, L = samples.taus, samples.log_magnitudes
-    phase = np.unwrap(samples.phases)
+    t, (L,) = samples.taus, samples.log_magnitudes
+    phase = np.unwrap(samples.phases[0])
     a0, p0 = np.polyfit(t, L, 1)[0], np.polyfit(t, phase, 1)[0]
     return t, np.exp(L - a0 * t + 1j * (phase - p0 * t)), np.log(samples.s)
 
@@ -650,13 +646,13 @@ class TestTwoTermRefine:
         assert 1 < len(rounds) <= MAX_ROUNDS + 1
 
     def test_one_projection_per_batch_ranking_residual_and_jacobian(self, monkeypatch):
-        # a work count, not a clock: the three grids' refines run as one
-        # batch; all their starts are ranked in one call, and the starts and
-        # each solver round are one fused evaluation over the problems still
-        # running, so a per-start, per-problem or per-column loop fails
+        # a work count, not a clock: the refines of a three-row batch (16,
+        # 12 and 9 usable samples) run as one; all their starts are ranked
+        # in one call, and the starts and each solver round are one fused
+        # evaluation over the problems still running, so a per-start,
+        # per-problem or per-column loop fails
         calls = self.count_calls(monkeypatch)
-        samples = [beat_samples(grid, p2) for grid, p2 in BEAT_GRIDS]
-        assert [e.fit_path for e in estimate_supports(samples)] == ["two_term"] * 3
+        assert [e.fit_path for e in estimate_supports(stack(padded_beat_rows()))] == ["two_term"] * 3
         ranking, *rounds = calls
         assert ranking == ("rank", (3, len(STARTS), 5))
         assert rounds[0] == ("round", (3, 5))
@@ -692,12 +688,11 @@ class TestBatchedRefine:
         # shorter two run on padded rows, which add exact zeros: each fit
         # matches its own single-direction fit.  CI runs this file with
         # RuntimeWarning as error, so an inf or NaN made in the padding fails
-        base = beat_samples(*BEAT_GRIDS[1])
-        samples = [dataclasses.replace(base, usable=np.arange(16) >= drop) for drop in (0, 4, 7)]
-        batch = estimate_supports(samples)
+        rows = padded_beat_rows()
+        batch = estimate_supports(stack(rows))
         assert [e.n_used for e in batch] == [16, 12, 9]
         assert [e.fit_path for e in batch] == ["two_term"] * 3
-        for est, one in zip(batch, map(estimate_support, samples)):
+        for est, one in zip(batch, map(estimate_support, rows)):
             assert est.h_hat == pytest.approx(one.h_hat, abs=1e-9)
             assert est.log_s_coefficient == pytest.approx(one.log_s_coefficient, abs=1e-9)
 
@@ -706,12 +701,12 @@ class TestBatchedRefine:
         # direction alone falls back to its envelope fit
         good = beat_samples(*BEAT_GRIDS[0])
         phases = good.phases.copy()
-        phases[3] = np.nan
+        phases[0, 3] = np.nan
         bad = dataclasses.replace(good, phases=phases)
         alone = estimate_support(bad)
         assert alone.fit_path == "envelope" and not alone.usable
         assert alone.h_hat == pytest.approx(0.48020509, abs=1e-8)
-        batch_good, batch_bad = estimate_supports([good, bad])
+        batch_good, batch_bad = estimate_supports(stack([good, bad]))
         assert batch_bad == alone
         assert batch_good == estimate_support(good)
 
@@ -720,7 +715,7 @@ class TestBatchedRefine:
         # batch agrees with the scipy reference refine, and the batch with
         # one-direction fits (batching rounds differently, so not bitwise)
         samples = [compute_samples(square_trace, om, CRITERION_8_TAUS) for om in CRITERION_8_DIRECTIONS]
-        batch = estimate_supports(samples)
+        batch = estimate_supports(stack(samples))
         single = [estimate_support(s) for s in samples]
         monkeypatch.setattr(indicator, "_two_exponential_refines", lstsq_two_exponential_refines)
         reference = [estimate_support(s) for s in samples]
@@ -825,29 +820,31 @@ class TestBatchedStages:
                             refine(*args))
         monkeypatch.setattr(np, "polyfit", never)
         monkeypatch.setattr(np.linalg, "lstsq", never)
-        samples = [compute_samples(square_trace, om, CRITERION_8_TAUS) for om in CRITERION_8_DIRECTIONS]
+        samples = indicator.sample_directions(square_trace, CRITERION_8_DIRECTIONS, CRITERION_8_TAUS)
         two_term = sum(e.fit_path == "two_term" for e in estimate_supports(samples))
         assert two_term >= 10 and len(refines) == 1 and refines[0] >= two_term
 
     def test_awkward_rows_match_their_batches_of_one(self, square_trace):
         # one batch holds a direction with 5 usable samples, one with -inf
-        # floors, one whose NaN phase fails its refine, and a 16-tau grid
-        # padded to the others' 64.  pyproject.toml turns RuntimeWarning into
+        # floors and one whose NaN phase fails its refine, and a 16-tau grid
+        # is a batch of its own.  pyproject.toml turns RuntimeWarning into
         # an error, so an inf or NaN made in the padding fails here.  Padding
         # adds exact zeros, but sums over longer rows may group their terms
         # differently, so the fits agree to round-off (5e-16 here)
         square = compute_samples(square_trace, CRITERION_8_DIRECTIONS[0], CRITERION_8_TAUS)
-        few = dataclasses.replace(square, usable=square.usable & (np.cumsum(square.usable) <= 5))
-        floorless = dataclasses.replace(square, log_noise_floors=np.full(64, -np.inf))
+        few = dataclasses.replace(square, usable=square.usable & (np.cumsum(square.usable, axis=1) <= 5))
+        floorless = dataclasses.replace(square, log_noise_floors=np.full((1, 64), -np.inf))
         beat = beat_samples(*BEAT_GRIDS[0])
-        nan_phase = dataclasses.replace(beat, phases=np.where(np.arange(64) == 3, np.nan, beat.phases))
-        short = beat_samples(*BEAT_GRIDS[1])
-        rows = [few, floorless, nan_phase, short]
-        batch = estimate_supports(rows)
-        assert [e.fit_path for e in batch] == ["none", "two_term", "envelope", "two_term"]
+        nan_phase = dataclasses.replace(beat, phases=np.where(np.arange(64) == 3, np.nan, beat.phases),
+                                        log_magnitudes=beat.log_magnitudes - square_trace.radius * beat.taus,
+                                        reference_height=square_trace.radius)  # the square's reference height
+        rows = [few, floorless, nan_phase]
+        batch = estimate_supports(stack(rows))
+        assert [e.fit_path for e in batch] == ["none", "two_term", "envelope"]
         assert batch[0].n_used == 5
         for est, samples in zip(batch, rows):
             assert _same_estimate(est, estimate_support(samples))
+        assert estimate_support(beat_samples(*BEAT_GRIDS[1])).fit_path == "two_term"
 
 
 class TestLevenbergMarquardt:
@@ -955,7 +952,8 @@ class TestLevenbergMarquardt:
         samples = beat_samples(grid, p2)
         s = samples.s
         j = s**-0.3 * (np.exp((0.5 + 0.3j) * samples.taus) + 0.8 * np.exp((0.48 + 1j * p2) * samples.taus))
-        t, j0, log_s = refine_inputs(dataclasses.replace(samples, log_magnitudes=np.log(np.abs(j)), phases=np.angle(j)))
+        t, j0, log_s = refine_inputs(dataclasses.replace(samples, log_magnitudes=np.log(np.abs(j))[None],
+                                                         phases=np.angle(j)[None]))
         ranked = indicator._projected_residuals(STARTS, t, log_s, j0)
         start = STARTS[np.argmin(np.vecdot(ranked, ranked).real)]
         x, ok = indicator._levenberg_marquardt(
@@ -983,7 +981,7 @@ class TestThreshold:
     def test_too_few_usable_samples(self, taus):
         samples = synthetic_samples(taus)
         with pytest.raises(ReconstructionError, match="at least 8"):
-            classify_threshold(dataclasses.replace(samples, usable=np.arange(len(taus)) < 7), 0.7)
+            classify_threshold(dataclasses.replace(samples, usable=(np.arange(len(taus)) < 7)[None]), 0.7)
 
     def test_monotone_sandwich(self, square_trace, taus):
         samples = compute_samples(square_trace, OM30, taus)
@@ -1079,8 +1077,8 @@ class TestHull:
 
     def test_empty_intersection_raises(self, square_trace, taus, monkeypatch):
         # three usable supports h = -1 at 0, 120 and 240 degrees bound no point
-        def fake(samples_seq):
-            return [dataclasses.replace(e, h_hat=-1.0, usable=True) for e in estimate_supports(samples_seq)]
+        def fake(samples):
+            return [dataclasses.replace(e, h_hat=-1.0, usable=True) for e in estimate_supports(samples)]
 
         monkeypatch.setattr(indicator, "estimate_supports", fake)
         dirs = [Direction.from_angle(np.radians(deg)) for deg in (0, 120, 240)]
